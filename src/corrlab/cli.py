@@ -26,8 +26,9 @@ import numpy as np
 from . import eigen as eigenmod
 from . import exact, influence, resample, simulate
 from .errors import CorrlabError, InputError, UsageError
-from .estimators import pearson_rows, spearman_rows
-from .randgen import (MarginalSpec, PopulationSpec, RngStream, calibrate_copula,
+from .estimators import KINDS, pearson_rows, spearman_rows
+from .randgen import (CALIBRATION_TOL, CALIBRATION_VERSION, MarginalSpec,
+                      PopulationSpec, RngStream, calibrate_copula,
                       sample_bivariate_normal, sample_population)
 
 __all__ = ["main", "build_parser", "SCHEMA", "PRESETS"]
@@ -349,6 +350,31 @@ def _calibration_cache_path(out_dir: str, marginal: MarginalSpec, target: float,
     return os.path.join(out_dir, "calibrations", name)
 
 
+def _load_calibration(path: str, marginal: MarginalSpec, target: float,
+                      calibration_n: int) -> PopulationSpec | None:
+    """The cached population at ``path``, or None on a cache miss.
+
+    A missing, unreadable or malformed file is a miss, and so is one
+    written for other marginals, target or size, with another seed or
+    tolerance, or by another calibration algorithm version.
+    """
+    try:
+        with open(path) as handle:
+            cached = json.load(handle)
+        spec = PopulationSpec.from_dict(cached)
+    except (OSError, ValueError, KeyError, TypeError, CorrlabError):
+        return None
+    key = {"calibration_seed": CALIBRATION_SEED, "tolerance": CALIBRATION_TOL,
+           "algorithm": CALIBRATION_VERSION}
+    if (all(cached.get(name) == value for name, value in key.items())
+            and spec.calibration_n == calibration_n
+            and spec.target_pearson == target
+            and spec.marginal_x == marginal
+            and spec.marginal_y == marginal):
+        return spec
+    return None
+
+
 def _population_for(marginal_name: str, df: float | None, target: float,
                     calibration_n: int, out_dir: str) -> PopulationSpec:
     if marginal_name == "normal":
@@ -363,21 +389,16 @@ def _population_for(marginal_name: str, df: float | None, target: float,
         raise UsageError(f"unknown marginal family {marginal_name!r}")
 
     cache = _calibration_cache_path(out_dir, marginal, target, calibration_n)
-    if os.path.exists(cache):
-        with open(cache) as handle:
-            spec = PopulationSpec.from_dict(json.load(handle))
-        if (spec.calibration_n == calibration_n
-                and spec.target_pearson == target
-                and spec.marginal_x == marginal):
-            return spec
+    spec = _load_calibration(cache, marginal, target, calibration_n)
+    if spec is not None:
+        return spec
     spec = calibrate_copula(marginal, marginal, target,
                             calibration_n=calibration_n,
-                            stream=RngStream(CALIBRATION_SEED))
-    os.makedirs(os.path.dirname(cache), exist_ok=True)
-    tmp = cache + f".tmp{os.getpid()}"
-    with open(tmp, "w") as handle:
-        json.dump(spec.to_dict(), handle, indent=2, sort_keys=True)
-    os.replace(tmp, cache)
+                            stream=RngStream(CALIBRATION_SEED), tol=CALIBRATION_TOL)
+    record = dict(spec.to_dict(), calibration_seed=CALIBRATION_SEED,
+                  tolerance=CALIBRATION_TOL, algorithm=CALIBRATION_VERSION)
+    _commit_artifacts(os.path.dirname(cache), {
+        os.path.basename(cache): json.dumps(record, indent=2, sort_keys=True)})
     return spec
 
 
@@ -496,6 +517,10 @@ def _run_simulate(cfg: RunConfig):
     dfs = params["df"] if params["df"] is not None else (None,)
     if params["marginal"] != "chi2" and params["df"] is not None:
         raise UsageError("--df only applies to the chi2 marginal")
+    unknown = [kind for kind in params["kinds"] if kind not in KINDS]
+    if unknown:
+        raise UsageError(f"unknown coefficient kind {unknown[0]!r} "
+                         f"(use {', '.join(KINDS)})")
 
     artifacts = {}
     lines = []

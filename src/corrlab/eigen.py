@@ -1,10 +1,7 @@
 """Eigenvalue extraction and eigenvalue-stability resampling.
 
-Eigenvalues of symmetric matrices are computed with cyclic Jacobi
-rotations, which are unconditionally robust for the small (tens of
-columns) correlation matrices this package produces.  A batched variant
-runs the same rotation schedule across a stack of matrices at once so
-resampling studies stay fast.  Eigenvectors are never needed and never
+Eigenvalues of symmetric matrices come from LAPACK's symmetric solver
+through ``np.linalg.eigvalsh``.  Eigenvectors are never needed and never
 computed.
 """
 
@@ -14,81 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InputError, NumericError
+from .errors import InputError
 from .estimators import correlation_matrix
-from .randgen import RngStream
-from .resample import (REDRAW_CAP_PER_SAMPLE, PopulationDataset,
-                       _pearson_matrix, _spearman_matrix, draw_valid_rows)
+from .resample import PopulationDataset, _MeanSD, _replicate
 
 __all__ = ["symmetric_eigenvalues", "EigenSummary", "eigen_study"]
 
-OFFDIAG_TOL = 1e-12
-MAX_SWEEPS = 100
-_BATCH = 512
 
-
-def _offdiag_norm(mats: np.ndarray) -> np.ndarray:
-    off = mats.copy()
-    idx = np.arange(mats.shape[-1])
-    off[:, idx, idx] = 0.0
-    return np.sqrt((off * off).sum(axis=(1, 2)))
-
-
-def _jacobi_batch(mats: np.ndarray, tol: float = OFFDIAG_TOL,
-                  max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues (descending) of a stack of symmetric matrices.
-
-    Cyclic sweeps over the upper triangle; each rotation zeroes one
-    off-diagonal entry per matrix via the symmetric 2x2 Schur solution.
-    Converged when every matrix's off-diagonal norm has dropped below
-    ``tol`` times its initial value.
-    """
-    a = np.array(mats, dtype=float)
-    b, n, _ = a.shape
-    if n == 1:
-        return a[:, :, 0]
-    initial = _offdiag_norm(a)
-    target = tol * np.where(initial > 0.0, initial, 1.0)
-    for sweep in range(max_sweeps + 1):
-        if np.all(_offdiag_norm(a) <= target):
-            break
-        if sweep == max_sweeps:
-            raise NumericError(
-                f"Jacobi iteration did not converge within {max_sweeps} sweeps")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                live = np.abs(apq) > 1e-300
-                if not live.any():
-                    continue
-                app = a[:, p, p]
-                aqq = a[:, q, q]
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    theta = (aqq - app) / (2.0 * apq)
-                    safe = np.clip(theta, -1e150, 1e150)
-                    t = np.sign(safe) / (np.abs(safe) + np.sqrt(safe * safe + 1.0))
-                    # beyond the clip the rotation angle underflows to apq/diff
-                    t = np.where(np.abs(theta) > 1e150, 0.5 / theta, t)
-                t = np.where(theta == 0.0, 1.0, t)  # 45-degree rotation
-                t = np.where(live, t, 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                row_p = a[:, p, :].copy()
-                row_q = a[:, q, :].copy()
-                a[:, p, :] = c[:, None] * row_p - s[:, None] * row_q
-                a[:, q, :] = s[:, None] * row_p + c[:, None] * row_q
-                col_p = a[:, :, p].copy()
-                col_q = a[:, :, q].copy()
-                a[:, :, p] = c[:, None] * col_p - s[:, None] * col_q
-                a[:, :, q] = s[:, None] * col_p + c[:, None] * col_q
-                a[:, p, q] = 0.0
-                a[:, q, p] = 0.0
-    values = np.diagonal(a, axis1=1, axis2=2)
-    return -np.sort(-values, axis=1)
-
-
-def symmetric_eigenvalues(matrix, tol: float = OFFDIAG_TOL,
-                          max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
+def symmetric_eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of one symmetric matrix, sorted descending."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -97,7 +27,7 @@ def symmetric_eigenvalues(matrix, tol: float = OFFDIAG_TOL,
         raise InputError("matrix contains non-finite entries")
     if np.max(np.abs(m - m.T)) > 1e-10:
         raise InputError("matrix is not symmetric within 1e-10")
-    return _jacobi_batch(m[None, :, :], tol=tol, max_sweeps=max_sweeps)[0]
+    return np.linalg.eigvalsh(m)[::-1]
 
 
 @dataclass(frozen=True)
@@ -130,60 +60,27 @@ def eigen_study(dataset: PopulationDataset, sample_size: int, n_samples: int,
     p = dataset.n_cols
     if not 1 <= k <= p:
         raise InputError(f"k must lie in [1, {p}]")
-    if sample_size < 2 or n_samples < 2:
-        raise InputError("need sample_size >= 2 and n_samples >= 2")
-    values = dataset.values
     pop_eig = {
         "rp": symmetric_eigenvalues(correlation_matrix(dataset))[:k],
         "rs": symmetric_eigenvalues(correlation_matrix(dataset, "spearman"))[:k],
     }
-
-    sums = {key: np.zeros(k) for key in ("rp", "rs")}
-    sums_sq = {key: np.zeros(k) for key in ("rp", "rs")}
-    redraws = 0
-    degenerate_total = np.zeros(p, dtype=np.int64)
+    top = {"rp": _MeanSD(k), "rs": _MeanSD(k)}
     max_trace_err = 0.0
-    stream = RngStream(master_seed)
 
-    buffers = {"rp": np.empty((_BATCH, p, p)), "rs": np.empty((_BATCH, p, p))}
-    filled = 0
-
-    def flush(count: int):
+    def visit(rp: np.ndarray, rs: np.ndarray):
         nonlocal max_trace_err
-        for key in ("rp", "rs"):
-            eig = _jacobi_batch(buffers[key][:count])
-            trace_err = np.abs(eig.sum(axis=1) - p).max()
-            max_trace_err = max(max_trace_err, float(trace_err))
-            top = eig[:, :k]
-            sums[key] += top.sum(axis=0)
-            sums_sq[key] += (top * top).sum(axis=0)
+        for key, mat in (("rp", rp), ("rs", rs)):
+            # the matrices are symmetric by construction; eigvalsh ascends
+            eig = np.linalg.eigvalsh(mat)[::-1]
+            max_trace_err = max(max_trace_err, abs(float(eig.sum()) - p))
+            top[key].add(eig[:k])
 
-    for rep in range(n_samples):
-        rng = stream.child(rep).generator()
-        table, attempts, degenerate = draw_valid_rows(values, sample_size, rng)
-        redraws += min(attempts, REDRAW_CAP_PER_SAMPLE)
-        degenerate_total += degenerate
-        if table is None:
-            worst = dataset.column_names[int(np.argmax(degenerate_total))]
-            raise InfeasibleError(
-                f"replication {rep} exceeded {REDRAW_CAP_PER_SAMPLE} redraws; "
-                f"column {worst!r} keeps degenerating")
-        buffers["rp"][filled] = _pearson_matrix(table)
-        buffers["rs"][filled] = _spearman_matrix(table)
-        filled += 1
-        if filled == _BATCH:
-            flush(filled)
-            filled = 0
-    if filled:
-        flush(filled)
-
-    reps = float(n_samples)
-    mean = {key: sums[key] / reps for key in sums}
-    sd = {key: np.sqrt(np.maximum(sums_sq[key] / reps - mean[key] ** 2, 0.0)
-                       * reps / (reps - 1.0)) for key in sums}
+    redraws = _replicate(dataset, sample_size, n_samples, master_seed, visit)
+    mean_p, sd_p = top["rp"].mean_sd()
+    mean_s, sd_s = top["rs"].mean_sd()
     return EigenSummary(k=k, sample_size=sample_size, n_samples=n_samples,
-                        mean_pearson=mean["rp"], sd_pearson=sd["rp"],
-                        mean_spearman=mean["rs"], sd_spearman=sd["rs"],
+                        mean_pearson=mean_p, sd_pearson=sd_p,
+                        mean_spearman=mean_s, sd_spearman=sd_s,
                         population_pearson=pop_eig["rp"],
                         population_spearman=pop_eig["rs"],
                         redraw_count=redraws, max_trace_error=max_trace_err)

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 KINDS = ("pearson", "spearman", "kendall")
+_KENDALL_BLOCK_VALUES = 2 ** 18  # column pairs x rows per kendall_rows call
 
 
 def _as_finite_1d(values, name):
@@ -99,6 +100,24 @@ class CoefficientEstimate:
 # Ranking
 # ---------------------------------------------------------------------------
 
+def _tie_run_flags(s: np.ndarray) -> np.ndarray:
+    """True where a run of equal values begins, in rows sorted along the last axis."""
+    first = np.ones(s.shape, dtype=bool)
+    first[:, 1:] = s[:, 1:] != s[:, :-1]
+    return first
+
+
+def _tie_run_start(first: np.ndarray) -> np.ndarray:
+    """Per sorted position, the position where its tie run begins.
+
+    ``first`` flags run beginnings (see :func:`_tie_run_flags`); the
+    start is the running maximum over the flagged positions.  int32
+    positions halve the memory traffic of this pass.
+    """
+    idx = np.arange(first.shape[1], dtype=np.int32)
+    return np.maximum.accumulate(np.where(first, idx, 0), axis=1)
+
+
 def rank_rows(a: np.ndarray):
     """Fractional ranks along the last axis of a 2-d array.
 
@@ -109,24 +128,19 @@ def rank_rows(a: np.ndarray):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise InputError("rank_rows expects a 2-d array")
-    m, n = a.shape
+    n = a.shape[1]
     order = np.argsort(a, axis=1, kind="stable")
     s = np.take_along_axis(a, order, axis=1)
-    idx = np.arange(n)
-    new_run = np.ones((m, n), dtype=bool)
-    if n > 1:
-        new_run[:, 1:] = s[:, 1:] != s[:, :-1]
-    # start[i] / end[i]: first and last sorted position of the tie run
-    # containing position i (cummax / reversed cummin over run boundaries)
-    start = np.maximum.accumulate(np.where(new_run, idx, 0), axis=1)
-    last = np.ones((m, n), dtype=bool)
-    if n > 1:
-        last[:, :-1] = new_run[:, 1:]
-    end = np.minimum.accumulate(np.where(last, idx, n - 1)[:, ::-1], axis=1)[:, ::-1]
-    rank_sorted = 0.5 * (start + end) + 1.0
-    ranks = np.empty((m, n), dtype=float)
+    first = _tie_run_flags(s)
+    # flag each run's last position (just before the next run's first);
+    # in the reversed row those positions begin the runs
+    last = np.ones(a.shape, dtype=bool)
+    last[:, :-1] = first[:, 1:]
+    end = n - 1 - _tie_run_start(last[:, ::-1])[:, ::-1]
+    rank_sorted = 0.5 * (_tie_run_start(first) + end) + 1.0
+    ranks = np.empty(a.shape, dtype=float)
     np.put_along_axis(ranks, order, rank_sorted, axis=1)
-    return ranks, ~new_run.all(axis=1)
+    return ranks, ~first.all(axis=1)
 
 
 def fractional_rank(values) -> RankVector:
@@ -172,14 +186,10 @@ def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _dense_codes(v: np.ndarray) -> np.ndarray:
     """Per-row integer codes in [0, n) preserving order; ties share a code."""
-    m, n = v.shape
     order = np.argsort(v, axis=1, kind="stable")
     s = np.take_along_axis(v, order, axis=1)
-    new_run = np.ones((m, n), dtype=bool)
-    if n > 1:
-        new_run[:, 1:] = s[:, 1:] != s[:, :-1]
-    gid = np.cumsum(new_run, axis=1) - 1
-    codes = np.empty((m, n), dtype=np.int64)
+    gid = np.cumsum(_tie_run_flags(s), axis=1) - 1
+    codes = np.empty(v.shape, dtype=np.int64)
     np.put_along_axis(codes, order, gid, axis=1)
     return codes
 
@@ -224,12 +234,9 @@ def _inversion_counts(v: np.ndarray) -> np.ndarray:
     return total
 
 
-def _tied_pair_counts(sorted_flags_new: np.ndarray) -> np.ndarray:
-    """Sum of t*(t-1)/2 over tie runs, per row, from new-run boolean flags."""
-    m, n = sorted_flags_new.shape
-    idx = np.arange(n)
-    start = np.maximum.accumulate(np.where(sorted_flags_new, idx, 0), axis=1)
-    return (idx - start).sum(axis=1)
+def _tied_pair_counts(first: np.ndarray) -> np.ndarray:
+    """Sum of t*(t-1)/2 over tie runs, per row, from run-beginning flags."""
+    return (np.arange(first.shape[1]) - _tie_run_start(first)).sum(axis=1)
 
 
 def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray:
@@ -243,7 +250,7 @@ def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray
         raise InputError(f"kendall variant must be 'a' or 'b', got {variant!r}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    m, n = x.shape
+    n = x.shape[1]
     n0 = n * (n - 1) // 2
 
     # sort each row by (x, y): stable argsort by y first, then by x
@@ -254,17 +261,10 @@ def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray
     xs = np.take_along_axis(x, order, axis=1)
     ys = np.take_along_axis(y, order, axis=1)
 
-    new_x = np.ones((m, n), dtype=bool)
-    new_x[:, 1:] = xs[:, 1:] != xs[:, :-1]
-    new_xy = new_x.copy()
-    new_xy[:, 1:] |= ys[:, 1:] != ys[:, :-1]
+    new_x = _tie_run_flags(xs)
     ties_x = _tied_pair_counts(new_x)
-    ties_xy = _tied_pair_counts(new_xy)
-
-    ys_sorted = np.sort(y, axis=1)
-    new_y = np.ones((m, n), dtype=bool)
-    new_y[:, 1:] = ys_sorted[:, 1:] != ys_sorted[:, :-1]
-    ties_y = _tied_pair_counts(new_y)
+    ties_xy = _tied_pair_counts(new_x | _tie_run_flags(ys))
+    ties_y = _tied_pair_counts(_tie_run_flags(np.sort(y, axis=1)))
 
     discordant = _inversion_counts(ys)
     surplus = n0 - ties_x - ties_y + ties_xy - 2 * discordant
@@ -351,18 +351,28 @@ def correlation_matrix(data, kind: str = "pearson",
             f"column {names[dead[0]]!r} is constant; correlation matrix undefined")
 
     if kind == "kendall":
+        # column pairs go through kendall_rows in blocks that bound its
+        # temporaries
+        iu, ju = np.triu_indices(p, k=1)
+        step = max(1, _KENDALL_BLOCK_VALUES // n)
         mat = np.eye(p)
-        for i in range(p):
-            for j in range(i + 1, p):
-                t = kendall_rows(values[None, :, i], values[None, :, j],
-                                 variant=kendall_variant)[0]
-                mat[i, j] = mat[j, i] = t
+        for lo in range(0, iu.size, step):
+            i, j = iu[lo:lo + step], ju[lo:lo + step]
+            mat[i, j] = mat[j, i] = kendall_rows(values[:, i].T, values[:, j].T,
+                                                 variant=kendall_variant)
         return mat
+    return _correlation_core(values, kind)
 
-    table = values
+
+def _correlation_core(table: np.ndarray, kind: str = "pearson") -> np.ndarray:
+    """Pearson or Spearman matrix of a finite table without constant columns.
+
+    The caller has validated the table; :func:`correlation_matrix` is
+    the checked entry point.
+    """
     if kind == "spearman":
-        table, _ = rank_rows(values.T)
-        table = table.T
+        ranks, _ = rank_rows(table.T)
+        table = ranks.T
     centered = table - table.mean(axis=0)
     cov = centered.T @ centered
     scale = np.sqrt(np.diag(cov))

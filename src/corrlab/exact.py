@@ -7,9 +7,9 @@ coefficients, and Fisher-z interval estimation.
 
 Everything that involves gamma-function ratios is evaluated in log
 space so sample sizes up to the thousands stay finite.  The density's
-constant factor is fixed by numerical normalization per (rho, n) and
-memoized; the normalization is the ground truth the curve must satisfy
-(unit area), and it agrees with the closed-form constant to ~1e-6.
+constant factor is the closed form (n-2) Gamma(n-1) / (sqrt(2 pi)
+Gamma(n-1/2)) of Hotelling (1953), which makes the curve integrate to
+one over (-1, 1).
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ __all__ = [
 
 SERIES_RELATIVE_TOL = 1e-15
 SERIES_MAX_TERMS = 10 ** 6
-
-# grid used to fix the density's normalization constant (finer than the
-# 4001-point grid the unit-area check runs on)
-_NORM_GRID_POINTS = 20001
-_NORM_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,28 +100,17 @@ def _log_density_shape(r: np.ndarray, rho: float, n: int) -> np.ndarray:
     return shape + np.log(hyp2f1_half_half(n - 0.5, 0.5 * (rho * r + 1.0)))
 
 
-_log_norm_cache: dict[tuple[float, int], float] = {}
-
-
-def _log_norm_constant(rho: float, n: int) -> float:
-    key = (float(rho), int(n))
-    cached = _log_norm_cache.get(key)
-    if cached is not None:
-        return cached
-    grid = np.linspace(-1.0 + _NORM_EPS, 1.0 - _NORM_EPS, _NORM_GRID_POINTS)
-    log_shape = _log_density_shape(grid, rho, n)
-    peak = log_shape.max()
-    area = np.trapezoid(np.exp(log_shape - peak), grid)
-    log_c = -(peak + math.log(area))
-    _log_norm_cache[key] = log_c
-    return log_c
+def _log_norm_constant(n: int) -> float:
+    """Log of the density's constant factor (Hotelling 1953)."""
+    return (math.log(n - 2.0) + special.gammaln(n - 1.0)
+            - 0.5 * math.log(2.0 * math.pi) - special.gammaln(n - 0.5))
 
 
 def pearson_density(r, rho: float, n: int):
     """Exact sampling density of the Pearson coefficient at ``r``.
 
     Requires n >= 4 and |rho| < 1; |r| >= 1 is a domain error.  The
-    value integrates to one over (-1, 1) by construction.
+    closed-form constant makes it integrate to one over (-1, 1).
     """
     params = NormalTheoryParams(rho, n)
     if params.n < 4:
@@ -134,7 +118,7 @@ def pearson_density(r, rho: float, n: int):
     r_arr = np.asarray(r, dtype=float)
     if np.any(np.abs(r_arr) >= 1.0):
         raise InputError("density argument must lie strictly inside (-1, 1)")
-    out = np.exp(_log_density_shape(r_arr, rho, n) + _log_norm_constant(rho, n))
+    out = np.exp(_log_density_shape(r_arr, rho, n) + _log_norm_constant(n))
     return out if np.ndim(r) else float(out)
 
 

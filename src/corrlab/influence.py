@@ -61,11 +61,8 @@ class InfluenceGrid:
     first_outlier: tuple[float, float] | None = None
 
     def raw(self, kind: str) -> np.ndarray:
-        if kind == "pearson":
-            return self.base_pearson + self.delta_pearson
-        if kind == "spearman":
-            return self.base_spearman + self.delta_spearman
-        raise InputError(f"no influence surface for kind {kind!r}")
+        base = self.base_pearson if kind == "pearson" else self.base_spearman
+        return base + self.delta(kind)
 
     def delta(self, kind: str) -> np.ndarray:
         if kind == "pearson":

@@ -37,6 +37,12 @@ __all__ = [
 ]
 
 CALIBRATION_TOL = 1e-3
+# Version of the calibration algorithm: the chi-square quantile, the
+# bisection and the layout of the calibration sample.  Raise it whenever
+# a change moves calibrated values, so cached calibrations are redone.
+CALIBRATION_VERSION = 2
+# a sample that keeps degenerating is given up after this many redraws
+REDRAW_CAP_PER_SAMPLE = 1000
 
 # Cumulative cut points mimicking a heavily floor-concentrated survey
 # item: three quarters of the mass on the lowest of six categories.
@@ -126,7 +132,7 @@ class MarginalSpec:
         elif self.family == "uniform":
             out = u_arr.copy()
         elif self.family == "chi_square":
-            out = 2.0 * _gamma_quantile(0.5 * self.df, u_arr)
+            out = 2.0 * special.gammaincinv(0.5 * self.df, u_arr)
         else:
             out = 1.0 + np.searchsorted(np.asarray(self.thresholds), u_arr,
                                         side="right").astype(float)
@@ -150,39 +156,6 @@ class MarginalSpec:
     def from_dict(cls, d: dict) -> "MarginalSpec":
         return cls(d["family"], df=d.get("df"),
                    thresholds=tuple(d["thresholds"]) if "thresholds" in d else None)
-
-
-def _gamma_quantile(shape: float, u: np.ndarray, max_iter: int = 100) -> np.ndarray:
-    """Inverse of the regularized lower incomplete gamma via safeguarded Newton.
-
-    Starts from the Wilson-Hilferty cube approximation and solves
-    P(shape, x) = u with the gamma density as derivative, keeping a
-    bracket around the root and cutting any step that leaves it.
-    Converges to |P(x) - u| < 1e-12 in a handful of iterations except in
-    the far tails, where the bisection safeguard takes over.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    z = special.ndtri(u)
-    x = shape * (1.0 - 1.0 / (9.0 * shape) + z / (3.0 * math.sqrt(shape))) ** 3
-    x = np.clip(x, 1e-12, None)
-    lo = np.zeros_like(x)
-    hi = np.full_like(x, np.inf)
-    log_gamma_shape = special.gammaln(shape)
-    for _ in range(max_iter):
-        err = special.gammainc(shape, x) - u
-        if np.all(np.abs(err) <= 1e-12):
-            return x
-        lo = np.where(err < 0.0, np.maximum(lo, x), lo)
-        hi = np.where(err > 0.0, np.minimum(hi, x), hi)
-        with np.errstate(over="ignore", under="ignore"):
-            log_pdf = (shape - 1.0) * np.log(x) - x - log_gamma_shape
-            proposal = x - err * np.exp(-log_pdf)
-        # fall back to bisection (or bracket doubling) when Newton leaves
-        # the bracket or produces a non-finite step
-        midpoint = np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * np.maximum(x, 1.0))
-        inside = np.isfinite(proposal) & (proposal > lo) & (proposal < hi)
-        x = np.where(inside, proposal, midpoint)
-    raise NumericError("gamma quantile Newton iteration did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +201,6 @@ class PopulationSpec:
                    target_pearson=float(rho), latent_rho=float(rho),
                    pop_pearson=float(rho),
                    pop_spearman=spearman_from_pearson(rho), label=label)
-
-    @property
-    def is_normal(self) -> bool:
-        return (self.marginal_x.is_standard_normal
-                and self.marginal_y.is_standard_normal)
 
     @property
     def pop_kendall(self) -> float:
@@ -283,12 +251,7 @@ def sample_bivariate_normal(rho: float, n: int, stream: RngStream) -> PairedSamp
 
     At rho = +-1 the second vector is exactly +-first.
     """
-    if not -1.0 <= rho <= 1.0:
-        raise InputError(f"rho must lie in [-1, 1], got {rho}")
-    if n < 2:
-        raise InputError("need n >= 2")
-    z1, z2 = _latent_pair(rho, n, stream.generator())
-    return PairedSample(z1, z2)
+    return sample_population(PopulationSpec.bivariate_normal(rho), n, stream)
 
 
 def _transform(marginal: MarginalSpec, z: np.ndarray) -> np.ndarray:
@@ -331,10 +294,12 @@ def calibrate_copula(marginal_x: MarginalSpec, marginal_y: MarginalSpec,
     z0 = rng.standard_normal(calibration_n)
     x = _transform(marginal_x, z1)[None, :]
 
-    def achieved(latent: float) -> float:
+    def transformed_y(latent: float) -> np.ndarray:
         zy = latent * z1 + math.sqrt(1.0 - latent * latent) * z0
-        y = _transform(marginal_y, zy)[None, :]
-        return float(pearson_rows(x, y)[0])
+        return _transform(marginal_y, zy)[None, :]
+
+    def achieved(latent: float) -> float:
+        return float(pearson_rows(x, transformed_y(latent))[0])
 
     lo, hi = -0.999999, 0.999999
     f_lo, f_hi = achieved(lo), achieved(hi)
@@ -356,9 +321,7 @@ def calibrate_copula(marginal_x: MarginalSpec, marginal_y: MarginalSpec,
     else:
         raise NumericError("copula calibration bisection did not converge")
 
-    zy = latent * z1 + math.sqrt(1.0 - latent * latent) * z0
-    y = _transform(marginal_y, zy)[None, :]
-    pop_spearman = float(spearman_rows(x, y)[0])
+    pop_spearman = float(spearman_rows(x, transformed_y(latent))[0])
     return PopulationSpec(marginal_x=marginal_x, marginal_y=marginal_y,
                           target_pearson=float(target_pearson),
                           latent_rho=float(latent),

@@ -29,8 +29,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateSampleError, InfeasibleError, InputError
-from .estimators import correlation_matrix, rank_rows
-from .randgen import MarginalSpec, RngStream
+from .estimators import _correlation_core, correlation_matrix
+from .randgen import REDRAW_CAP_PER_SAMPLE, MarginalSpec, RngStream
 
 __all__ = [
     "PopulationDataset",
@@ -45,8 +45,6 @@ __all__ = [
     "dbq_like_population",
     "TABLE_STATISTICS",
 ]
-
-REDRAW_CAP_PER_SAMPLE = 1000
 
 # the ten aggregate statistic rows of the summary table, in output order
 TABLE_STATISTICS = (
@@ -232,17 +230,59 @@ def draw_valid_rows(values: np.ndarray, sample_size: int,
     return None, cap + 1, degenerate
 
 
-def _pearson_matrix(table: np.ndarray) -> np.ndarray:
-    centered = table - table.mean(axis=0)
-    cov = centered.T @ centered
-    scale = np.sqrt(np.diag(cov))
-    mat = cov / np.outer(scale, scale)
-    return np.clip(0.5 * (mat + mat.T), -1.0, 1.0)
+def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
+               master_seed: int, visit) -> int:
+    """The replication loop shared by the resampling and eigen studies.
+
+    Replication r draws from stream path (r,) with
+    :func:`draw_valid_rows` and passes its Pearson and Spearman matrices
+    to ``visit(rp, rs)``.  Returns the total redraw count; a replication
+    that exceeds the redraw cap makes the condition infeasible, and the
+    error names the column that degenerated most often.
+    """
+    if sample_size < 2:
+        raise InputError("sample size must be at least 2")
+    if n_samples < 2:
+        raise InputError("need at least two replications")
+    redraws = 0
+    degenerate_total = np.zeros(dataset.n_cols, dtype=np.int64)
+    stream = RngStream(master_seed)
+    for rep in range(n_samples):
+        rng = stream.child(rep).generator()
+        table, attempts, degenerate = draw_valid_rows(dataset.values, sample_size, rng)
+        degenerate_total += degenerate
+        if table is None:
+            worst = dataset.column_names[int(np.argmax(degenerate_total))]
+            raise InfeasibleError(
+                f"replication {rep} exceeded {REDRAW_CAP_PER_SAMPLE} redraws at "
+                f"sample size {sample_size}; column {worst!r} keeps degenerating")
+        redraws += attempts
+        # draw_valid_rows has ruled out constant columns
+        visit(_correlation_core(table), _correlation_core(table, "spearman"))
+    return redraws
 
 
-def _spearman_matrix(table: np.ndarray) -> np.ndarray:
-    ranks, _ = rank_rows(table.T)
-    return _pearson_matrix(ranks.T)
+class _MeanSD:
+    """Running sum and sum of squares of equally shaped arrays.
+
+    The mean and the SD (n - 1 denominator) use the one-pass formula.
+    """
+
+    def __init__(self, shape):
+        self.count = 0
+        self.total = np.zeros(shape)
+        self.total_sq = np.zeros(shape)
+
+    def add(self, value: np.ndarray):
+        self.count += 1
+        self.total += value
+        self.total_sq += value * value
+
+    def mean_sd(self):
+        reps = float(self.count)
+        mean = self.total / reps
+        var = np.maximum(self.total_sq / reps - mean ** 2, 0.0) * reps / (reps - 1.0)
+        return mean, np.sqrt(var)
 
 
 def run_study(dataset: PopulationDataset, sample_size: int, n_samples: int,
@@ -260,48 +300,26 @@ def run_study(dataset: PopulationDataset, sample_size: int, n_samples: int,
     averaged without weights over the off-diagonal pairs, with the two
     plain-mean rows aggregated as absolute values of the per-pair means.
     """
-    if sample_size < 2:
-        raise InputError("sample size must be at least 2")
-    if n_samples < 2:
-        raise InputError("need at least two replications")
-    values = dataset.values
     p = dataset.n_cols
     pop_rp = correlation_matrix(dataset)
     pop_rs = correlation_matrix(dataset, "spearman")
 
-    sums = {k: np.zeros((p, p)) for k in ("rp", "rs")}
-    sums_sq = {k: np.zeros((p, p)) for k in ("rp", "rs")}
+    moments = {k: _MeanSD((p, p)) for k in ("rp", "rs")}
     abs_dev = {k: np.zeros((p, p)) for k in ("rp_Rp", "rp_Rs", "rs_Rp", "rs_Rs")}
-    redraws = 0
-    degenerate_total = np.zeros(p, dtype=np.int64)
 
-    stream = RngStream(master_seed)
-    for rep in range(n_samples):
-        rng = stream.child(rep).generator()
-        table, attempts, degenerate = draw_valid_rows(values, sample_size, rng)
-        redraws += min(attempts, REDRAW_CAP_PER_SAMPLE)
-        degenerate_total += degenerate
-        if table is None:
-            worst = dataset.column_names[int(np.argmax(degenerate_total))]
-            raise InfeasibleError(
-                f"replication {rep} exceeded {REDRAW_CAP_PER_SAMPLE} redraws at "
-                f"sample size {sample_size}; column {worst!r} keeps degenerating")
-        rp = _pearson_matrix(table)
-        rs = _spearman_matrix(table)
-        sums["rp"] += rp
-        sums["rs"] += rs
-        sums_sq["rp"] += rp * rp
-        sums_sq["rs"] += rs * rs
+    def visit(rp: np.ndarray, rs: np.ndarray):
+        moments["rp"].add(rp)
+        moments["rs"].add(rs)
         abs_dev["rp_Rp"] += np.abs(rp - pop_rp)
         abs_dev["rp_Rs"] += np.abs(rp - pop_rs)
         abs_dev["rs_Rp"] += np.abs(rs - pop_rp)
         abs_dev["rs_Rs"] += np.abs(rs - pop_rs)
 
-    reps = float(n_samples)
-    mean = {k: sums[k] / reps for k in sums}
-    sd = {k: np.sqrt(np.maximum(sums_sq[k] / reps - mean[k] ** 2, 0.0)
-                     * reps / (reps - 1.0)) for k in sums}
-    mad = {k: abs_dev[k] / reps for k in abs_dev}
+    redraws = _replicate(dataset, sample_size, n_samples, master_seed, visit)
+    mean, sd = {}, {}
+    for k in moments:
+        mean[k], sd[k] = moments[k].mean_sd()
+    mad = {k: abs_dev[k] / float(n_samples) for k in abs_dev}
 
     iu, ju = np.triu_indices(p, k=1)
     pairs = tuple(

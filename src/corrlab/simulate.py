@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import InfeasibleError, InputError
 from .estimators import KINDS, kendall_rows, pearson_rows, spearman_rows
-from .randgen import PopulationSpec, RngStream, _latent_pair, _transform
+from .randgen import (REDRAW_CAP_PER_SAMPLE, PopulationSpec, RngStream, _latent_pair,
+                      _transform)
 
 __all__ = [
     "SimulationPlan",
@@ -27,7 +28,6 @@ __all__ = [
     "SUMMARY_COLUMNS",
 ]
 
-REDRAW_CAP_PER_SAMPLE = 1000
 MAX_REDRAW_RATE = 0.5
 _BLOCK_VALUES = 4 * 10 ** 6  # replication block size chosen to bound memory
 

@@ -8,6 +8,7 @@ import pytest
 
 from corrlab import cli
 from corrlab.errors import NumericError
+from corrlab.randgen import CALIBRATION_VERSION, MarginalSpec
 
 
 def run_cli(args, capsys=None):
@@ -246,7 +247,60 @@ class TestStudies:
         assert len(list(cache_dir.iterdir())) == 1
 
 
+class TestCalibrationCache:
+    ARGS = ["simulate", "--marginal", "exponential", "--pearson", "0.2",
+            "--sizes", "10", "--reps", "50", "--calibration-n", "50000"]
+
+    @staticmethod
+    def cache_path(out):
+        return cli._calibration_cache_path(str(out), MarginalSpec.exponential(),
+                                           0.2, 50000)
+
+    def run(self, out):
+        assert cli.main(self.ARGS + ["--out-dir", str(out)]) == 0
+        return (out / "simulation_summary.csv").read_bytes()
+
+    def assert_recalibrated(self, tmp_path, out):
+        record = json.loads(open(self.cache_path(out)).read())
+        assert record["algorithm"] == CALIBRATION_VERSION
+        assert record["calibration_seed"] == cli.CALIBRATION_SEED
+        assert self.run(out) == self.run(tmp_path / "clean")
+
+    @pytest.mark.parametrize("text", ["{not json", json.dumps({"target_pearson": 0.2})],
+                             ids=["corrupt", "missing-keys"])
+    def test_unusable_file_is_recalibrated(self, tmp_path, text):
+        out = tmp_path / "out"
+        os.makedirs(os.path.dirname(self.cache_path(out)))
+        with open(self.cache_path(out), "w") as handle:
+            handle.write(text)
+        self.run(out)
+        self.assert_recalibrated(tmp_path, out)
+
+    @pytest.mark.parametrize("field,value", [
+        ("calibration_seed", 1), ("tolerance", 0.5),
+        ("algorithm", CALIBRATION_VERSION - 1), ("algorithm", None),
+        ("marginal_y", {"family": "uniform"})])
+    def test_stale_file_is_recalibrated(self, tmp_path, field, value):
+        out = tmp_path / "out"
+        self.run(out)
+        with open(self.cache_path(out)) as handle:
+            record = json.load(handle)
+        if value is None:
+            del record[field]
+        else:
+            record[field] = value
+        record["latent_rho"] = 0.0  # would change every result if reused
+        with open(self.cache_path(out), "w") as handle:
+            json.dump(record, handle)
+        self.run(out)
+        self.assert_recalibrated(tmp_path, out)
+
+
 class TestExitCodes:
+    def test_unknown_kind_is_usage_error(self, tmp_path):
+        assert cli.main(["simulate", "--kinds", "foo", "--sizes", "10", "--reps", "5",
+                         "--out-dir", str(tmp_path)]) == 2
+
     def test_input_error_is_three(self, tmp_path):
         assert cli.main(["moments", "--input", "/no/such/file.csv",
                          "--out-dir", str(tmp_path)]) == 3

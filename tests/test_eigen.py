@@ -1,4 +1,4 @@
-"""Tests for the Jacobi eigenvalue solver and the stability study."""
+"""Tests for symmetric eigenvalue extraction and the stability study."""
 
 import numpy as np
 import pytest

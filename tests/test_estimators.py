@@ -254,6 +254,17 @@ class TestCorrelationMatrix:
         np.testing.assert_allclose(mat, mat.T)
         np.testing.assert_allclose(np.diag(mat), 1.0)
 
+    def test_kendall_matrix_entries_match_scalar_kendall(self):
+        rng = np.random.default_rng(44)
+        table = rng.integers(0, 4, size=(30, 5)).astype(float)
+        for variant in ("a", "b"):
+            mat = correlation_matrix(table, "kendall", kendall_variant=variant)
+            for i in range(5):
+                for j in range(5):
+                    if i != j:
+                        pair = PairedSample(table[:, i], table[:, j])
+                        assert mat[i, j] == kendall(pair, variant=variant).value, (i, j)
+
 
 class TestDistinctSpearmanValues:
     def test_five_items_give_twenty_one_values(self):

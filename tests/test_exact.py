@@ -10,6 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import integrate
 
 from corrlab import exact
 from corrlab.errors import InputError
@@ -72,6 +73,12 @@ class TestPearsonDensity:
                 curve = density_curve(rho, n)
                 area = np.trapezoid(curve.density, curve.grid)
                 assert area == pytest.approx(1.0, abs=1e-3), (rho, n)
+
+    @pytest.mark.parametrize("rho,n", [(0.8, 5), (0.95, 5)])
+    def test_unit_mass_by_adaptive_quadrature(self, rho, n):
+        mass, _ = integrate.quad(pearson_density, -1.0, 1.0, args=(rho, n),
+                                 epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert mass == pytest.approx(1.0, abs=1e-10)
 
     def test_strong_population_value_small_n_is_left_skewed(self):
         curve = density_curve(0.8, 5)

@@ -79,6 +79,17 @@ class TestMarginalQuantiles:
             x = m.quantile(u)
             assert special.gammainc(2.5, x / 2.0) == pytest.approx(u, abs=1e-10)
 
+    @pytest.mark.parametrize("df", [1, 5, 32])
+    def test_chi_square_tails_keep_relative_accuracy(self, df):
+        m = MarginalSpec.chi_square(df)
+        lower = 1e-12
+        got = special.gammainc(0.5 * df, 0.5 * m.quantile(lower))
+        assert abs(got - lower) <= 1e-12 * lower
+        upper = 1.0 - 1e-12
+        tail = 1.0 - upper
+        got = special.gammaincc(0.5 * df, 0.5 * m.quantile(upper))
+        assert abs(got - tail) <= 1e-12 * tail
+
     def test_normal_quantile_round_trip(self):
         m = MarginalSpec.standard_normal()
         for u in (0.001, 0.25, 0.5, 0.975):
