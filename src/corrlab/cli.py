@@ -312,23 +312,27 @@ def _json_text(payload, cfg_hash: str) -> str:
 
 
 def _commit_artifacts(out_dir: str, artifacts: dict[str, str]):
-    """Write all artifacts, each atomically, after everything is rendered."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write all artifacts, each atomically, after everything is rendered.
+
+    An unwritable location is a usage error naming the path.
+    """
     staged = []
     try:
+        os.makedirs(out_dir, exist_ok=True)
         for name, text in artifacts.items():
             final = os.path.join(out_dir, name)
             tmp = final + f".tmp{os.getpid()}"
+            staged.append((tmp, final))
             with open(tmp, "w") as handle:
                 handle.write(text)
-            staged.append((tmp, final))
-    except OSError:
+        for tmp, final in staged:
+            os.replace(tmp, final)
+    except OSError as exc:
         for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        raise
-    for tmp, final in staged:
-        os.replace(tmp, final)
+        raise UsageError(f"cannot write output to {exc.filename or out_dir}: "
+                         f"{exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------

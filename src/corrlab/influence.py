@@ -1,12 +1,13 @@
 """Outlier sensitivity maps: how one or two appended points move the
 Pearson and Spearman coefficients of a fixed base sample.
 
-A scan recomputes both coefficients on the augmented sample for every
-point of a square grid and stores the signed deviation from the base
-values.  Raw coefficients are recoverable by adding the base value
-back.  Cells whose augmented sample is degenerate are recorded as NaN
-(missing) rather than raised: the grid point is fixed, so there is
-nothing to retry.
+A scan stores, for every point of a square grid, the signed deviation of
+both coefficients from the base values (raw = base + delta).  Appending
+(a, b) moves x only through a and y only through b, so each surface is
+the off-diagonal block of one correlation matrix of the 2k augmented
+columns [x; axis_i], [y; axis_j] (their mid-ranks for Spearman).  No
+cell is degenerate: a constant base is rejected, appending cannot make a
+column constant, and the axis is finite.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimators import PairedSample, pearson, pearson_rows, spearman, spearman_rows
+from .estimators import PairedSample, _correlation_core, pearson, spearman
 
 __all__ = ["AxisSpec", "InfluenceGrid", "scan_single", "scan_double",
-           "exceedance_fraction", "delta_width"]
+           "exceedance_fraction", "delta_width", "MAX_AXIS_POINTS"]
 
-_CHUNK_ROWS = 4096
+# 100x the fig5 axis; a scan holds a few (2k x 2k) float matrices at once
+MAX_AXIS_POINTS = 2001
 
 
 @dataclass(frozen=True)
@@ -33,15 +35,21 @@ class AxisSpec:
     step: float = 0.05
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.step > 0):
+        if not (np.isfinite([self.lo, self.hi, self.step]).all()
+                and self.step > 0 and self.hi > self.lo):
             raise InputError("axis needs finite lo < hi and a positive step")
-        if self.hi <= self.lo:
-            raise InputError("axis needs lo < hi")
+        if not (np.isfinite((self.hi - self.lo) / self.step)
+                and self.size <= MAX_AXIS_POINTS):
+            raise InputError(f"axis needs at most {MAX_AXIS_POINTS} points")
+
+    @property
+    def size(self) -> int:
+        """Number of scan positions, computed without allocating them."""
+        return int(round((self.hi - self.lo) / self.step)) + 1
 
     @property
     def values(self) -> np.ndarray:
-        count = int(round((self.hi - self.lo) / self.step)) + 1
-        return self.lo + self.step * np.arange(count)
+        return self.lo + self.step * np.arange(self.size)
 
 
 @dataclass(frozen=True)
@@ -73,38 +81,32 @@ class InfluenceGrid:
 
 
 def _scan(scanned: PairedSample, axis: np.ndarray):
-    """(pearson, spearman) coefficient surfaces for one appended point."""
+    """(pearson, spearman) surfaces: corr([x; axis[i]], [y; axis[j]]) is the
+    coefficient with (axis[i], axis[j]) appended.  Each column extends a base
+    column checked not to be constant, as ``_correlation_core`` requires.
+    """
     k = axis.size
-    n = scanned.n
-    rp = np.empty((k, k))
-    rs = np.empty((k, k))
-    cells_x, cells_y = np.meshgrid(axis, axis, indexing="ij")
-    flat_x = cells_x.ravel()
-    flat_y = cells_y.ravel()
-    total = flat_x.size
-    for start in range(0, total, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, total)
-        b = stop - start
-        xa = np.empty((b, n + 1))
-        ya = np.empty((b, n + 1))
-        xa[:, :n] = scanned.x
-        ya[:, :n] = scanned.y
-        xa[:, n] = flat_x[start:stop]
-        ya[:, n] = flat_y[start:stop]
-        rp.ravel()[start:stop] = pearson_rows(xa, ya)
-        rs.ravel()[start:stop] = spearman_rows(xa, ya)
-    return rp, rs
+    columns = np.repeat(np.column_stack([scanned.x, scanned.y]), k, axis=1)
+    table = np.vstack([columns, np.concatenate([axis, axis])])
+    return tuple(_correlation_core(table, kind)[:k, k:] for kind in ("pearson", "spearman"))
+
+
+def _scan_grid(base: PairedSample, axis: AxisSpec,
+               first_outlier: tuple[float, float] | None) -> InfluenceGrid:
+    base_rp = pearson(base).value
+    base_rs = spearman(base).value
+    scanned = base if first_outlier is None else base.append(*first_outlier)
+    grid_axis = axis.values
+    rp, rs = _scan(scanned, grid_axis)
+    return InfluenceGrid(base=base, axis=grid_axis,
+                         delta_pearson=rp - base_rp, delta_spearman=rs - base_rs,
+                         base_pearson=base_rp, base_spearman=base_rs,
+                         first_outlier=first_outlier)
 
 
 def scan_single(base: PairedSample, axis: AxisSpec = AxisSpec()) -> InfluenceGrid:
     """Deviation surfaces when one point is appended to the base sample."""
-    base_rp = pearson(base).value
-    base_rs = spearman(base).value
-    grid_axis = axis.values
-    rp, rs = _scan(base, grid_axis)
-    return InfluenceGrid(base=base, axis=grid_axis,
-                         delta_pearson=rp - base_rp, delta_spearman=rs - base_rs,
-                         base_pearson=base_rp, base_spearman=base_rs)
+    return _scan_grid(base, axis, None)
 
 
 def scan_double(base: PairedSample, first_outlier: tuple[float, float],
@@ -114,16 +116,7 @@ def scan_double(base: PairedSample, first_outlier: tuple[float, float],
     Deviations are measured from the original base coefficients, so the
     surfaces show the combined effect of both added points.
     """
-    base_rp = pearson(base).value
-    base_rs = spearman(base).value
-    fx, fy = (float(first_outlier[0]), float(first_outlier[1]))
-    scanned = base.append(fx, fy)
-    grid_axis = axis.values
-    rp, rs = _scan(scanned, grid_axis)
-    return InfluenceGrid(base=base, axis=grid_axis,
-                         delta_pearson=rp - base_rp, delta_spearman=rs - base_rs,
-                         base_pearson=base_rp, base_spearman=base_rs,
-                         first_outlier=(fx, fy))
+    return _scan_grid(base, axis, (float(first_outlier[0]), float(first_outlier[1])))
 
 
 def exceedance_fraction(grid: InfluenceGrid, threshold: float,
@@ -131,14 +124,9 @@ def exceedance_fraction(grid: InfluenceGrid, threshold: float,
     """Fraction of grid cells whose |deviation| exceeds the threshold."""
     if threshold < 0:
         raise InputError("threshold must be nonnegative")
-    delta = grid.delta(kind)
-    good = np.isfinite(delta)
-    if not good.any():
-        raise InputError("influence grid has no computed cells")
-    return float((np.abs(delta[good]) > threshold).mean())
+    return float((np.abs(grid.delta(kind)) > threshold).mean())
 
 
 def delta_width(grid: InfluenceGrid, kind: str = "pearson") -> float:
     """Spread (max minus min) of the deviation surface."""
-    delta = grid.delta(kind)
-    return float(np.nanmax(delta) - np.nanmin(delta))
+    return float(np.ptp(grid.delta(kind)))

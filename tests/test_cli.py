@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -339,3 +341,31 @@ class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
         assert cli.main(["convert", "--pearson", "0.0",
                          "--out-dir", str(tmp_path)]) == 0
+
+    def test_unwritable_out_dir_is_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        assert cli.main(["convert", "--pearson", "0.2", "--out-dir", str(blocker)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(blocker) in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["a-file"]
+
+    @pytest.mark.parametrize("step", ["1e-4", "1e-300"])
+    def test_oversized_influence_grid_is_input_error(self, tmp_path, capsys, step):
+        # rejected while parsing the axis, before the grid is allocated
+        assert cli.main(["influence", "--axis-step", step, "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: axis needs at most")
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_scipy_subpackage_but_special(self):
+        # scipy.optimize alone adds ~23 MB of RSS and ~0.2 s to every start
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        code = ("import sys, corrlab.cli\n"
+                "print(' '.join(sorted({m.split('.')[1] for m in sys.modules "
+                "if m.startswith('scipy.')})))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        public = {name for name in out if not name.startswith("_")}
+        assert public <= {"special", "version"}

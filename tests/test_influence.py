@@ -5,8 +5,8 @@ import pytest
 
 from corrlab.errors import InputError
 from corrlab.estimators import PairedSample, pearson, spearman
-from corrlab.influence import (AxisSpec, delta_width, exceedance_fraction,
-                               scan_double, scan_single)
+from corrlab.influence import (MAX_AXIS_POINTS, AxisSpec, delta_width,
+                               exceedance_fraction, scan_double, scan_single)
 from corrlab.randgen import RngStream, sample_bivariate_normal
 
 COARSE = AxisSpec(-5.0, 5.0, 0.5)
@@ -35,6 +35,21 @@ class TestAxisSpec:
         with pytest.raises(InputError):
             AxisSpec(0.0, 1.0, -0.1)
 
+    def test_size_matches_values(self):
+        for spec in (AxisSpec(), COARSE, AxisSpec(-1.0, 5.0, 0.5), AxisSpec(0.0, 1.0, 5.0)):
+            assert spec.size == spec.values.size
+
+    def test_largest_allowed_axis(self):
+        assert AxisSpec(-5.0, 5.0, 0.005).size == MAX_AXIS_POINTS
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        (-5.0, 5.0, 0.00499), (-5.0, 5.0, 1e-4), (-5.0, 5.0, 1e-300),
+        (-5.0, 5.0, 5e-324), (-1.7e308, 1.7e308, 1.0), (0.0, 1.0, np.inf)])
+    def test_oversized_or_non_finite_axis_rejected_before_allocation(self, lo, hi, step):
+        # only the constructor runs; no axis or scan is ever built
+        with pytest.raises(InputError):
+            AxisSpec(lo, hi, step)
+
 
 class TestScanSingle:
     def test_default_grid_shape(self, base):
@@ -43,14 +58,28 @@ class TestScanSingle:
         assert grid.delta_spearman.shape == (201, 201)
         assert np.isfinite(grid.delta_pearson).all()
 
-    def test_cells_match_direct_recomputation(self, base, coarse_grid):
-        axis = coarse_grid.axis
-        for i, j in [(0, 0), (3, 17), (20, 4), (10, 10)]:
-            augmented = base.append(axis[i], axis[j])
-            assert coarse_grid.delta_pearson[i, j] == pytest.approx(
-                pearson(augmented).value - coarse_grid.base_pearson, abs=1e-12)
-            assert coarse_grid.delta_spearman[i, j] == pytest.approx(
-                spearman(augmented).value - coarse_grid.base_spearman, abs=1e-12)
+    @pytest.mark.parametrize("case", ["single", "double", "tied-double"])
+    def test_cells_match_direct_recomputation(self, base, coarse_grid, case):
+        if case == "single":
+            grid = coarse_grid
+        elif case == "double":
+            grid = scan_double(base, (3.0, -3.0), COARSE)
+        else:
+            # integer ties; the axis hits base values and the fixed
+            # outlier exactly, so the scanned ranks are mid-ranks
+            tied = PairedSample(np.array([0.0, 1, 1, 2, 3, 3, 3, 4, 2, 0]),
+                                np.array([1.0, 0, 2, 2, 3, 1, 4, 4, 3, 1]))
+            grid = scan_double(tied, (2.0, 3.0), AxisSpec(-1.0, 5.0, 0.5))
+        scanned = (grid.base if grid.first_outlier is None
+                   else grid.base.append(*grid.first_outlier))
+        axis = grid.axis
+        for i in range(axis.size):
+            for j in range(axis.size):
+                augmented = scanned.append(axis[i], axis[j])
+                assert grid.delta_pearson[i, j] == pytest.approx(
+                    pearson(augmented).value - grid.base_pearson, abs=1e-12)
+                assert grid.delta_spearman[i, j] == pytest.approx(
+                    spearman(augmented).value - grid.base_spearman, abs=1e-12)
 
     def test_point_at_sample_mean_is_nearly_neutral(self, base):
         augmented = base.append(float(base.x.mean()), float(base.y.mean()))
