@@ -9,7 +9,7 @@ short hash of it heads every artifact, so outputs are traceable and
 reruns with the same configuration and seed are byte-identical.
 
 Exit codes: 0 success, 2 usage, 3 input data, 4 numeric failure,
-5 infeasible condition.
+5 infeasible condition or not enough memory.
 """
 
 from __future__ import annotations
@@ -19,16 +19,16 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import eigen as eigenmod
 from . import exact, influence, resample, simulate
-from .errors import CorrlabError, InputError, UsageError
+from .errors import CorrlabError, InfeasibleError, InputError, UsageError
 from .estimators import KINDS, pearson_rows, spearman_rows
 from .randgen import (CALIBRATION_TOL, CALIBRATION_VERSION, MarginalSpec,
-                      PopulationSpec, RngStream, calibrate_copula,
+                      PopulationSpec, RngStream, _latent_pair, calibrate_copula,
                       sample_bivariate_normal, sample_population)
 
 __all__ = ["main", "build_parser", "SCHEMA", "PRESETS"]
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, metavar="FILE",
                        help="JSON config file; flags override file values")
         p.add_argument("--seed", default=None, metavar="INT",
-                       help="master seed [default: 0]")
+                       help="non-negative master seed [default: 0]")
         p.add_argument("--out-dir", default=None, metavar="DIR",
                        help=f"output directory [default: ${ENV_OUT_DIR} or ./{DEFAULT_OUT_DIR}]")
         p.add_argument("--scale", default=None, choices=["desk", "paper"],
@@ -269,6 +269,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         threads = int(meta("threads", args.threads, os.cpu_count() or 1))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"seed and threads must be integers: {exc}") from exc
+    if seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed}")
     out_dir = meta("out_dir", args.out_dir,
                    os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
 
@@ -470,9 +472,7 @@ def _run_density(cfg: RunConfig):
 
 def _density_histogram(rho: float, n: int, reps: int, seed: int):
     """Simulated coefficient distribution on 0.01-wide bins plus the exact curve."""
-    rng = RngStream(seed).child(2).generator()
-    x = rng.standard_normal((reps, n))
-    y = rho * x + np.sqrt(1 - rho * rho) * rng.standard_normal((reps, n))
+    x, y = _latent_pair(rho, (reps, n), RngStream(seed).child(2).generator())
     rp = pearson_rows(x, y)
     rs = spearman_rows(x, y)
     edges = np.linspace(-1.005, 1.005, 202)  # bins centered on -1.00 .. 1.00
@@ -611,21 +611,13 @@ def _run_resample(cfg: RunConfig):
         dataset = resample.scale_sums(dataset, _load_groups(params["groups"]))
     result = resample.run_study(dataset, params["sample-size"], params["reps"],
                                 master_seed=cfg.seed)
-    pair_rows = [(p.column_a, p.column_b, p.pop_pearson, p.pop_spearman,
-                  p.mean_pearson, p.mean_spearman, p.sd_pearson, p.sd_spearman,
-                  p.mad_pearson_vs_pop_pearson, p.mad_pearson_vs_pop_spearman,
-                  p.mad_spearman_vs_pop_pearson, p.mad_spearman_vs_pop_spearman)
-                 for p in result.pairs]
     table_rows = [(stat, result.aggregates[stat]) for stat in resample.TABLE_STATISTICS]
     summary = {"sample_size": result.sample_size, "n_samples": result.n_samples,
                "redraw_count": result.redraw_count, "n_pairs": len(result.pairs)}
     artifacts = {
         "resample_pairs.csv": _csv_text(
-            ("column_a", "column_b", "pop_pearson", "pop_spearman",
-             "mean_pearson", "mean_spearman", "sd_pearson", "sd_spearman",
-             "mad_pearson_vs_pop_pearson", "mad_pearson_vs_pop_spearman",
-             "mad_spearman_vs_pop_pearson", "mad_spearman_vs_pop_spearman"),
-            pair_rows, cfg.hash()),
+            [f.name for f in fields(resample.PairSummary)],
+            map(astuple, result.pairs), cfg.hash()),
         "resample_table.csv": _csv_text(("statistic", "value"), table_rows, cfg.hash()),
         "resample_summary.json": _json_text(summary, cfg.hash()),
     }
@@ -639,18 +631,14 @@ def _run_eigen(cfg: RunConfig):
     dataset = _dataset_for(params)
     summary = eigenmod.eigen_study(dataset, params["sample-size"], params["reps"],
                                    k=params["top"], master_seed=cfg.seed)
-    rows = [(i + 1, summary.mean_pearson[i], summary.sd_pearson[i],
-             summary.mean_spearman[i], summary.sd_spearman[i],
-             summary.population_pearson[i], summary.population_spearman[i])
-            for i in range(summary.k)]
+    columns = ("mean_pearson", "sd_pearson", "mean_spearman", "sd_spearman",
+               "population_pearson", "population_spearman")
+    rows = zip(range(1, summary.k + 1), *(getattr(summary, c) for c in columns))
     meta = {"sample_size": summary.sample_size, "n_samples": summary.n_samples,
             "redraw_count": summary.redraw_count,
             "max_trace_error": summary.max_trace_error}
     artifacts = {
-        "eigen_table.csv": _csv_text(
-            ("eigenvalue", "mean_pearson", "sd_pearson", "mean_spearman",
-             "sd_spearman", "population_pearson", "population_spearman"),
-            rows, cfg.hash()),
+        "eigen_table.csv": _csv_text(("eigenvalue",) + columns, rows, cfg.hash()),
         "eigen_summary.json": _json_text(meta, cfg.hash()),
     }
     lines = [f"top {summary.k} eigenvalues over {summary.n_samples} samples "
@@ -691,6 +679,9 @@ def main(argv=None) -> int:
     except CorrlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc or 'allocation refused'}", file=sys.stderr)
+        return InfeasibleError.exit_code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InputError
 from .estimators import correlation_matrix
-from .resample import PopulationDataset, _MeanSD, _replicate
+from .resample import _MATRIX_KINDS, PopulationDataset, _MeanSD, _replicate
 
 __all__ = ["symmetric_eigenvalues", "EigenSummary", "eigen_study"]
 
@@ -60,27 +60,23 @@ def eigen_study(dataset: PopulationDataset, sample_size: int, n_samples: int,
     p = dataset.n_cols
     if not 1 <= k <= p:
         raise InputError(f"k must lie in [1, {p}]")
-    pop_eig = {
-        "rp": symmetric_eigenvalues(correlation_matrix(dataset))[:k],
-        "rs": symmetric_eigenvalues(correlation_matrix(dataset, "spearman"))[:k],
-    }
-    top = {"rp": _MeanSD(k), "rs": _MeanSD(k)}
+    pop_eig = {kind: symmetric_eigenvalues(correlation_matrix(dataset, kind))[:k]
+               for kind in _MATRIX_KINDS}
+    top = {kind: _MeanSD(k) for kind in _MATRIX_KINDS}
     max_trace_err = 0.0
 
-    def visit(rp: np.ndarray, rs: np.ndarray):
+    def visit(matrices):
         nonlocal max_trace_err
-        for key, mat in (("rp", rp), ("rs", rs)):
+        for kind, mat in zip(_MATRIX_KINDS, matrices):
             # the matrices are symmetric by construction; eigvalsh ascends
             eig = np.linalg.eigvalsh(mat)[::-1]
             max_trace_err = max(max_trace_err, abs(float(eig.sum()) - p))
-            top[key].add(eig[:k])
+            top[kind].add(eig[:k])
 
     redraws = _replicate(dataset, sample_size, n_samples, master_seed, visit)
-    mean_p, sd_p = top["rp"].mean_sd()
-    mean_s, sd_s = top["rs"].mean_sd()
+    columns = {}
+    for kind in _MATRIX_KINDS:
+        columns[f"mean_{kind}"], columns[f"sd_{kind}"] = top[kind].mean_sd()
+        columns[f"population_{kind}"] = pop_eig[kind]
     return EigenSummary(k=k, sample_size=sample_size, n_samples=n_samples,
-                        mean_pearson=mean_p, sd_pearson=sd_p,
-                        mean_spearman=mean_s, sd_spearman=sd_s,
-                        population_pearson=pop_eig["rp"],
-                        population_spearman=pop_eig["rs"],
-                        redraw_count=redraws, max_trace_error=max_trace_err)
+                        redraw_count=redraws, max_trace_error=max_trace_err, **columns)

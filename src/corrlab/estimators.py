@@ -198,7 +198,9 @@ def _inversion_counts(v: np.ndarray) -> np.ndarray:
     """Strict inversions per row: pairs i < j with v[i] > v[j].
 
     Bottom-up merge counting; rows are padded to a power of two with a
-    sentinel code that never participates in a count.
+    sentinel code above every real code.  Padding is a suffix of each
+    row, so a real value in a right half always faces a left half of w
+    real values, and the values below the sentinel are the real ones.
     """
     v = np.asarray(v)
     m, n = v.shape
@@ -211,24 +213,17 @@ def _inversion_counts(v: np.ndarray) -> np.ndarray:
     a = np.full((m, p), sentinel, dtype=np.int64)
     a[:, :n] = codes
     w = 1
-    positions = np.arange(p)
     while w < p:
-        blocks = p // (2 * w)
-        b = a.reshape(m * blocks, 2 * w)
+        b = a.reshape(-1, 2 * w)
         left = b[:, :w]
         right = b[:, w:]
-        nb = left.shape[0]
-        # real (non-sentinel) counts per half are fixed by the block layout
-        lo = np.tile(positions[: blocks * 2 * w : 2 * w], m)
-        n_left = np.clip(n - lo, 0, w)
-        n_right = np.clip(n - (lo + w), 0, w)
+        nb = b.shape[0]
         offset = (np.arange(nb, dtype=np.int64) * (sentinel + 1))[:, None]
         pos = np.searchsorted((left + offset).ravel(), (right + offset).ravel(),
                               side="right").reshape(nb, w)
+        # left values <= each right value, within its own block
         within = pos - np.arange(nb)[:, None] * w
-        greater = n_left[:, None] - within
-        valid = np.arange(w)[None, :] < n_right[:, None]
-        total += np.where(valid, greater, 0).reshape(m, -1).sum(axis=1)
+        total += np.where(right < sentinel, w - within, 0).reshape(m, -1).sum(axis=1)
         b.sort(axis=1)
         w *= 2
     return total

@@ -16,7 +16,6 @@ population Pearson value measured on a large calibration sample.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,10 +239,15 @@ class PopulationSpec:
                    label=d.get("label", ""))
 
 
-def _latent_pair(rho: float, n: int, rng: np.random.Generator):
-    z1 = rng.standard_normal(n)
-    z2 = rng.standard_normal(n)
-    return z1, rho * z1 + math.sqrt(1.0 - rho * rho) * z2
+def _couple(rho: float, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Standard normals with correlation rho to z1, from independent z2."""
+    return rho * z1 + np.sqrt(1.0 - rho * rho) * z2
+
+
+def _latent_pair(rho: float, shape, rng: np.random.Generator):
+    """A latent standard-normal pair of the given shape; all of z1 is drawn first."""
+    z1 = rng.standard_normal(shape)
+    return z1, _couple(rho, z1, rng.standard_normal(shape))
 
 
 def sample_bivariate_normal(rho: float, n: int, stream: RngStream) -> PairedSample:
@@ -295,8 +299,7 @@ def calibrate_copula(marginal_x: MarginalSpec, marginal_y: MarginalSpec,
     x = _transform(marginal_x, z1)[None, :]
 
     def transformed_y(latent: float) -> np.ndarray:
-        zy = latent * z1 + math.sqrt(1.0 - latent * latent) * z0
-        return _transform(marginal_y, zy)[None, :]
+        return _transform(marginal_y, _couple(latent, z1, z0))[None, :]
 
     def achieved(latent: float) -> float:
         return float(pearson_rows(x, transformed_y(latent))[0])

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateSampleError, InfeasibleError, InputError
 from .estimators import _correlation_core, correlation_matrix
-from .randgen import REDRAW_CAP_PER_SAMPLE, MarginalSpec, RngStream
+from .randgen import REDRAW_CAP_PER_SAMPLE, MarginalSpec, RngStream, _couple
 
 __all__ = [
     "PopulationDataset",
@@ -45,6 +45,9 @@ __all__ = [
     "dbq_like_population",
     "TABLE_STATISTICS",
 ]
+
+# the matrix kinds of the sampling studies, in _replicate's matrix order
+_MATRIX_KINDS = ("pearson", "spearman")
 
 # the ten aggregate statistic rows of the summary table, in output order
 TABLE_STATISTICS = (
@@ -185,7 +188,7 @@ def scale_sums(dataset: PopulationDataset, groups) -> PopulationDataset:
 
 @dataclass(frozen=True)
 class PairSummary:
-    """Resampling statistics for one off-diagonal column pair."""
+    """Statistics of one off-diagonal column pair, in resample_pairs.csv order."""
 
     column_a: str
     column_b: str
@@ -235,8 +238,8 @@ def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
     """The replication loop shared by the resampling and eigen studies.
 
     Replication r draws from stream path (r,) with
-    :func:`draw_valid_rows` and passes its Pearson and Spearman matrices
-    to ``visit(rp, rs)``.  Returns the total redraw count; a replication
+    :func:`draw_valid_rows` and passes ``visit`` a list of its matrices in
+    ``_MATRIX_KINDS`` order.  Returns the total redraw count; a replication
     that exceeds the redraw cap makes the condition infeasible, and the
     error names the column that degenerated most often.
     """
@@ -258,7 +261,7 @@ def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
                 f"sample size {sample_size}; column {worst!r} keeps degenerating")
         redraws += attempts
         # draw_valid_rows has ruled out constant columns
-        visit(_correlation_core(table), _correlation_core(table, "spearman"))
+        visit([_correlation_core(table, kind) for kind in _MATRIX_KINDS])
     return redraws
 
 
@@ -287,70 +290,52 @@ class _MeanSD:
 
 def run_study(dataset: PopulationDataset, sample_size: int, n_samples: int,
               master_seed: int = 0) -> StudyResult:
-    """Compare sample Pearson/Spearman matrices to the population matrices.
+    """Compare sample correlation matrices to the population matrices.
 
     For every replication: draw ``sample_size`` rows with replacement,
-    compute both correlation matrices, and accumulate per-pair means,
-    SDs, and mean absolute differences against both population matrices.
-    A replication whose matrix cannot be calculated is redrawn (counted);
-    more than the per-replication cap means the condition is infeasible
-    and the error names the worst column.
+    compute the matrices in ``_MATRIX_KINDS`` order, and accumulate
+    per-pair means, SDs, and mean absolute differences against the
+    population matrix of every kind.  A replication whose matrix cannot
+    be calculated is redrawn (counted); more than the per-replication
+    cap means the condition is infeasible and the error names the worst
+    column.
 
     Aggregates follow the study-table convention: per-pair statistics
     averaged without weights over the off-diagonal pairs, with the two
     plain-mean rows aggregated as absolute values of the per-pair means.
     """
     p = dataset.n_cols
-    pop_rp = correlation_matrix(dataset)
-    pop_rs = correlation_matrix(dataset, "spearman")
+    pop = {kind: correlation_matrix(dataset, kind) for kind in _MATRIX_KINDS}
+    moments = {kind: _MeanSD((p, p)) for kind in _MATRIX_KINDS}
+    abs_dev = {(kind, pop_kind): np.zeros((p, p))
+               for kind in _MATRIX_KINDS for pop_kind in _MATRIX_KINDS}
 
-    moments = {k: _MeanSD((p, p)) for k in ("rp", "rs")}
-    abs_dev = {k: np.zeros((p, p)) for k in ("rp_Rp", "rp_Rs", "rs_Rp", "rs_Rs")}
-
-    def visit(rp: np.ndarray, rs: np.ndarray):
-        moments["rp"].add(rp)
-        moments["rs"].add(rs)
-        abs_dev["rp_Rp"] += np.abs(rp - pop_rp)
-        abs_dev["rp_Rs"] += np.abs(rp - pop_rs)
-        abs_dev["rs_Rp"] += np.abs(rs - pop_rp)
-        abs_dev["rs_Rs"] += np.abs(rs - pop_rs)
+    def visit(matrices):
+        for kind, mat in zip(_MATRIX_KINDS, matrices):
+            moments[kind].add(mat)
+            for pop_kind in _MATRIX_KINDS:
+                abs_dev[kind, pop_kind] += np.abs(mat - pop[pop_kind])
 
     redraws = _replicate(dataset, sample_size, n_samples, master_seed, visit)
-    mean, sd = {}, {}
-    for k in moments:
-        mean[k], sd[k] = moments[k].mean_sd()
-    mad = {k: abs_dev[k] / float(n_samples) for k in abs_dev}
-
+    stats = {}
+    for kind in _MATRIX_KINDS:
+        mean, sd = moments[kind].mean_sd()
+        stats.update({f"pop_{kind}": pop[kind], f"mean_{kind}": mean, f"sd_{kind}": sd,
+                      f"mean_{kind}_minus_pop": mean - pop[kind]})
+        for pop_kind in _MATRIX_KINDS:
+            mad = abs_dev[kind, pop_kind] / float(n_samples)
+            stats[f"mad_{kind}_vs_pop_{pop_kind}"] = mad
     iu, ju = np.triu_indices(p, k=1)
-    pairs = tuple(
-        PairSummary(
-            column_a=dataset.column_names[i],
-            column_b=dataset.column_names[j],
-            pop_pearson=float(pop_rp[i, j]),
-            pop_spearman=float(pop_rs[i, j]),
-            mean_pearson=float(mean["rp"][i, j]),
-            mean_spearman=float(mean["rs"][i, j]),
-            sd_pearson=float(sd["rp"][i, j]),
-            sd_spearman=float(sd["rs"][i, j]),
-            mad_pearson_vs_pop_pearson=float(mad["rp_Rp"][i, j]),
-            mad_pearson_vs_pop_spearman=float(mad["rp_Rs"][i, j]),
-            mad_spearman_vs_pop_pearson=float(mad["rs_Rp"][i, j]),
-            mad_spearman_vs_pop_spearman=float(mad["rs_Rs"][i, j]),
-        )
-        for i, j in zip(iu, ju))
-
+    upper = {name: mat[iu, ju] for name, mat in stats.items()}
+    names = dataset.column_names
+    # every field after column_a and column_b is a per-pair statistic
+    rows = np.column_stack([upper[f.name] for f in fields(PairSummary)[2:]]).tolist()
+    pairs = tuple(PairSummary(names[i], names[j], *row)
+                  for i, j, row in zip(iu, ju, rows))
+    plain_means = {f"mean_{kind}" for kind in _MATRIX_KINDS}
     aggregates = {
-        "mean_pearson": float(np.mean(np.abs(mean["rp"][iu, ju]))),
-        "mean_spearman": float(np.mean(np.abs(mean["rs"][iu, ju]))),
-        "mean_pearson_minus_pop": float(np.mean(mean["rp"][iu, ju] - pop_rp[iu, ju])),
-        "mean_spearman_minus_pop": float(np.mean(mean["rs"][iu, ju] - pop_rs[iu, ju])),
-        "sd_pearson": float(np.mean(sd["rp"][iu, ju])),
-        "sd_spearman": float(np.mean(sd["rs"][iu, ju])),
-        "mad_pearson_vs_pop_pearson": float(np.mean(mad["rp_Rp"][iu, ju])),
-        "mad_pearson_vs_pop_spearman": float(np.mean(mad["rp_Rs"][iu, ju])),
-        "mad_spearman_vs_pop_pearson": float(np.mean(mad["rs_Rp"][iu, ju])),
-        "mad_spearman_vs_pop_spearman": float(np.mean(mad["rs_Rs"][iu, ju])),
-    }
+        name: float(np.mean(np.abs(upper[name]) if name in plain_means else upper[name]))
+        for name in TABLE_STATISTICS}
     return StudyResult(sample_size=sample_size, n_samples=n_samples, pairs=pairs,
                        aggregates=aggregates, redraw_count=redraws)
 
@@ -396,7 +381,7 @@ def dbq_like_population(n_rows: int = 9000, n_cols: int = 34,
     loadings = np.linspace(0.45, 0.75, n_cols)
     factor = rng.standard_normal(n_rows)
     noise = rng.standard_normal((n_rows, n_cols))
-    latent = loadings * factor[:, None] + np.sqrt(1.0 - loadings ** 2) * noise
+    latent = _couple(loadings, factor[:, None], noise)
 
     # interleave light and heavy floors so kurtosis is not monotone in
     # the loading

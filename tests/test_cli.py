@@ -1,12 +1,17 @@
 """Tests for the command-line layer: config resolution, artifacts, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrlab import cli
 from corrlab.errors import NumericError
@@ -91,6 +96,26 @@ class TestParsing:
                 [sub, "--preset", name, "--out-dir", str(tmp_path)])
             cfg = cli.resolve_config(args)
             assert cfg.subcommand == sub
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--sizes", "5", "--reps", "3", "--seed", "-1"],
+        ["density", "--n", "5", "--mc-reps", "10", "--seed", "-3"],
+        ["resample", "--reps", "3", "--seed", "-1"],
+        ["convert", "--pearson", "0.2", "--seed", "-1"]])
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys, argv):
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be a non-negative integer")
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_negative_seed_in_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": "5", "mc-reps": 10, "seed": -2}))
+        assert cli.main(["density", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: seed must be a non-negative integer, got -2")
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "from-env"))
@@ -222,6 +247,20 @@ class TestStudies:
         from corrlab.resample import TABLE_STATISTICS
         assert [r[0] for r in rows] == list(TABLE_STATISTICS)
 
+    def test_resample_pairs_layout(self, tmp_path):
+        assert cli.main(["resample", "--population", "asvab-like",
+                         "--sample-size", "25", "--reps", "40",
+                         "--out-dir", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "resample_pairs.csv")
+        assert header == ["column_a", "column_b", "pop_pearson", "pop_spearman",
+                          "mean_pearson", "mean_spearman", "sd_pearson",
+                          "sd_spearman", "mad_pearson_vs_pop_pearson",
+                          "mad_pearson_vs_pop_spearman",
+                          "mad_spearman_vs_pop_pearson",
+                          "mad_spearman_vs_pop_spearman"]
+        assert len(rows) == 10 * 9 // 2
+        assert rows[0][:2] == ["test01", "test02"]
+
     def test_eigen_table_layout(self, tmp_path):
         assert cli.main(["eigen", "--population", "asvab-like",
                          "--sample-size", "30", "--reps", "40", "--top", "4",
@@ -338,6 +377,15 @@ class TestExitCodes:
         finally:
             climod._RUNNERS["convert"] = real
 
+    def test_refused_allocation_is_five(self, tmp_path, capsys, monkeypatch):
+        def refuse(cfg):
+            raise MemoryError("Unable to allocate 7.28 PiB for an array")
+        monkeypatch.setitem(cli._RUNNERS, "simulate", refuse)
+        assert cli.main(["simulate", "--out-dir", str(tmp_path)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory: Unable to allocate")
+        assert "Traceback" not in err
+
     def test_success_is_zero(self, tmp_path):
         assert cli.main(["convert", "--pearson", "0.0",
                          "--out-dir", str(tmp_path)]) == 0
@@ -356,6 +404,67 @@ class TestExitCodes:
         # rejected while parsing the axis, before the grid is allocated
         assert cli.main(["influence", "--axis-step", step, "--out-dir", str(tmp_path)]) == 3
         assert capsys.readouterr().err.startswith("error: axis needs at most")
+
+
+def _csv_ints(lo, hi):
+    return st.lists(st.integers(lo, hi), min_size=1, max_size=3).map(
+        lambda values: ",".join(map(str, values)))
+
+
+_CORR = st.sampled_from(["0", "0.4", "-0.9", "1", "-1", "1.5", "nan", "x"])
+_POPULATION = st.sampled_from(["asvab-like", "dbq-like", "other"])
+_AXIS = st.sampled_from(["-5", "0", "2", "5", "nan"])
+
+# per subcommand: (flags always given, flags that may be given); the
+# always-given ones bound the work, so every example runs in under a second
+_FUZZ_FLAGS = {
+    "simulate": ({"--sizes": _csv_ints(0, 10), "--reps": st.integers(-1, 3),
+                  "--calibration-n": st.just(1000)},
+                 {"--marginal": st.sampled_from(["normal", "exponential", "uniform",
+                                                 "likert", "chi2", "cauchy"]),
+                  "--df": st.sampled_from(["1", "2,32", "0", "x"]),
+                  "--pearson": _CORR,
+                  "--kinds": st.sampled_from(["pearson", "spearman,kendall", "foo"]),
+                  "--emit-sample": st.integers(0, 10)}),
+    "density": ({}, {"--pearson": _CORR, "--n": _csv_ints(0, 10),
+                     "--points": st.integers(0, 50), "--mc-reps": st.integers(-1, 10)}),
+    "moments": ({}, {"--population": _POPULATION,
+                     "--input": st.just("no-such-file.csv")}),
+    "influence": ({"--axis-step": st.sampled_from(["0.5", "1", "2.5"])},
+                  {"--pearson": _CORR, "--n": st.integers(0, 10),
+                   "--axis-lo": _AXIS, "--axis-hi": _AXIS,
+                   "--outlier-x": st.sampled_from(["0", "3"]),
+                   "--outlier-y": st.sampled_from(["0", "-3"])}),
+    "resample": ({"--reps": st.integers(-1, 3)},
+                 {"--population": _POPULATION, "--sample-size": st.integers(0, 10)}),
+    "eigen": ({"--reps": st.integers(-1, 3)},
+              {"--population": _POPULATION, "--sample-size": st.integers(0, 10),
+               "--top": st.integers(-1, 12)}),
+    "convert": ({}, {"--pearson": _CORR, "--kendall": _CORR}),
+}
+_COMMON_FLAGS = {"--seed": st.integers(-3, 3),
+                 "--threads": st.sampled_from(["0", "1", "2"]),
+                 "--scale": st.sampled_from(["desk", "paper"])}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    sub = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    required, optional = _FUZZ_FLAGS[sub]
+    flags = draw(st.fixed_dictionaries(required, optional={**optional, **_COMMON_FLAGS}))
+    return [sub] + [str(part) for item in flags.items() for part in item]
+
+
+class TestArgvFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(argv=_fuzz_argv())
+    def test_every_outcome_is_a_documented_exit_code(self, argv):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv + ["--out-dir", out])
+        assert code in {0, 2, 3, 4, 5}, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 class TestImportFootprint:

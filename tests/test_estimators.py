@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlab.errors import DegenerateSampleError, InputError
-from corrlab.estimators import (CoefficientEstimate, PairedSample, correlation_matrix,
-                                distinct_spearman_values, fractional_rank, kendall,
-                                kendall_rows, pearson, pearson_rows, rank_rows,
-                                spearman, spearman_rows)
+from corrlab.estimators import (CoefficientEstimate, PairedSample, _inversion_counts,
+                                correlation_matrix, distinct_spearman_values,
+                                fractional_rank, kendall, kendall_rows, pearson,
+                                pearson_rows, rank_rows, spearman, spearman_rows)
 
 
 def rank_oracle(values):
@@ -218,6 +218,21 @@ class TestKendall:
         got = kendall_rows(x, y)
         for i in range(3):
             assert got[i] == pytest.approx(kendall_oracle(x[i], y[i]), abs=1e-12)
+
+
+class TestInversionCounts:
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_matches_quadratic_count_for_every_padding(self, tied):
+        # n = 1..70 pads to 1..128, covering every padding remainder up to 128
+        rng = np.random.default_rng(34)
+        for n in range(1, 71):
+            if tied:
+                v = rng.integers(0, 4, (6, n)).astype(float)
+            else:
+                v = rng.standard_normal((6, n))
+            oracle = [sum(1 for i, j in itertools.combinations(range(n), 2)
+                          if row[i] > row[j]) for row in v]
+            assert _inversion_counts(v).tolist() == oracle, n
 
 
 class TestCorrelationMatrix:

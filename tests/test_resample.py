@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from corrlab.errors import DegenerateSampleError, InputError
+from corrlab.errors import DegenerateSampleError, InfeasibleError, InputError
 from corrlab.estimators import correlation_matrix
 from corrlab.randgen import RngStream
 from corrlab.resample import (PopulationDataset, asvab_like_population,
@@ -214,6 +214,17 @@ class TestRunStudy:
         assert results[25].redraw_count > 0
         again = run_study(dbq, 25, 600, master_seed=7)
         assert again.redraw_count == results[25].redraw_count
+
+    def test_redraw_cap_is_infeasible_and_names_the_column(self):
+        # one row in 100,000 breaks the constant: a 2-row sample almost
+        # never does, so the first replication exhausts its redraws
+        rows = 100_000
+        rare = np.zeros(rows)
+        rare[0] = 1.0
+        d = PopulationDataset(("spread", "rare"),
+                              np.column_stack([np.arange(rows, dtype=float), rare]))
+        with pytest.raises(InfeasibleError, match="'rare'"):
+            run_study(d, sample_size=2, n_samples=2)
 
     def test_validation(self, asvab):
         with pytest.raises(InputError):
