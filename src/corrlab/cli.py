@@ -39,19 +39,39 @@ CALIBRATION_SEED = 916001  # populations are fixtures, independent of the run se
 
 
 def _ints(text):
-    return tuple(int(part) for part in str(text).split(","))
+    return tuple(int(part) for part in text.split(","))
 
 
 def _floats(text):
-    return tuple(float(part) for part in str(text).split(","))
+    return tuple(float(part) for part in text.split(","))
 
 
 def _strs(text):
-    return tuple(part.strip() for part in str(text).split(","))
+    return tuple(part.strip() for part in text.split(","))
+
+
+def _char(text):
+    if len(text) != 1:
+        raise ValueError("must be exactly one character")
+    return text
+
+
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _scale(text):
+    if text not in _SCALE_DEFAULTS:
+        raise UsageError(f"scale must be desk or paper, got {text!r}")
+    return text
 
 
 # key -> (converter, default, help); None defaults mean "optional" or
-# "filled from the scale preset" (see _SCALE_DEFAULTS)
+# "filled from the scale preset" (see _SCALE_DEFAULTS).  Every value given
+# by a flag, a config file or a preset reaches its converter as text.
 SCHEMA = {
     "simulate": {
         "marginal": (str, "normal", "marginal family: normal, exponential, uniform, likert, chi2"),
@@ -73,7 +93,7 @@ SCHEMA = {
     "moments": {
         "input": (str, None, "CSV file with header to profile"),
         "population": (str, None, "shipped population: asvab-like or dbq-like"),
-        "delimiter": (str, ",", "field delimiter of the input file"),
+        "delimiter": (_char, ",", "field delimiter of the input file"),
     },
     "influence": {
         "pearson": (float, 0.2, "population coefficient of the random base sample"),
@@ -87,7 +107,7 @@ SCHEMA = {
     "resample": {
         "input": (str, None, "CSV population file with header"),
         "population": (str, None, "shipped population: asvab-like or dbq-like (default dbq-like)"),
-        "delimiter": (str, ",", "field delimiter of the input file"),
+        "delimiter": (_char, ",", "field delimiter of the input file"),
         "sample-size": (int, 200, "rows per resampled table"),
         "reps": (int, None, "number of resampled tables (default from scale preset)"),
         "groups": (str, None, "JSON file mapping scale names to column lists; sums before the study"),
@@ -95,7 +115,7 @@ SCHEMA = {
     "eigen": {
         "input": (str, None, "CSV population file with header"),
         "population": (str, None, "shipped population: asvab-like or dbq-like (default dbq-like)"),
-        "delimiter": (str, ",", "field delimiter of the input file"),
+        "delimiter": (_char, ",", "field delimiter of the input file"),
         "sample-size": (int, 200, "rows per resampled table"),
         "reps": (int, None, "number of resampled tables (default from scale preset)"),
         "top": (int, 6, "how many leading eigenvalues to track"),
@@ -104,6 +124,14 @@ SCHEMA = {
         "pearson": (float, None, "population Pearson value to convert"),
         "kendall": (float, None, "population Kendall value to convert"),
     },
+}
+
+# keys common to every subcommand, resolved by the same rule
+COMMON = {
+    "seed": (_seed, 0, "non-negative master seed"),
+    "out-dir": (str, None, f"output directory [default: ${ENV_OUT_DIR} or ./{DEFAULT_OUT_DIR}]"),
+    "scale": (_scale, "desk", "replication scale preset: desk or paper"),
+    "threads": (int, None, "worker threads; never changes results [default: cpu count]"),
 }
 
 _SCALE_DEFAULTS = {
@@ -174,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, keys in SCHEMA.items():
         p = sub.add_parser(name, help=f"run the {name} study")
-        for key, (_, default, help_text) in keys.items():
+        for key, (_, default, help_text) in {**keys, **COMMON}.items():
             shown = "" if default is None else f" [default: {default}]"
             p.add_argument(f"--{key}", default=None, metavar="V",
                            help=help_text + shown)
@@ -183,18 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(available: {', '.join(sorted(PRESETS))})")
         p.add_argument("--config", default=None, metavar="FILE",
                        help="JSON config file; flags override file values")
-        p.add_argument("--seed", default=None, metavar="INT",
-                       help="non-negative master seed [default: 0]")
-        p.add_argument("--out-dir", default=None, metavar="DIR",
-                       help=f"output directory [default: ${ENV_OUT_DIR} or ./{DEFAULT_OUT_DIR}]")
-        p.add_argument("--scale", default=None, choices=["desk", "paper"],
-                       help="replication scale preset [default: desk]")
-        p.add_argument("--threads", default=None, metavar="INT",
-                       help="worker threads; never changes results [default: cpu count]")
     return parser
 
 
-def _load_config_file(path: str) -> dict:
+def _config_values(path: str, subcommand: str, keys: dict) -> dict:
+    """The values of a JSON config file by key, underscores read as dashes."""
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -204,106 +225,74 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    return data
+    found = data.pop("subcommand", subcommand)
+    if found != subcommand:
+        raise UsageError(f"config file is for subcommand {found!r}, not {subcommand!r}")
+    values = {}
+    for key, value in data.items():
+        norm = key.replace("_", "-")
+        if norm not in keys and norm not in COMMON:
+            raise UsageError(f"unknown key {key!r} in config file {path}")
+        if value is None:
+            raise UsageError(f"key {key!r} in config file {path} is null")
+        values[norm] = value
+    return values
 
 
-def _convert(subcommand: str, key: str, raw, where: str):
-    conv = SCHEMA[subcommand][key][0]
-    try:
-        return conv(raw)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad value for {key!r} in {where}: {raw!r}") from exc
+def _preset_values(name: str, subcommand: str) -> dict:
+    """A named preset's values; a -desk/-paper suffix adds the scale."""
+    base, _, scale = name.rpartition("-")
+    if scale not in _SCALE_DEFAULTS:
+        base, scale = name, None
+    if base not in PRESETS:
+        raise UsageError(f"unknown preset {name!r}")
+    preset_sub, values = PRESETS[base]
+    if preset_sub != subcommand:
+        raise UsageError(f"preset {base!r} belongs to the {preset_sub!r} subcommand")
+    return {**values, "scale": scale}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Layer defaults, scale preset, named preset, config file, and flags."""
+    """Resolve every key by one rule: flags > config file > preset > default.
+
+    Layer values are converted from their text, defaults used as they are.
+    """
     subcommand = args.subcommand
     keys = SCHEMA[subcommand]
-    reserved = {"seed", "out_dir", "scale", "threads", "config", "preset",
-                "subcommand"}
+    schema = {**keys, **COMMON}
+    preset = _preset_values(args.preset, subcommand) if args.preset else {}
+    file_values = _config_values(args.config, subcommand, keys) if args.config else {}
+    layers = (("flags", {key: getattr(args, key.replace("-", "_")) for key in schema}),
+              ("config file", file_values), ("preset", preset))
 
-    preset_params: dict = {}
-    preset_scale = None
-    if args.preset:
-        name = args.preset
-        for suffix in ("-desk", "-paper"):
-            if name.endswith(suffix):
-                preset_scale = suffix[1:]
-                name = name[: -len(suffix)]
-        if name not in PRESETS:
-            raise UsageError(f"unknown preset {args.preset!r}")
-        preset_sub, preset_params = PRESETS[name]
-        if preset_sub != subcommand:
-            raise UsageError(
-                f"preset {name!r} belongs to the {preset_sub!r} subcommand")
-
-    file_values: dict = {}
-    file_meta: dict = {}
-    if args.config:
-        raw = _load_config_file(args.config)
-        for key, value in raw.items():
-            norm = key.replace("_", "-")
-            if key in reserved:
-                file_meta[key] = value
-            elif norm in keys:
-                file_values[norm] = value
-            else:
-                raise UsageError(f"unknown key {key!r} in config file {args.config}")
-        if "subcommand" in file_meta and file_meta["subcommand"] != subcommand:
-            raise UsageError(
-                f"config file is for subcommand {file_meta['subcommand']!r}, "
-                f"not {subcommand!r}")
-
-    def meta(name, flag_value, default):
-        if flag_value is not None:
-            return flag_value
-        if name in file_meta:
-            return file_meta[name]
+    def resolve(key, default):
+        for where, values in layers:
+            value = values.get(key)
+            if value is not None:
+                try:
+                    return schema[key][0](str(value))
+                except (TypeError, ValueError) as exc:
+                    raise UsageError(f"bad value for {key!r} in {where}: {value!r}") from exc
         return default
 
-    scale = meta("scale", args.scale, preset_scale or "desk")
-    if scale not in _SCALE_DEFAULTS:
-        raise UsageError(f"scale must be desk or paper, got {scale!r}")
-    try:
-        seed = int(meta("seed", args.seed, 0))
-        threads = int(meta("threads", args.threads, os.cpu_count() or 1))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"seed and threads must be integers: {exc}") from exc
-    if seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {seed}")
-    out_dir = meta("out_dir", args.out_dir,
-                   os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
-
-    params = {}
-    for key, (_, default, _help) in keys.items():
-        flag_value = getattr(args, key.replace("-", "_"))
-        if flag_value is not None:
-            params[key] = _convert(subcommand, key, flag_value, "flags")
-        elif key in file_values:
-            params[key] = _convert(subcommand, key, file_values[key], "config file")
-        elif key in preset_params:
-            params[key] = _convert(subcommand, key, preset_params[key], "preset")
-        elif (subcommand, key) in _SCALE_DEFAULTS[scale]:
-            params[key] = _SCALE_DEFAULTS[scale][(subcommand, key)]
-        else:
-            params[key] = default
+    scale = resolve("scale", COMMON["scale"][1])
+    seed = resolve("seed", COMMON["seed"][1])
+    threads = resolve("threads", os.cpu_count() or 1)
+    out_dir = resolve("out-dir", os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
+    params = {key: resolve(key, _SCALE_DEFAULTS[scale].get((subcommand, key), default))
+              for key, (_, default, _help) in keys.items()}
     return RunConfig(subcommand=subcommand, params=params, seed=seed,
-                     out_dir=str(out_dir), scale=scale, threads=max(1, threads))
+                     out_dir=out_dir, scale=scale, threads=max(1, threads))
 
 
 # ---------------------------------------------------------------------------
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _csv_text(columns, rows, cfg_hash: str) -> str:
+    # str of a Python or numpy float is its shortest round-trip repr
     lines = [f"# config {cfg_hash}", ",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -422,7 +411,8 @@ def _dataset_for(params: dict, default_population: str = "dbq-like"):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand runners: each returns {filename: text} plus stdout lines
+# Subcommand runners: each returns its artifacts plus stdout lines; a .csv
+# artifact is (columns, rows), a .json artifact is its payload
 # ---------------------------------------------------------------------------
 
 def _run_convert(cfg: RunConfig):
@@ -441,7 +431,7 @@ def _run_convert(cfg: RunConfig):
                   "pearson": exact.pearson_from_kendall(tau),
                   "spearman": exact.spearman_from_kendall(tau)}
     lines = [f"{kind}={values[kind]:.6f}" for kind in ("pearson", "spearman", "kendall")]
-    return {"conversions.json": _json_text(values, cfg.hash())}, lines
+    return {"conversions.json": values}, lines
 
 
 def _run_density(cfg: RunConfig):
@@ -454,19 +444,17 @@ def _run_density(cfg: RunConfig):
             curve = exact.density_curve(rho, n, points=params["points"])
             area = float(np.trapezoid(curve.density, curve.grid))
             stem = f"rp{rho:g}_n{n}"
-            artifacts[f"density_{stem}.csv"] = _csv_text(
-                ("r", "density"), zip(curve.grid, curve.density), cfg.hash())
+            artifacts[f"density_{stem}.csv"] = (("r", "density"),
+                                                zip(curve.grid, curve.density))
             entry = {"pearson": rho, "n": n, "area": area}
             if params["mc-reps"] > 0:
-                histogram, extra = _density_histogram(rho, n, params["mc-reps"],
-                                                      cfg.seed)
-                artifacts[f"histogram_{stem}.csv"] = _csv_text(
-                    ("bin_center", "fraction_pearson", "fraction_spearman",
-                     "fraction_exact"), histogram, cfg.hash())
-                entry.update(extra)
+                artifacts[f"histogram_{stem}.csv"] = (
+                    ("bin_center", "fraction_pearson", "fraction_spearman", "fraction_exact"),
+                    _density_histogram(rho, n, params["mc-reps"], cfg.seed))
+                entry["mc_reps"] = params["mc-reps"]
             summary.append(entry)
             lines.append(f"density {stem}: area={area:.6f}")
-    artifacts["density_summary.json"] = _json_text({"curves": summary}, cfg.hash())
+    artifacts["density_summary.json"] = {"curves": summary}
     return artifacts, lines
 
 
@@ -479,9 +467,7 @@ def _density_histogram(rho: float, n: int, reps: int, seed: int):
     centers = 0.5 * (edges[:-1] + edges[1:])
     frac_p = np.histogram(rp, bins=edges)[0] / reps
     frac_s = np.histogram(rs, bins=edges)[0] / reps
-    exact_frac = _exact_bin_fractions(rho, n, edges)
-    rows = list(zip(centers, frac_p, frac_s, exact_frac))
-    return rows, {"mc_reps": reps}
+    return list(zip(centers, frac_p, frac_s, _exact_bin_fractions(rho, n, edges)))
 
 
 def _exact_bin_fractions(rho: float, n: int, edges: np.ndarray) -> np.ndarray:
@@ -499,11 +485,9 @@ def _run_moments(cfg: RunConfig):
     rows = [(name, profile.mean[i], profile.sd[i], profile.skewness[i],
              profile.kurtosis[i])
             for i, name in enumerate(profile.column_names)]
-    artifacts = {"moments.csv": _csv_text(
-        ("column", "mean", "sd", "skewness", "kurtosis"), rows, cfg.hash())}
     lines = [f"profiled {dataset.n_cols} columns over {dataset.n_rows} rows "
              f"({dataset.dropped_rows} rows dropped)"]
-    return artifacts, lines
+    return {"moments.csv": (("column", "mean", "sd", "skewness", "kurtosis"), rows)}, lines
 
 
 def _run_simulate(cfg: RunConfig):
@@ -543,10 +527,9 @@ def _run_simulate(cfg: RunConfig):
         if params["emit-sample"] > 0 and cond_index == 0:
             sample = sample_population(population, params["emit-sample"],
                                        RngStream(cfg.seed).child(cond_index, 2 ** 20))
-            artifacts["depiction_sample.csv"] = _csv_text(
-                ("x", "y"), zip(sample.x, sample.y), cfg.hash())
-    artifacts["simulation_summary.csv"] = _csv_text(
-        simulate.SUMMARY_COLUMNS, [r.row() for r in all_rows], cfg.hash())
+            artifacts["depiction_sample.csv"] = (("x", "y"), zip(sample.x, sample.y))
+    artifacts["simulation_summary.csv"] = (simulate.SUMMARY_COLUMNS,
+                                           [r.row() for r in all_rows])
     return artifacts, lines
 
 
@@ -556,15 +539,11 @@ def _run_influence(cfg: RunConfig):
                               params["axis-step"])
     base = sample_bivariate_normal(params["pearson"], params["n"],
                                    RngStream(cfg.seed).child(1))
-    has_x = params["outlier-x"] is not None
-    has_y = params["outlier-y"] is not None
-    if has_x != has_y:
+    outlier = (params["outlier-x"], params["outlier-y"])
+    if outlier.count(None) == 1:
         raise UsageError("give both --outlier-x and --outlier-y or neither")
-    if has_x:
-        grid = influence.scan_double(base, (params["outlier-x"], params["outlier-y"]),
-                                     axis)
-    else:
-        grid = influence.scan_single(base, axis)
+    grid = (influence.scan_single(base, axis) if outlier[0] is None
+            else influence.scan_double(base, outlier, axis))
 
     k = grid.axis.size
     gx = np.repeat(grid.axis, k)
@@ -583,14 +562,10 @@ def _run_influence(cfg: RunConfig):
         "exceedance_pearson_0.05": influence.exceedance_fraction(grid, 0.05, "pearson"),
         "exceedance_spearman_0.05": influence.exceedance_fraction(grid, 0.05, "spearman"),
     }
-    artifacts = {
-        "influence_grid.csv": _csv_text(
-            ("x", "y", "delta_pearson", "delta_spearman"), rows, cfg.hash()),
-        "influence_summary.json": _json_text(summary, cfg.hash()),
-    }
     lines = [f"influence grid {k}x{k}: base pearson {grid.base_pearson:+.4f}, "
              f"base spearman {grid.base_spearman:+.4f}"]
-    return artifacts, lines
+    return {"influence_grid.csv": (("x", "y", "delta_pearson", "delta_spearman"), rows),
+            "influence_summary.json": summary}, lines
 
 
 def _load_groups(path: str) -> dict:
@@ -614,16 +589,12 @@ def _run_resample(cfg: RunConfig):
     table_rows = [(stat, result.aggregates[stat]) for stat in resample.TABLE_STATISTICS]
     summary = {"sample_size": result.sample_size, "n_samples": result.n_samples,
                "redraw_count": result.redraw_count, "n_pairs": len(result.pairs)}
-    artifacts = {
-        "resample_pairs.csv": _csv_text(
-            [f.name for f in fields(resample.PairSummary)],
-            map(astuple, result.pairs), cfg.hash()),
-        "resample_table.csv": _csv_text(("statistic", "value"), table_rows, cfg.hash()),
-        "resample_summary.json": _json_text(summary, cfg.hash()),
-    }
     lines = [f"{result.n_samples} samples of {result.sample_size} rows, "
              f"{len(result.pairs)} pairs, {result.redraw_count} redraws"]
-    return artifacts, lines
+    return {"resample_pairs.csv": ([f.name for f in fields(resample.PairSummary)],
+                                   map(astuple, result.pairs)),
+            "resample_table.csv": (("statistic", "value"), table_rows),
+            "resample_summary.json": summary}, lines
 
 
 def _run_eigen(cfg: RunConfig):
@@ -637,13 +608,10 @@ def _run_eigen(cfg: RunConfig):
     meta = {"sample_size": summary.sample_size, "n_samples": summary.n_samples,
             "redraw_count": summary.redraw_count,
             "max_trace_error": summary.max_trace_error}
-    artifacts = {
-        "eigen_table.csv": _csv_text(("eigenvalue",) + columns, rows, cfg.hash()),
-        "eigen_summary.json": _json_text(meta, cfg.hash()),
-    }
     lines = [f"top {summary.k} eigenvalues over {summary.n_samples} samples "
              f"(max trace error {summary.max_trace_error:.2e})"]
-    return artifacts, lines
+    return {"eigen_table.csv": (("eigenvalue",) + columns, rows),
+            "eigen_summary.json": meta}, lines
 
 
 _RUNNERS = {
@@ -658,12 +626,17 @@ _RUNNERS = {
 
 
 def dispatch(cfg: RunConfig) -> int:
+    """Run the subcommand, then render and write every artifact under one hash."""
     artifacts, lines = _RUNNERS[cfg.subcommand](cfg)
-    artifacts["resolved_config.json"] = _json_text(cfg.as_echo(), cfg.hash())
-    _commit_artifacts(cfg.out_dir, artifacts)
+    artifacts["resolved_config.json"] = cfg.as_echo()
+    cfg_hash = cfg.hash()
+    _commit_artifacts(cfg.out_dir, {
+        name: _json_text(body, cfg_hash) if name.endswith(".json")
+        else _csv_text(*body, cfg_hash)
+        for name, body in artifacts.items()})
     for line in lines:
         print(line)
-    print(f"wrote {len(artifacts)} files to {cfg.out_dir} (config {cfg.hash()})")
+    print(f"wrote {len(artifacts)} files to {cfg.out_dir} (config {cfg_hash})")
     return 0
 
 

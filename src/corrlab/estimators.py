@@ -129,7 +129,7 @@ def rank_rows(a: np.ndarray):
     if a.ndim != 2:
         raise InputError("rank_rows expects a 2-d array")
     n = a.shape[1]
-    order = np.argsort(a, axis=1, kind="stable")
+    order = np.argsort(a, axis=1)  # ties share one mid-rank: need no stable order
     s = np.take_along_axis(a, order, axis=1)
     first = _tie_run_flags(s)
     # flag each run's last position (just before the next run's first);
@@ -186,7 +186,7 @@ def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _dense_codes(v: np.ndarray) -> np.ndarray:
     """Per-row integer codes in [0, n) preserving order; ties share a code."""
-    order = np.argsort(v, axis=1, kind="stable")
+    order = np.argsort(v, axis=1)  # ties share a code, so need no stable order
     s = np.take_along_axis(v, order, axis=1)
     gid = np.cumsum(_tie_run_flags(s), axis=1) - 1
     codes = np.empty(v.shape, dtype=np.int64)
@@ -248,8 +248,8 @@ def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray
     n = x.shape[1]
     n0 = n * (n - 1) // 2
 
-    # sort each row by (x, y): stable argsort by y first, then by x
-    by_y = np.argsort(y, axis=1, kind="stable")
+    # sort each row by (x, y): by y, then stably by x to keep y order in x ties
+    by_y = np.argsort(y, axis=1)
     x1 = np.take_along_axis(x, by_y, axis=1)
     by_x = np.argsort(x1, axis=1, kind="stable")
     order = np.take_along_axis(by_y, by_x, axis=1)

@@ -173,8 +173,9 @@ def scale_sums(dataset: PopulationDataset, groups) -> PopulationDataset:
     index = {name: i for i, name in enumerate(dataset.column_names)}
     columns = []
     for scale, members in groups.items():
-        if not members:
-            raise InputError(f"scale {scale!r} has no member columns")
+        if not (isinstance(members, (list, tuple)) and members
+                and all(isinstance(m, str) for m in members)):
+            raise InputError(f"scale {scale!r} must map to a non-empty list of column names")
         missing = [m for m in members if m not in index]
         if missing:
             raise InputError(f"scale {scale!r} references unknown column {missing[0]!r}")
@@ -305,6 +306,8 @@ def run_study(dataset: PopulationDataset, sample_size: int, n_samples: int,
     plain-mean rows aggregated as absolute values of the per-pair means.
     """
     p = dataset.n_cols
+    if p < 2:
+        raise InputError(f"the resampling study needs at least two columns, got {p}")
     pop = {kind: correlation_matrix(dataset, kind) for kind in _MATRIX_KINDS}
     moments = {kind: _MeanSD((p, p)) for kind in _MATRIX_KINDS}
     abs_dev = {(kind, pop_kind): np.zeros((p, p))

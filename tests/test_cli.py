@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlab import cli
-from corrlab.errors import NumericError
+from corrlab.errors import NumericError, UsageError
 from corrlab.randgen import CALIBRATION_VERSION, MarginalSpec
 
 
@@ -399,6 +400,56 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["a-file"]
 
+    @pytest.mark.parametrize("delimiter", ["ab", ""])
+    def test_bad_delimiter_is_usage_error(self, tmp_path, capsys, delimiter):
+        data = tmp_path / "t.csv"
+        data.write_text("a,b\n1,2\n2,1\n3,5\n")
+        out = tmp_path / "out"
+        assert cli.main(["moments", "--input", str(data), f"--delimiter={delimiter}",
+                         "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value for 'delimiter'")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @staticmethod
+    def survey(tmp_path, columns="abcd"):
+        data = tmp_path / "data.csv"
+        rng = np.random.default_rng(4)
+        table = rng.integers(1, 7, size=(120, len(columns)))
+        data.write_text("\n".join([",".join(columns)]
+                                  + [",".join(map(str, row)) for row in table]) + "\n")
+        return data
+
+    @pytest.mark.parametrize("members", [["a", ["b"]], "ab"], ids=["nested", "string"])
+    def test_malformed_groups_member_is_input_error(self, tmp_path, capsys, members):
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"s": members, "t": ["c", "d"]}))
+        out = tmp_path / "out"
+        assert cli.main(["resample", "--input", str(self.survey(tmp_path)),
+                         "--groups", str(groups), "--sample-size", "20", "--reps", "5",
+                         "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: scale 's'") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["one-column input", "one-scale groups"])
+    def test_one_column_resample_is_input_error(self, tmp_path, capsys, source):
+        if source == "one-column input":
+            extra = ["--input", str(self.survey(tmp_path, columns="a"))]
+        else:
+            groups = tmp_path / "groups.json"
+            groups.write_text(json.dumps({"all": ["a", "b", "c", "d"]}))
+            extra = ["--input", str(self.survey(tmp_path)), "--groups", str(groups)]
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["resample", *extra, "--sample-size", "20", "--reps", "5",
+                             "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "needs at least two columns" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("step", ["1e-4", "1e-300"])
     def test_oversized_influence_grid_is_input_error(self, tmp_path, capsys, step):
         # rejected while parsing the axis, before the grid is allocated
@@ -465,6 +516,74 @@ class TestArgvFuzz:
                 code = cli.main(argv + ["--out-dir", out])
         assert code in {0, 2, 3, 4, 5}, (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+class TestConfigFragments:
+    @pytest.mark.parametrize("sub,fragment,flags", [
+        ("convert", {"seed": 1.7}, ["--pearson", "0.2"]),
+        ("resample", {"reps": 2.5}, ["--population", "asvab-like", "--sample-size", "10"]),
+        ("convert", {"threads": True}, ["--pearson", "0.2"]),
+        ("convert", {"pearson": True}, []),
+        ("convert", {"out_dir": None}, ["--pearson", "0.2"]),
+        ("convert", {"preset": "fig2"}, ["--pearson", "0.2"]),
+        ("convert", {"config": "other.json"}, ["--pearson", "0.2"])],
+        ids=["seed", "reps", "threads", "pearson", "out_dir", "preset", "config"])
+    def test_misread_values_are_usage_errors(self, tmp_path, capsys, monkeypatch,
+                                             sub, fragment, flags):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(fragment))
+        monkeypatch.chdir(tmp_path)  # a stray ./None would land here
+        out = tmp_path / "out"
+        assert cli.main([sub, *flags, "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert repr(next(iter(fragment))) in err
+        assert sorted(os.listdir(tmp_path)) == ["run.json"]
+
+
+def _resolved(argv):
+    try:
+        return cli.resolve_config(cli.build_parser().parse_args(argv))
+    except UsageError:
+        return UsageError
+
+
+_FRAGMENT_VALUE = st.one_of(
+    st.integers(-5, 10 ** 6), st.floats(allow_nan=False), st.booleans(),
+    st.lists(st.integers(0, 9), max_size=3),
+    st.sampled_from(["", "-1", "1.5", "x", "5,50", "0.2,0.4", "desk", "paper",
+                     "normal", "5:50:3"]))
+
+
+@st.composite
+def _config_fragment(draw):
+    sub = draw(st.sampled_from(["simulate", "density", "resample", "influence"]))
+    key = draw(st.sampled_from(sorted({**cli.SCHEMA[sub], **cli.COMMON})))
+    return sub, key, draw(_FRAGMENT_VALUE), draw(st.booleans())
+
+
+class TestConfigFileFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_config_fragment())
+    def test_file_value_reads_like_the_flag_text(self, case):
+        sub, key, value, underscore = case
+        written = key.replace("-", "_") if underscore else key
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.json")
+            with open(path, "w") as handle:
+                json.dump({written: value}, handle)
+            from_file = _resolved([sub, "--config", path])
+        assert from_file == _resolved([sub, f"--{key}={value}"]), (written, value)
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_a_subcommand(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-m", "corrlab", "convert",
+                               "--pearson", "0.2", "--out-dir", str(tmp_path)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "conversions.json").exists()
 
 
 class TestImportFootprint:

@@ -92,6 +92,15 @@ class TestFractionalRank:
         with pytest.raises(InputError):
             fractional_rank([1.0, np.nan])
 
+    @pytest.mark.parametrize("n", [64, 200, 1000])
+    def test_tied_rows_match_oracle_at_larger_n(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.integers(0, 6, size=(3, n)).astype(float)
+        ranks, ties = rank_rows(a)
+        for i in range(3):
+            np.testing.assert_array_equal(ranks[i], rank_oracle(list(a[i])))
+        assert ties.all()
+
     def test_rank_rows_matches_scalar(self):
         rng = np.random.default_rng(13)
         a = rng.integers(0, 5, size=(40, 9)).astype(float)
@@ -217,6 +226,15 @@ class TestKendall:
         y = rng.standard_normal((3, 400))
         got = kendall_rows(x, y)
         for i in range(3):
+            assert got[i] == pytest.approx(kendall_oracle(x[i], y[i]), abs=1e-12)
+
+    def test_large_tied_row_kernel_matches_oracle(self):
+        # many x ties: the (x, y) sort must keep the y order within each x tie
+        rng = np.random.default_rng(34)
+        x = rng.integers(0, 6, size=(2, 400)).astype(float)
+        y = np.clip(x + rng.integers(-2, 3, size=(2, 400)), 0, 5)
+        got = kendall_rows(x, y)
+        for i in range(2):
             assert got[i] == pytest.approx(kendall_oracle(x[i], y[i]), abs=1e-12)
 
 
