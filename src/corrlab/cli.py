@@ -28,7 +28,7 @@ from . import exact, influence, resample, simulate
 from .errors import CorrlabError, InfeasibleError, InputError, UsageError
 from .estimators import KINDS, pearson_rows, spearman_rows
 from .randgen import (CALIBRATION_TOL, CALIBRATION_VERSION, MarginalSpec,
-                      PopulationSpec, RngStream, _latent_pair, calibrate_copula,
+                      PopulationSpec, RngStream, calibrate_copula,
                       sample_bivariate_normal, sample_population)
 
 __all__ = ["main", "build_parser", "SCHEMA", "PRESETS"]
@@ -38,16 +38,17 @@ DEFAULT_OUT_DIR = "corrlab-out"
 CALIBRATION_SEED = 916001  # populations are fixtures, independent of the run seed
 
 
-def _ints(text):
-    return tuple(int(part) for part in text.split(","))
+def _list_of(conv):
+    """Converter of a comma list whose entries must all differ."""
+    def parse(text):
+        values = tuple(conv(part) for part in text.split(","))
+        if len(set(values)) != len(values):
+            raise ValueError("list repeats an entry")
+        return values
+    return parse
 
 
-def _floats(text):
-    return tuple(float(part) for part in text.split(","))
-
-
-def _strs(text):
-    return tuple(part.strip() for part in text.split(","))
+_ints, _floats, _strs = _list_of(int), _list_of(float), _list_of(str.strip)
 
 
 def _char(text):
@@ -459,14 +460,16 @@ def _run_density(cfg: RunConfig):
 
 
 def _density_histogram(rho: float, n: int, reps: int, seed: int):
-    """Simulated coefficient distribution on 0.01-wide bins plus the exact curve."""
-    x, y = _latent_pair(rho, (reps, n), RngStream(seed).child(2).generator())
-    rp = pearson_rows(x, y)
-    rs = spearman_rows(x, y)
+    """Simulated coefficient distribution on 0.01-wide bins, counted chunk by
+    chunk from a simulation cell's draws, plus the exact curve."""
     edges = np.linspace(-1.005, 1.005, 202)  # bins centered on -1.00 .. 1.00
     centers = 0.5 * (edges[:-1] + edges[1:])
-    frac_p = np.histogram(rp, bins=edges)[0] / reps
-    frac_s = np.histogram(rs, bins=edges)[0] / reps
+    counts = np.zeros((2, edges.size - 1), dtype=np.int64)
+    for x, y, _ in simulate.replication_chunks(PopulationSpec.bivariate_normal(rho), n,
+                                               reps, RngStream(seed).child(2)):
+        counts[0] += np.histogram(pearson_rows(x, y), bins=edges)[0]
+        counts[1] += np.histogram(spearman_rows(x, y), bins=edges)[0]
+    frac_p, frac_s = counts / reps
     return list(zip(centers, frac_p, frac_s, _exact_bin_fractions(rho, n, edges)))
 
 

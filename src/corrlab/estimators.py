@@ -359,22 +359,25 @@ def correlation_matrix(data, kind: str = "pearson",
     return _correlation_core(values, kind)
 
 
-def _correlation_core(table: np.ndarray, kind: str = "pearson") -> np.ndarray:
-    """Pearson or Spearman matrix of a finite table without constant columns.
+def _correlation_core(table: np.ndarray, kind: str = "pearson",
+                      other: np.ndarray | None = None) -> np.ndarray:
+    """Pearson or Spearman matrix of a finite table without constant columns;
+    with ``other`` (same rows), entry (i, j) pairs table[:, i] with other[:, j].
 
-    The caller has validated the table; :func:`correlation_matrix` is
+    The caller has validated the tables; :func:`correlation_matrix` is
     the checked entry point.
     """
+    tables = (table,) if other is None else (table, other)
     if kind == "spearman":
-        ranks, _ = rank_rows(table.T)
-        table = ranks.T
-    centered = table - table.mean(axis=0)
-    cov = centered.T @ centered
-    scale = np.sqrt(np.diag(cov))
-    mat = cov / np.outer(scale, scale)
-    mat = 0.5 * (mat + mat.T)
-    np.fill_diagonal(mat, 1.0)
-    return np.clip(mat, -1.0, 1.0)
+        tables = tuple(rank_rows(t.T)[0].T for t in tables)
+    centered = [t - t.mean(axis=0) for t in tables]
+    scales = [np.sqrt(np.einsum("ij,ij->j", c, c)) for c in centered]
+    mat = centered[0].T @ centered[-1]
+    mat /= np.outer(scales[0], scales[-1])
+    if other is None:
+        mat = 0.5 * (mat + mat.T)
+        np.fill_diagonal(mat, 1.0)
+    return np.clip(mat, -1.0, 1.0, out=mat)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Pearson and Spearman coefficients of a fixed base sample.
 A scan stores, for every point of a square grid, the signed deviation of
 both coefficients from the base values (raw = base + delta).  Appending
 (a, b) moves x only through a and y only through b, so each surface is
-the off-diagonal block of one correlation matrix of the 2k augmented
-columns [x; axis_i], [y; axis_j] (their mid-ranks for Spearman).  No
+the cross-correlation block of the k augmented columns [x; axis_i] with
+the k augmented columns [y; axis_j] (their mid-ranks for Spearman).  No
 cell is degenerate: a constant base is rejected, appending cannot make a
 column constant, and the axis is finite.
 """
@@ -22,7 +22,7 @@ from .estimators import PairedSample, _correlation_core, pearson, spearman
 __all__ = ["AxisSpec", "InfluenceGrid", "scan_single", "scan_double",
            "exceedance_fraction", "delta_width", "MAX_AXIS_POINTS"]
 
-# 100x the fig5 axis; a scan holds a few (2k x 2k) float matrices at once
+# 100x the fig5 axis; a scan holds a few (k x k) float matrices (~170 MB)
 MAX_AXIS_POINTS = 2001
 
 
@@ -85,10 +85,9 @@ def _scan(scanned: PairedSample, axis: np.ndarray):
     coefficient with (axis[i], axis[j]) appended.  Each column extends a base
     column checked not to be constant, as ``_correlation_core`` requires.
     """
-    k = axis.size
-    columns = np.repeat(np.column_stack([scanned.x, scanned.y]), k, axis=1)
-    table = np.vstack([columns, np.concatenate([axis, axis])])
-    return tuple(_correlation_core(table, kind)[:k, k:] for kind in ("pearson", "spearman"))
+    xs, ys = (np.vstack([np.repeat(base[:, None], axis.size, axis=1), axis])
+              for base in (scanned.x, scanned.y))
+    return tuple(_correlation_core(xs, kind, ys) for kind in ("pearson", "spearman"))
 
 
 def _scan_grid(base: PairedSample, axis: AxisSpec,
@@ -98,8 +97,9 @@ def _scan_grid(base: PairedSample, axis: AxisSpec,
     scanned = base if first_outlier is None else base.append(*first_outlier)
     grid_axis = axis.values
     rp, rs = _scan(scanned, grid_axis)
-    return InfluenceGrid(base=base, axis=grid_axis,
-                         delta_pearson=rp - base_rp, delta_spearman=rs - base_rs,
+    rp -= base_rp  # in place: at k = 2001 each surface is 32 MB
+    rs -= base_rs
+    return InfluenceGrid(base=base, axis=grid_axis, delta_pearson=rp, delta_spearman=rs,
                          base_pearson=base_rp, base_spearman=base_rs,
                          first_outlier=first_outlier)
 

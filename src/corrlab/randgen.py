@@ -1,8 +1,8 @@
 """Deterministic, seedable random generation.
 
 Streams are addressed by a master seed plus an integer path (condition,
-cell, replication, ...).  The same address always yields the same draws
-no matter how the work is scheduled, which is what makes every study in
+cell, chunk, ...).  The same address always yields the same draws no
+matter how the work is scheduled, which is what makes every study in
 this package reproducible and safely parallel.  Bit-level streams come
 from numpy's PCG64 keyed by a SeedSequence spawn key; normal variates
 use numpy's ziggurat sampler.  Reproducibility is guaranteed per build
@@ -50,7 +50,8 @@ DEFAULT_LIKERT_THRESHOLDS = (0.75, 0.87, 0.93, 0.97, 0.99)
 
 @dataclass(frozen=True)
 class RngStream:
-    """Address of one reproducible random stream."""
+    """Address of one reproducible random stream, e.g. path (condition,
+    cell, chunk) for one chunk of replications of a simulation cell."""
 
     master_seed: int
     path: tuple[int, ...] = ()
@@ -244,12 +245,6 @@ def _couple(rho: float, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return rho * z1 + np.sqrt(1.0 - rho * rho) * z2
 
 
-def _latent_pair(rho: float, shape, rng: np.random.Generator):
-    """A latent standard-normal pair of the given shape; all of z1 is drawn first."""
-    z1 = rng.standard_normal(shape)
-    return z1, _couple(rho, z1, rng.standard_normal(shape))
-
-
 def sample_bivariate_normal(rho: float, n: int, stream: RngStream) -> PairedSample:
     """Standard-normal pair with population correlation rho.
 
@@ -264,13 +259,21 @@ def _transform(marginal: MarginalSpec, z: np.ndarray) -> np.ndarray:
     return marginal.quantile(special.ndtr(z))
 
 
+def _pairs(spec: PopulationSpec, rng: np.random.Generator, rows: int, n: int):
+    """(x, y), each rows x n, from one normal draw: row r is a sample of n
+    pairs made from its own 2n normals, whatever the number of rows."""
+    z = rng.standard_normal((rows, 2, n))
+    z1 = z[:, 0]
+    return (_transform(spec.marginal_x, z1),
+            _transform(spec.marginal_y, _couple(spec.latent_rho, z1, z[:, 1])))
+
+
 def sample_population(spec: PopulationSpec, n: int, stream: RngStream) -> PairedSample:
     """Draw n pairs from a (calibrated) population."""
     if n < 2:
         raise InputError("need n >= 2")
-    z1, z2 = _latent_pair(spec.latent_rho, n, stream.generator())
-    return PairedSample(_transform(spec.marginal_x, z1),
-                        _transform(spec.marginal_y, z2))
+    x, y = _pairs(spec, stream.generator(), 1, n)
+    return PairedSample(x[0], y[0])
 
 
 def calibrate_copula(marginal_x: MarginalSpec, marginal_y: MarginalSpec,

@@ -2,9 +2,10 @@
 
 A :class:`SimulationPlan` names a population, a list of sample sizes,
 the coefficients to estimate, and a replication count.  Each (size,
-coefficient) cell yields a :class:`SummaryStats` row.  Replication r of
-cell c draws from the stream path (cell, r), so results are identical
-no matter how cells or replications are scheduled.
+coefficient) cell yields a :class:`SummaryStats` row.  Chunk k of
+``CHUNK_REPS`` replications of cell c draws from stream path (c, k), and
+a degenerate row i of it redraws from (c, k, i), so results do not
+depend on how cells are scheduled.
 """
 
 from __future__ import annotations
@@ -16,20 +17,15 @@ import numpy as np
 
 from .errors import InfeasibleError, InputError
 from .estimators import KINDS, kendall_rows, pearson_rows, spearman_rows
-from .randgen import (REDRAW_CAP_PER_SAMPLE, PopulationSpec, RngStream, _latent_pair,
-                      _transform)
+from .randgen import REDRAW_CAP_PER_SAMPLE, PopulationSpec, RngStream, _pairs
 
-__all__ = [
-    "SimulationPlan",
-    "SummaryStats",
-    "logspace_sizes",
-    "run_cell",
-    "run_plan",
-    "SUMMARY_COLUMNS",
-]
+__all__ = ["SimulationPlan", "SummaryStats", "logspace_sizes", "replication_chunks",
+           "run_cell", "run_plan", "SUMMARY_COLUMNS"]
 
 MAX_REDRAW_RATE = 0.5
-_BLOCK_VALUES = 4 * 10 ** 6  # replication block size chosen to bound memory
+# rows per chunk stream: part of the stream layout, not a memory knob
+CHUNK_REPS = 4096
+_ROW_KERNELS = dict(zip(KINDS, (pearson_rows, spearman_rows, kendall_rows)))
 
 SUMMARY_COLUMNS = ("condition", "kind", "n", "mean", "sd", "p5", "p95",
                    "bias", "rmse", "redraw_count")
@@ -106,34 +102,37 @@ class SummaryStats:
                 self.p95, self.bias, self.rmse, self.redraw_count)
 
 
-def _draw_block(population: PopulationSpec, n: int, cell_stream: RngStream,
-                rep_indices: range):
-    """Draw one block of replications, redrawing degenerate samples.
+def _varies(a: np.ndarray) -> np.ndarray:
+    """Per row of a, whether it holds two different values."""
+    return (a[:, 1:] != a[:, :1]).any(axis=1)
 
-    Returns (x, y, redraws); each replication owns stream path
-    (cell..., rep) and consumes further draws from the same generator
-    on redraw, so results do not depend on block boundaries.
+
+def replication_chunks(population: PopulationSpec, n: int, reps: int,
+                       stream: RngStream):
+    """Yield (x, y, redraws) for successive chunks of ``CHUNK_REPS`` rows.
+
+    Chunk k draws from stream path (..., k) in one call; a row with a
+    constant x or y is redrawn from its own path (..., k, row), and
+    ``redraws`` counts the failed draws.  Row r of the whole run thus
+    depends only on r, never on ``reps``.
     """
-    rho = population.latent_rho
-    b = len(rep_indices)
-    x = np.empty((b, n))
-    y = np.empty((b, n))
-    redraws = 0
-    for row, rep in enumerate(rep_indices):
-        rng = cell_stream.child(rep).generator()
-        for attempt in range(REDRAW_CAP_PER_SAMPLE + 1):
-            z1, z2 = _latent_pair(rho, n, rng)
-            xv = _transform(population.marginal_x, z1)
-            yv = _transform(population.marginal_y, z2)
-            if xv.min() < xv.max() and yv.min() < yv.max():
-                break
-            redraws += 1
-        else:
-            raise InfeasibleError(
-                f"replication {rep} at n={n} exceeded {REDRAW_CAP_PER_SAMPLE} redraws")
-        x[row] = xv
-        y[row] = yv
-    return x, y, redraws
+    for k, start in enumerate(range(0, reps, CHUNK_REPS)):
+        chunk = stream.child(k)
+        x, y = _pairs(population, chunk.generator(), min(CHUNK_REPS, reps - start), n)
+        bad = np.flatnonzero(~(_varies(x) & _varies(y)))
+        redraws = bad.size
+        for row in bad:
+            rng = chunk.child(row).generator()
+            for _ in range(REDRAW_CAP_PER_SAMPLE):
+                xr, yr = _pairs(population, rng, 1, n)
+                if _varies(xr)[0] and _varies(yr)[0]:
+                    x[row], y[row] = xr[0], yr[0]
+                    break
+                redraws += 1
+            else:
+                raise InfeasibleError(f"replication {start + row} at n={n} exceeded "
+                                      f"{REDRAW_CAP_PER_SAMPLE} redraws")
+        yield x, y, redraws
 
 
 def _summarize(condition: str, kind: str, n: int, values: np.ndarray,
@@ -153,22 +152,13 @@ def run_cell(plan: SimulationPlan, n: int, cell_stream: RngStream) -> list[Summa
     """All requested coefficient summaries for one sample size."""
     reps = plan.replications
     values = {kind: np.empty(reps) for kind in plan.coefficients}
-    block = max(1, min(reps, _BLOCK_VALUES // n))
     total_redraws = 0
     done = 0
-    while done < reps:
-        take = min(block, reps - done)
-        x, y, redraws = _draw_block(plan.population, n, cell_stream,
-                                    range(done, done + take))
+    for x, y, redraws in replication_chunks(plan.population, n, reps, cell_stream):
         total_redraws += redraws
-        sl = slice(done, done + take)
-        if "pearson" in values:
-            values["pearson"][sl] = pearson_rows(x, y)
-        if "spearman" in values:
-            values["spearman"][sl] = spearman_rows(x, y)
-        if "kendall" in values:
-            values["kendall"][sl] = kendall_rows(x, y)
-        done += take
+        for kind, out in values.items():
+            out[done:done + len(x)] = _ROW_KERNELS[kind](x, y)
+        done += len(x)
     if total_redraws > MAX_REDRAW_RATE * (reps + total_redraws):
         raise InfeasibleError(
             f"more than half of all draws at n={n} were degenerate "

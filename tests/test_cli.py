@@ -450,6 +450,20 @@ class TestExitCodes:
         assert "needs at least two columns" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,argv", [
+        ("sizes", ["simulate", "--sizes", "10,10", "--reps", "5"]),
+        ("kinds", ["simulate", "--kinds", "pearson,pearson", "--sizes", "10", "--reps", "5"]),
+        ("df", ["simulate", "--marginal", "chi2", "--df", "2,2", "--sizes", "10",
+                "--reps", "5"]),
+        ("n", ["density", "--n", "5,5", "--mc-reps", "100"])],
+        ids=["sizes", "kinds", "df", "density-n"])
+    def test_repeated_list_entry_is_usage_error(self, tmp_path, capsys, key, argv):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad value for {key!r}") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("step", ["1e-4", "1e-300"])
     def test_oversized_influence_grid_is_input_error(self, tmp_path, capsys, step):
         # rejected while parsing the axis, before the grid is allocated
@@ -597,3 +611,34 @@ class TestImportFootprint:
                              capture_output=True, text=True).stdout.split()
         public = {name for name in out if not name.startswith("_")}
         assert public <= {"special", "version"}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux procfs")
+class TestPeakMemory:
+    @staticmethod
+    def peak_mb(code):
+        """Peak RSS in MB of a fresh interpreter running ``code``.
+
+        The child reads its own VmHWM: ru_maxrss would carry over the
+        test process's peak through fork and exec.
+        """
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        code += ("\nimport re\n"
+                 "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])")
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True)
+        return int(done.stdout.split()[-1]) / 1024
+
+    def test_density_histogram_holds_one_chunk(self, tmp_path):
+        # a reps x n draw would take 160 MB by itself
+        argv = ["density", "--pearson", "0.2", "--n", "5", "--mc-reps", "1000000",
+                "--out-dir", str(tmp_path)]
+        assert self.peak_mb(f"from corrlab import cli\nassert cli.main({argv!r}) == 0") < 150
+
+    def test_largest_influence_scan_forms_only_its_cross_block(self):
+        code = ("from corrlab import influence\n"
+                "from corrlab.randgen import RngStream, sample_bivariate_normal\n"
+                "axis = influence.AxisSpec(-5.0, 5.0, 0.005)\n"
+                "assert axis.size == influence.MAX_AXIS_POINTS\n"
+                "influence.scan_single(sample_bivariate_normal(0.2, 200, RngStream(1)), axis)")
+        assert self.peak_mb(code) < 250

@@ -150,7 +150,7 @@ class TestCalibration:
                              calibration_n=10 ** 4, stream=RngStream(16))
 
     def test_objective_monotone_in_latent_correlation(self):
-        from corrlab.randgen import _latent_pair, _transform
+        from corrlab.randgen import _transform
         from corrlab.estimators import pearson_rows
         rng = RngStream(17).generator()
         z1 = rng.standard_normal(200000)

@@ -6,7 +6,8 @@ import pytest
 from corrlab.errors import InfeasibleError, InputError
 from corrlab.exact import kendall_from_pearson, spearman_from_pearson
 from corrlab.randgen import MarginalSpec, PopulationSpec, RngStream
-from corrlab.simulate import SimulationPlan, logspace_sizes, run_cell, run_plan
+from corrlab.simulate import (CHUNK_REPS, SimulationPlan, logspace_sizes,
+                              replication_chunks, run_cell, run_plan)
 
 
 class TestLogspaceSizes:
@@ -36,6 +37,12 @@ class TestLogspaceSizes:
 def _plan(rho=0.2, sizes=(20,), reps=2000, kinds=("pearson", "spearman"), seed=0):
     return SimulationPlan(PopulationSpec.bivariate_normal(rho), sizes,
                           replications=reps, coefficients=kinds, master_seed=seed)
+
+
+def _two_category_population():
+    marginal = MarginalSpec.likert((0.5,))
+    return PopulationSpec(marginal, marginal, target_pearson=0.0, latent_rho=0.0,
+                          pop_pearson=0.0, pop_spearman=0.0)
 
 
 class TestRunCell:
@@ -74,11 +81,7 @@ class TestRunCell:
 
     def test_degenerate_draws_are_redrawn_and_counted(self):
         # two-category marginal at n=4: a constant draw is common
-        marginal = MarginalSpec.likert((0.5,))
-        population = PopulationSpec(marginal, marginal, target_pearson=0.0,
-                                    latent_rho=0.0, pop_pearson=0.0,
-                                    pop_spearman=0.0)
-        plan = SimulationPlan(population, (4,), replications=500,
+        plan = SimulationPlan(_two_category_population(), (4,), replications=500,
                               coefficients=("pearson",), master_seed=5)
         rows = run_cell(plan, 4, RngStream(5).child(0))
         assert rows[0].redraw_count > 0
@@ -114,13 +117,27 @@ class TestRunPlan:
         rows_b = run_plan(_plan(reps=200, seed=2))
         assert rows_a != rows_b
 
-    def test_block_boundaries_do_not_change_results(self, monkeypatch):
-        import corrlab.simulate as sim
-        plan = _plan(sizes=(15,), reps=300, seed=8)
-        rows_a = run_plan(plan)
-        monkeypatch.setattr(sim, "_BLOCK_VALUES", 7 * 15)  # 7 replications per block
-        rows_b = run_plan(plan)
-        assert rows_a == rows_b
+    @staticmethod
+    def _rows(population, n, reps, seed):
+        chunks = list(replication_chunks(population, n, reps, RngStream(seed).child(0)))
+        x, y = (np.concatenate([chunk[i] for chunk in chunks]) for i in (0, 1))
+        return x, y, sum(chunk[2] for chunk in chunks)
+
+    @pytest.mark.parametrize("population,n,redrawn", [
+        (PopulationSpec.bivariate_normal(0.2), 15, False),
+        (_two_category_population(), 4, True)], ids=["normal", "two-category"])
+    def test_replication_does_not_depend_on_reps(self, population, n, redrawn):
+        r = 300
+        x_a, y_a, redraws = self._rows(population, n, r, seed=8)
+        x_b, y_b, _ = self._rows(population, n, CHUNK_REPS + r, seed=8)
+        np.testing.assert_array_equal(x_a, x_b[:r])
+        np.testing.assert_array_equal(y_a, y_b[:r])
+        assert (redraws > 0) == redrawn
+
+    def test_chunks_draw_different_rows(self):
+        x, y, _ = self._rows(PopulationSpec.bivariate_normal(0.2), 15, 2 * CHUNK_REPS, seed=8)
+        assert not np.isin(x[CHUNK_REPS:], x[:CHUNK_REPS]).any()
+        assert not np.isin(y[CHUNK_REPS:], y[:CHUNK_REPS]).any()
 
     def test_sd_shrinks_with_sample_size(self):
         plan = _plan(sizes=(10, 40, 160), reps=4000, seed=9)
