@@ -2,7 +2,8 @@
 
 Eigenvalues of symmetric matrices come from LAPACK's symmetric solver
 through ``np.linalg.eigvalsh``.  Eigenvectors are never needed and never
-computed.
+computed.  The stability study draws through the resampling study's
+chunk layout and takes each block's eigenvalues in one call.
 """
 
 from __future__ import annotations
@@ -62,21 +63,19 @@ def eigen_study(dataset: PopulationDataset, sample_size: int, n_samples: int,
         raise InputError(f"k must lie in [1, {p}]")
     pop_eig = {kind: symmetric_eigenvalues(correlation_matrix(dataset, kind))[:k]
                for kind in _MATRIX_KINDS}
-    top = {kind: _MeanSD(k) for kind in _MATRIX_KINDS}
+    top = _MeanSD((len(_MATRIX_KINDS), k))
     max_trace_err = 0.0
-
-    def visit(matrices):
-        nonlocal max_trace_err
-        for kind, mat in zip(_MATRIX_KINDS, matrices):
-            # the matrices are symmetric by construction; eigvalsh ascends
-            eig = np.linalg.eigvalsh(mat)[::-1]
-            max_trace_err = max(max_trace_err, abs(float(eig.sum()) - p))
-            top[kind].add(eig[:k])
-
-    redraws = _replicate(dataset, sample_size, n_samples, master_seed, visit)
+    redraws = 0
+    for matrices, block_redraws in _replicate(dataset, sample_size, n_samples, master_seed):
+        redraws += block_redraws
+        # the matrices are symmetric by construction; eigvalsh ascends
+        eig = np.linalg.eigvalsh(matrices)[..., ::-1]
+        max_trace_err = max(max_trace_err, float(np.abs(eig.sum(axis=-1) - p).max()))
+        top.add(eig[..., :k])
+    means, sds = top.mean_sd()
     columns = {}
-    for kind in _MATRIX_KINDS:
-        columns[f"mean_{kind}"], columns[f"sd_{kind}"] = top[kind].mean_sd()
-        columns[f"population_{kind}"] = pop_eig[kind]
+    for a, kind in enumerate(_MATRIX_KINDS):
+        columns.update({f"mean_{kind}": means[a], f"sd_{kind}": sds[a],
+                        f"population_{kind}": pop_eig[kind]})
     return EigenSummary(k=k, sample_size=sample_size, n_samples=n_samples,
                         redraw_count=redraws, max_trace_error=max_trace_err, **columns)

@@ -26,8 +26,8 @@ class InputError(CorrlabError):
 class DegenerateSampleError(InputError):
     """A correlation could not be calculated (zero variance somewhere).
 
-    Raised instead of returning NaN so that resampling loops can detect
-    and retry degenerate draws explicitly.
+    Raised instead of returning NaN by the checked entry points; the
+    replication loops test their own draws for constant columns.
     """
 
 

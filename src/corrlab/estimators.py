@@ -361,22 +361,27 @@ def correlation_matrix(data, kind: str = "pearson",
 
 def _correlation_core(table: np.ndarray, kind: str = "pearson",
                       other: np.ndarray | None = None) -> np.ndarray:
-    """Pearson or Spearman matrix of a finite table without constant columns;
-    with ``other`` (same rows), entry (i, j) pairs table[:, i] with other[:, j].
+    """Pearson or Spearman matrices of finite tables without constant columns,
+    one per table of a (..., rows, cols) stack; with ``other`` (same rows),
+    entry (i, j) pairs column i of ``table`` with column j of ``other``.
 
     The caller has validated the tables; :func:`correlation_matrix` is
     the checked entry point.
     """
     tables = (table,) if other is None else (table, other)
+    columns = [np.swapaxes(t, -1, -2) for t in tables]  # shape (..., cols, rows)
     if kind == "spearman":
-        tables = tuple(rank_rows(t.T)[0].T for t in tables)
-    centered = [t - t.mean(axis=0) for t in tables]
-    scales = [np.sqrt(np.einsum("ij,ij->j", c, c)) for c in centered]
-    mat = centered[0].T @ centered[-1]
-    mat /= np.outer(scales[0], scales[-1])
+        columns = [rank_rows(c.reshape(-1, c.shape[-1]))[0].reshape(c.shape)
+                   for c in columns]
+    centered = [c - c.mean(axis=-1, keepdims=True) for c in columns]
+    scales = [np.sqrt(np.einsum("...ij,...ij->...i", c, c)) for c in centered]
+    mat = centered[0] @ np.swapaxes(centered[-1], -1, -2)
+    mat /= scales[0][..., :, None]  # one scale vector at a time: no outer product
+    mat /= scales[-1][..., None, :]
     if other is None:
-        mat = 0.5 * (mat + mat.T)
-        np.fill_diagonal(mat, 1.0)
+        mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
+        diagonal = np.arange(mat.shape[-1])
+        mat[..., diagonal, diagonal] = 1.0
     return np.clip(mat, -1.0, 1.0, out=mat)
 
 

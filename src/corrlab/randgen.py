@@ -1,12 +1,13 @@
 """Deterministic, seedable random generation.
 
-Streams are addressed by a master seed plus an integer path (condition,
-cell, chunk, ...).  The same address always yields the same draws no
-matter how the work is scheduled, which is what makes every study in
-this package reproducible and safely parallel.  Bit-level streams come
-from numpy's PCG64 keyed by a SeedSequence spawn key; normal variates
-use numpy's ziggurat sampler.  Reproducibility is guaranteed per build
-of this package, not across numpy major versions.
+Streams are addressed by a master seed plus an integer path.  Every
+replication study draws chunk k of ``CHUNK_REPS`` replications in one
+call from path (..., k) and redraws a degenerate replication i of it
+from (..., k, i), so every study is reproducible and safely parallel
+however its work is counted or scheduled.  Bit-level streams come from
+numpy's PCG64 keyed by a SeedSequence spawn key; normal variates use
+numpy's ziggurat sampler.  Reproducibility holds per build, not across
+numpy major versions.
 
 Correlated non-normal pairs are produced by pushing a correlated
 standard-normal pair through each marginal's quantile function, with
@@ -42,6 +43,7 @@ CALIBRATION_TOL = 1e-3
 CALIBRATION_VERSION = 2
 # a sample that keeps degenerating is given up after this many redraws
 REDRAW_CAP_PER_SAMPLE = 1000
+CHUNK_REPS = 4096  # replications per chunk stream: part of the layout, not a knob
 
 # Cumulative cut points mimicking a heavily floor-concentrated survey
 # item: three quarters of the mass on the lowest of six categories.

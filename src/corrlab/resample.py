@@ -5,7 +5,8 @@ are drawn from its rows with replacement, Pearson and Spearman
 correlation matrices are computed for every draw, and per-pair summary
 statistics are aggregated against the whole-table population matrices.
 Draws whose correlation matrix cannot be calculated (a constant column
-in the sample) are redrawn and counted.
+in the sample) are redrawn and counted.  Draws follow the chunk layout
+of :mod:`corrlab.randgen` and are reduced one block at a time.
 
 The original survey datasets this protocol was designed around are not
 redistributable, so the module ships two deterministic synthetic
@@ -30,7 +31,8 @@ from scipy.special import ndtr
 
 from .errors import DegenerateSampleError, InfeasibleError, InputError
 from .estimators import _correlation_core, correlation_matrix
-from .randgen import REDRAW_CAP_PER_SAMPLE, MarginalSpec, RngStream, _couple
+from .randgen import (CHUNK_REPS, REDRAW_CAP_PER_SAMPLE, MarginalSpec, RngStream,
+                      _couple)
 
 __all__ = [
     "PopulationDataset",
@@ -48,6 +50,8 @@ __all__ = [
 
 # the matrix kinds of the sampling studies, in _replicate's matrix order
 _MATRIX_KINDS = ("pearson", "spearman")
+# table values gathered per block of replications (2**18 took more memory and time)
+_BLOCK_VALUES = 2 ** 16
 
 # the ten aggregate statistic rows of the summary table, in output order
 TABLE_STATISTICS = (
@@ -80,6 +84,9 @@ class PopulationDataset:
             raise InputError("population table needs at least two rows")
         if values.shape[1] != len(self.column_names):
             raise InputError("column name count does not match the table width")
+        repeated = [n for i, n in enumerate(self.column_names) if n in self.column_names[:i]]
+        if repeated:
+            raise InputError(f"column name {repeated[0]!r} appears more than once")
         if not np.all(np.isfinite(values)):
             raise InputError("population table contains non-finite entries")
         spans = values.max(axis=0) - values.min(axis=0)
@@ -214,60 +221,57 @@ class StudyResult:
     redraw_count: int
 
 
-def draw_valid_rows(values: np.ndarray, sample_size: int,
-                    rng: np.random.Generator,
-                    cap: int = REDRAW_CAP_PER_SAMPLE):
-    """Rows drawn with replacement, redrawn until no column is constant.
-
-    Returns (table, attempts_used, per-column degenerate counts).
-    """
-    n_rows, n_cols = values.shape
-    degenerate = np.zeros(n_cols, dtype=np.int64)
-    for attempt in range(cap + 1):
-        picks = rng.integers(0, n_rows, size=sample_size)
-        table = values[picks]
-        spans = table.max(axis=0) - table.min(axis=0)
-        dead = spans == 0.0
-        if not dead.any():
-            return table, attempt, degenerate
-        degenerate += dead
-    return None, cap + 1, degenerate
-
-
 def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
-               master_seed: int, visit) -> int:
-    """The replication loop shared by the resampling and eigen studies.
+               master_seed: int):
+    """Yield (matrices, redraws) for successive blocks of replications.
 
-    Replication r draws from stream path (r,) with
-    :func:`draw_valid_rows` and passes ``visit`` a list of its matrices in
-    ``_MATRIX_KINDS`` order.  Returns the total redraw count; a replication
-    that exceeds the redraw cap makes the condition infeasible, and the
-    error names the column that degenerated most often.
+    Draws follow the chunk layout of :mod:`corrlab.randgen`: chunk k draws
+    its row picks from path (k,), and a replication i of it with a constant
+    column is redrawn from (k, i).  ``matrices[r, a]`` is replication r's
+    matrix of kind ``_MATRIX_KINDS[a]``; ``redraws`` counts failed draws.
+    A replication over the redraw cap makes the condition infeasible, and
+    the error names the column that degenerated most often.
     """
     if sample_size < 2:
         raise InputError("sample size must be at least 2")
     if n_samples < 2:
         raise InputError("need at least two replications")
-    redraws = 0
-    degenerate_total = np.zeros(dataset.n_cols, dtype=np.int64)
+    values = dataset.values
+    n_rows, p = values.shape
+    block = max(1, _BLOCK_VALUES // (sample_size * p))
+    degenerate = np.zeros(p, dtype=np.int64)
     stream = RngStream(master_seed)
-    for rep in range(n_samples):
-        rng = stream.child(rep).generator()
-        table, attempts, degenerate = draw_valid_rows(dataset.values, sample_size, rng)
-        degenerate_total += degenerate
-        if table is None:
-            worst = dataset.column_names[int(np.argmax(degenerate_total))]
-            raise InfeasibleError(
-                f"replication {rep} exceeded {REDRAW_CAP_PER_SAMPLE} redraws at "
-                f"sample size {sample_size}; column {worst!r} keeps degenerating")
-        redraws += attempts
-        # draw_valid_rows has ruled out constant columns
-        visit([_correlation_core(table, kind) for kind in _MATRIX_KINDS])
-    return redraws
+    for k, start in enumerate(range(0, n_samples, CHUNK_REPS)):
+        chunk = stream.child(k)
+        picks = chunk.generator().integers(
+            0, n_rows, (min(CHUNK_REPS, n_samples - start), sample_size))
+        for lo in range(0, len(picks), block):
+            tables = values[picks[lo:lo + block]]
+            dead = tables.max(axis=1) == tables.min(axis=1)
+            redraws = 0
+            for i in np.flatnonzero(dead.any(axis=1)):
+                degenerate += dead[i]
+                rng = chunk.child(lo + i).generator()
+                for _ in range(REDRAW_CAP_PER_SAMPLE):
+                    redraws += 1
+                    table = values[rng.integers(0, n_rows, sample_size)]
+                    table_dead = table.max(axis=0) == table.min(axis=0)
+                    if not table_dead.any():
+                        tables[i] = table
+                        break
+                    degenerate += table_dead
+                else:
+                    worst = dataset.column_names[int(np.argmax(degenerate))]
+                    raise InfeasibleError(
+                        f"replication {start + lo + i} exceeded {REDRAW_CAP_PER_SAMPLE} "
+                        f"redraws at sample size {sample_size}; column {worst!r} "
+                        "keeps degenerating")
+            matrices = [_correlation_core(tables, kind) for kind in _MATRIX_KINDS]
+            yield np.stack(matrices, axis=1), redraws
 
 
 class _MeanSD:
-    """Running sum and sum of squares of equally shaped arrays.
+    """Running sum and sum of squares over stacks of equally shaped arrays.
 
     The mean and the SD (n - 1 denominator) use the one-pass formula.
     """
@@ -277,10 +281,10 @@ class _MeanSD:
         self.total = np.zeros(shape)
         self.total_sq = np.zeros(shape)
 
-    def add(self, value: np.ndarray):
-        self.count += 1
-        self.total += value
-        self.total_sq += value * value
+    def add(self, stack: np.ndarray):
+        self.count += len(stack)
+        self.total += stack.sum(axis=0)
+        self.total_sq += (stack * stack).sum(axis=0)
 
     def mean_sd(self):
         reps = float(self.count)
@@ -308,26 +312,21 @@ def run_study(dataset: PopulationDataset, sample_size: int, n_samples: int,
     p = dataset.n_cols
     if p < 2:
         raise InputError(f"the resampling study needs at least two columns, got {p}")
-    pop = {kind: correlation_matrix(dataset, kind) for kind in _MATRIX_KINDS}
-    moments = {kind: _MeanSD((p, p)) for kind in _MATRIX_KINDS}
-    abs_dev = {(kind, pop_kind): np.zeros((p, p))
-               for kind in _MATRIX_KINDS for pop_kind in _MATRIX_KINDS}
-
-    def visit(matrices):
-        for kind, mat in zip(_MATRIX_KINDS, matrices):
-            moments[kind].add(mat)
-            for pop_kind in _MATRIX_KINDS:
-                abs_dev[kind, pop_kind] += np.abs(mat - pop[pop_kind])
-
-    redraws = _replicate(dataset, sample_size, n_samples, master_seed, visit)
+    pop = np.stack([correlation_matrix(dataset, kind) for kind in _MATRIX_KINDS])
+    moments = _MeanSD(pop.shape)
+    abs_dev = np.zeros((len(_MATRIX_KINDS),) + pop.shape)  # [kind, population kind]
+    redraws = 0
+    for matrices, block_redraws in _replicate(dataset, sample_size, n_samples, master_seed):
+        redraws += block_redraws
+        moments.add(matrices)
+        abs_dev += np.abs(matrices[:, :, None] - pop).sum(axis=0)
+    means, sds = moments.mean_sd()
     stats = {}
-    for kind in _MATRIX_KINDS:
-        mean, sd = moments[kind].mean_sd()
-        stats.update({f"pop_{kind}": pop[kind], f"mean_{kind}": mean, f"sd_{kind}": sd,
-                      f"mean_{kind}_minus_pop": mean - pop[kind]})
-        for pop_kind in _MATRIX_KINDS:
-            mad = abs_dev[kind, pop_kind] / float(n_samples)
-            stats[f"mad_{kind}_vs_pop_{pop_kind}"] = mad
+    for a, kind in enumerate(_MATRIX_KINDS):
+        stats.update({f"pop_{kind}": pop[a], f"mean_{kind}": means[a], f"sd_{kind}": sds[a],
+                      f"mean_{kind}_minus_pop": means[a] - pop[a]})
+        for b, pop_kind in enumerate(_MATRIX_KINDS):
+            stats[f"mad_{kind}_vs_pop_{pop_kind}"] = abs_dev[a, b] / float(n_samples)
     iu, ju = np.triu_indices(p, k=1)
     upper = {name: mat[iu, ju] for name, mat in stats.items()}
     names = dataset.column_names

@@ -2,10 +2,9 @@
 
 A :class:`SimulationPlan` names a population, a list of sample sizes,
 the coefficients to estimate, and a replication count.  Each (size,
-coefficient) cell yields a :class:`SummaryStats` row.  Chunk k of
-``CHUNK_REPS`` replications of cell c draws from stream path (c, k), and
-a degenerate row i of it redraws from (c, k, i), so results do not
-depend on how cells are scheduled.
+coefficient) cell yields a :class:`SummaryStats` row.  Cell c draws
+through the chunk layout of :mod:`corrlab.randgen` under path (c,), so
+results do not depend on how cells are scheduled.
 """
 
 from __future__ import annotations
@@ -17,14 +16,12 @@ import numpy as np
 
 from .errors import InfeasibleError, InputError
 from .estimators import KINDS, kendall_rows, pearson_rows, spearman_rows
-from .randgen import REDRAW_CAP_PER_SAMPLE, PopulationSpec, RngStream, _pairs
+from .randgen import CHUNK_REPS, REDRAW_CAP_PER_SAMPLE, PopulationSpec, RngStream, _pairs
 
 __all__ = ["SimulationPlan", "SummaryStats", "logspace_sizes", "replication_chunks",
            "run_cell", "run_plan", "SUMMARY_COLUMNS"]
 
 MAX_REDRAW_RATE = 0.5
-# rows per chunk stream: part of the stream layout, not a memory knob
-CHUNK_REPS = 4096
 _ROW_KERNELS = dict(zip(KINDS, (pearson_rows, spearman_rows, kendall_rows)))
 
 SUMMARY_COLUMNS = ("condition", "kind", "n", "mean", "sd", "p5", "p95",
@@ -111,10 +108,9 @@ def replication_chunks(population: PopulationSpec, n: int, reps: int,
                        stream: RngStream):
     """Yield (x, y, redraws) for successive chunks of ``CHUNK_REPS`` rows.
 
-    Chunk k draws from stream path (..., k) in one call; a row with a
-    constant x or y is redrawn from its own path (..., k, row), and
-    ``redraws`` counts the failed draws.  Row r of the whole run thus
-    depends only on r, never on ``reps``.
+    Draws follow the chunk layout of :mod:`corrlab.randgen` under
+    ``stream``: a row with a constant x or y is redrawn, and ``redraws``
+    counts the failed draws.
     """
     for k, start in enumerate(range(0, reps, CHUNK_REPS)):
         chunk = stream.child(k)

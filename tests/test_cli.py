@@ -433,6 +433,23 @@ class TestExitCodes:
         assert err.startswith("error: scale 's'") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["moments", "resample-groups"])
+    def test_repeated_column_name_is_input_error(self, tmp_path, capsys, command):
+        data = tmp_path / "data.csv"
+        data.write_text("a,a,b\n1,2,3\n4,6,5\n2,1,8\n")
+        argv = ["moments", "--input", str(data)]
+        if command == "resample-groups":
+            groups = tmp_path / "groups.json"
+            groups.write_text(json.dumps({"s": ["a"], "t": ["b"]}))
+            argv = ["resample", "--input", str(data), "--groups", str(groups),
+                    "--sample-size", "3", "--reps", "5"]
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: column name 'a' appears more than once")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["one-column input", "one-scale groups"])
     def test_one_column_resample_is_input_error(self, tmp_path, capsys, source):
         if source == "one-column input":
@@ -641,4 +658,11 @@ class TestPeakMemory:
                 "axis = influence.AxisSpec(-5.0, 5.0, 0.005)\n"
                 "assert axis.size == influence.MAX_AXIS_POINTS\n"
                 "influence.scan_single(sample_bivariate_normal(0.2, 200, RngStream(1)), axis)")
-        assert self.peak_mb(code) < 250
+        assert self.peak_mb(code) < 150
+
+    def test_resample_reduces_one_block_at_a_time(self, tmp_path):
+        # one full chunk and part of a second; gathering a whole chunk of
+        # 200 x 34 tables would take 223 MB by itself
+        argv = ["resample", "--preset", "table3-dbq", "--reps", "4200",
+                "--out-dir", str(tmp_path)]
+        assert self.peak_mb(f"from corrlab import cli\nassert cli.main({argv!r}) == 0") < 120

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from corrlab.errors import DegenerateSampleError, InfeasibleError, InputError
-from corrlab.estimators import correlation_matrix
-from corrlab.randgen import RngStream
-from corrlab.resample import (PopulationDataset, asvab_like_population,
-                              dbq_like_population, ingest_csv, moment_profile,
-                              run_study, scale_sums)
+from corrlab.estimators import _correlation_core, correlation_matrix
+from corrlab.randgen import CHUNK_REPS, RngStream
+from corrlab.resample import (_MATRIX_KINDS, PopulationDataset, _replicate,
+                              asvab_like_population, dbq_like_population, ingest_csv,
+                              moment_profile, run_study, scale_sums)
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,11 @@ class TestIngestCsv:
         path = tmp_path / "semi.csv"
         path.write_text("a;b\n1;2\n3;4\n")
         assert ingest_csv(path, delimiter=";").n_rows == 2
+
+    def test_repeated_column_name_rejected(self):
+        values = np.random.default_rng(7).standard_normal((5, 3))
+        with pytest.raises(InputError, match="'a' appears more than once"):
+            PopulationDataset(("a", "b", "a"), values)
 
 
 class TestMomentProfile:
@@ -150,6 +155,38 @@ class TestSyntheticPopulations:
         a = dbq_like_population(n_rows=500)
         b = dbq_like_population(n_rows=500)
         np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestReplicationLayout:
+    @pytest.mark.parametrize("kind", _MATRIX_KINDS)
+    @pytest.mark.parametrize("population", ["dbq", "asvab"])
+    def test_stacked_tables_match_per_table_matrices(self, request, population, kind):
+        dataset = request.getfixturevalue(population)
+        picks = RngStream(12).generator().integers(0, dataset.n_rows, (7, 200))
+        tables = dataset.values[picks]
+        stacked = _correlation_core(tables, kind)
+        per_table = np.stack([_correlation_core(table, kind) for table in tables])
+        assert stacked.shape == per_table.shape
+        assert stacked.tobytes() == per_table.tobytes()
+
+    @staticmethod
+    def _matrices(dataset, n_samples):
+        blocks = list(_replicate(dataset, 5, n_samples, master_seed=9))
+        return (np.concatenate([matrices for matrices, _ in blocks]),
+                sum(redraws for _, redraws in blocks))
+
+    def test_replication_does_not_depend_on_n_samples(self):
+        # a 5-row sample draws no 1 (or only 1s) a third of the time, so
+        # many replications are redrawn
+        rare = np.repeat([0.0, 1.0], [16, 4])
+        d = PopulationDataset(("spread", "rare"), np.column_stack([np.arange(20.0), rare]))
+        r = 300
+        short, redraws = self._matrices(d, r)
+        long, _ = self._matrices(d, CHUNK_REPS + r)
+        assert redraws > 0
+        assert short.shape == (r, len(_MATRIX_KINDS), 2, 2)
+        assert long.shape == (CHUNK_REPS + r, len(_MATRIX_KINDS), 2, 2)
+        np.testing.assert_array_equal(short, long[:r])
 
 
 class TestRunStudy:
