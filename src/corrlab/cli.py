@@ -36,6 +36,7 @@ __all__ = ["main", "build_parser", "SCHEMA", "PRESETS"]
 ENV_OUT_DIR = "CORRLAB_OUT_DIR"
 DEFAULT_OUT_DIR = "corrlab-out"
 CALIBRATION_SEED = 916001  # populations are fixtures, independent of the run seed
+_RENDER_ROWS = 4096  # rows converted to Python floats at once; a whole table costs MBs
 
 
 def _list_of(conv):
@@ -297,6 +298,12 @@ def _csv_text(columns, rows, cfg_hash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float_rows(*columns):
+    """Rows of float columns as Python floats, whose str is faster than numpy's."""
+    for lo in range(0, len(columns[0]), _RENDER_ROWS):
+        yield from np.column_stack([c[lo:lo + _RENDER_ROWS] for c in columns]).tolist()
+
+
 def _json_text(payload, cfg_hash: str) -> str:
     body = dict(payload)
     body["config_hash"] = cfg_hash
@@ -446,7 +453,7 @@ def _run_density(cfg: RunConfig):
             area = float(np.trapezoid(curve.density, curve.grid))
             stem = f"rp{rho:g}_n{n}"
             artifacts[f"density_{stem}.csv"] = (("r", "density"),
-                                                zip(curve.grid, curve.density))
+                                                _float_rows(curve.grid, curve.density))
             entry = {"pearson": rho, "n": n, "area": area}
             if params["mc-reps"] > 0:
                 artifacts[f"histogram_{stem}.csv"] = (
@@ -470,7 +477,7 @@ def _density_histogram(rho: float, n: int, reps: int, seed: int):
         counts[0] += np.histogram(pearson_rows(x, y), bins=edges)[0]
         counts[1] += np.histogram(spearman_rows(x, y), bins=edges)[0]
     frac_p, frac_s = counts / reps
-    return list(zip(centers, frac_p, frac_s, _exact_bin_fractions(rho, n, edges)))
+    return _float_rows(centers, frac_p, frac_s, _exact_bin_fractions(rho, n, edges))
 
 
 def _exact_bin_fractions(rho: float, n: int, edges: np.ndarray) -> np.ndarray:
@@ -551,7 +558,7 @@ def _run_influence(cfg: RunConfig):
     k = grid.axis.size
     gx = np.repeat(grid.axis, k)
     gy = np.tile(grid.axis, k)
-    rows = zip(gx, gy, grid.delta_pearson.ravel(), grid.delta_spearman.ravel())
+    rows = _float_rows(gx, gy, grid.delta_pearson.ravel(), grid.delta_spearman.ravel())
     summary = {
         "base_pearson": grid.base_pearson,
         "base_spearman": grid.base_spearman,

@@ -36,6 +36,17 @@ __all__ = [
 
 KINDS = ("pearson", "spearman", "kendall")
 _KENDALL_BLOCK_VALUES = 2 ** 18  # column pairs x rows per kendall_rows call
+_SHORT_ROW = 7  # rows this short reduce column-wise, bit for bit: numpy sums < 8 terms in order
+_KENDALL_PAIRWISE_ROW = 52  # measured crossover of the pair loop and the merge counter
+
+
+def _row_arrays(*arrays):
+    """The arguments as float arrays of one 2-d shape; O(1), no finiteness scan."""
+    out = [np.asarray(a, dtype=float) for a in arrays]
+    if out[0].ndim != 2 or any(a.shape != out[0].shape for a in out):
+        raise InputError(f"row kernels expect 2-d arrays of one shape, got "
+                         f"{', '.join(str(a.shape) for a in out)}")
+    return out
 
 
 def _as_finite_1d(values, name):
@@ -118,17 +129,29 @@ def _tie_run_start(first: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.where(first, idx, 0), axis=1)
 
 
+def _mid_ranks(columns: np.ndarray) -> np.ndarray:
+    """Mid-ranks down axis 0 of an (n, rows) array as the exact half-integers
+    (n+1)/2 + sum_j sign(a_i - a_j)/2, one pass per pair of positions."""
+    r = np.full(columns.shape, 0.5 * (len(columns) + 1))
+    for i, j in itertools.combinations(range(len(columns)), 2):
+        half = 0.5 * np.sign(columns[i] - columns[j])
+        r[i] += half
+        r[j] -= half
+    return r
+
+
 def rank_rows(a: np.ndarray):
-    """Fractional ranks along the last axis of a 2-d array.
+    """Fractional ranks along the last axis of a finite 2-d array.
 
     Returns ``(ranks, had_ties)`` where ``ranks`` has the same shape as
     ``a`` and ``had_ties`` is a boolean per row.  Tied values receive the
     mean of the ranks they span, so each row sums to n(n+1)/2 exactly.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise InputError("rank_rows expects a 2-d array")
+    (a,) = _row_arrays(a)
     n = a.shape[1]
+    if n <= _SHORT_ROW:  # ties shrink the sum of squared ranks
+        r = _mid_ranks(a.T)
+        return np.ascontiguousarray(r.T), (r * r).sum(axis=0) < n * (n + 1) * (2 * n + 1) / 6
     order = np.argsort(a, axis=1)  # ties share one mid-rank: need no stable order
     s = np.take_along_axis(a, order, axis=1)
     first = _tie_run_flags(s)
@@ -154,6 +177,16 @@ def fractional_rank(values) -> RankVector:
 # Pearson / Spearman row kernels
 # ---------------------------------------------------------------------------
 
+def _pearson(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    xc = x - x.mean(axis=axis, keepdims=True)
+    yc = y - y.mean(axis=axis, keepdims=True)
+    num = (xc * yc).sum(axis=axis)
+    den2 = (xc * xc).sum(axis=axis) * (yc * yc).sum(axis=axis)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = num / np.sqrt(den2)
+    return np.clip(np.where(den2 > 0.0, r, np.nan), -1.0, 1.0)
+
+
 def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise Pearson coefficient of two equally shaped 2-d arrays.
 
@@ -161,27 +194,22 @@ def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     decide whether that is an error or a retry.  numpy's pairwise
     summation keeps the centered dot products accurate for long rows.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xc = x - x.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
-    num = (xc * yc).sum(axis=1)
-    den2 = (xc * xc).sum(axis=1) * (yc * yc).sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = num / np.sqrt(den2)
-    r = np.where(den2 > 0.0, r, np.nan)
-    return np.clip(r, -1.0, 1.0)
+    x, y = _row_arrays(x, y)
+    if x.shape[1] <= _SHORT_ROW:
+        return _pearson(np.ascontiguousarray(x.T), np.ascontiguousarray(y.T), axis=0)
+    return _pearson(x, y, axis=1)
 
 
 def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise Spearman coefficient: Pearson applied to fractional ranks."""
-    rx, _ = rank_rows(x)
-    ry, _ = rank_rows(y)
-    return pearson_rows(rx, ry)
+    """Row-wise Spearman coefficient of finite rows: Pearson applied to fractional ranks."""
+    x, y = _row_arrays(x, y)
+    if x.shape[1] <= _SHORT_ROW:
+        return _pearson(_mid_ranks(x.T), _mid_ranks(y.T), axis=0)
+    return pearson_rows(rank_rows(x)[0], rank_rows(y)[0])
 
 
 # ---------------------------------------------------------------------------
-# Kendall row kernel (Knight-style, O(n log n) per row)
+# Kendall row kernel (pair loop on short rows, Knight-style O(n log n) merge on long)
 # ---------------------------------------------------------------------------
 
 def _dense_codes(v: np.ndarray) -> np.ndarray:
@@ -234,8 +262,23 @@ def _tied_pair_counts(first: np.ndarray) -> np.ndarray:
     return (np.arange(first.shape[1]) - _tie_run_start(first)).sum(axis=1)
 
 
+def _pair_sign_counts(x: np.ndarray, y: np.ndarray):
+    """Concordance surplus and untied x and y pair counts per row: integer
+    sums of sign(x_j - x_i) * sign(y_j - y_i) over j > i, as exact as the
+    merge counter's and cheaper below the crossover."""
+    xt, yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
+    counts = np.zeros((3, x.shape[0]))
+    for i in range(x.shape[1] - 1):
+        sx = np.sign(xt[i + 1:] - xt[i])
+        sy = np.sign(yt[i + 1:] - yt[i])
+        counts[0] += np.einsum("ij,ij->j", sx, sy)
+        counts[1] += np.einsum("ij,ij->j", sx, sx)
+        counts[2] += np.einsum("ij,ij->j", sy, sy)
+    return counts
+
+
 def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray:
-    """Row-wise Kendall coefficient.
+    """Row-wise Kendall coefficient of finite rows.
 
     ``variant="b"`` (default) penalizes ties in the denominator;
     ``variant="a"`` divides the concordant-discordant surplus by the
@@ -243,35 +286,29 @@ def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray
     """
     if variant not in ("a", "b"):
         raise InputError(f"kendall variant must be 'a' or 'b', got {variant!r}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _row_arrays(x, y)
     n = x.shape[1]
     n0 = n * (n - 1) // 2
-
-    # sort each row by (x, y): by y, then stably by x to keep y order in x ties
-    by_y = np.argsort(y, axis=1)
-    x1 = np.take_along_axis(x, by_y, axis=1)
-    by_x = np.argsort(x1, axis=1, kind="stable")
-    order = np.take_along_axis(by_y, by_x, axis=1)
-    xs = np.take_along_axis(x, order, axis=1)
-    ys = np.take_along_axis(y, order, axis=1)
-
-    new_x = _tie_run_flags(xs)
-    ties_x = _tied_pair_counts(new_x)
-    ties_xy = _tied_pair_counts(new_x | _tie_run_flags(ys))
-    ties_y = _tied_pair_counts(_tie_run_flags(np.sort(y, axis=1)))
-
-    discordant = _inversion_counts(ys)
-    surplus = n0 - ties_x - ties_y + ties_xy - 2 * discordant
-
-    if variant == "a":
-        tau = surplus / float(n0)
-        tau = np.where((ties_x < n0) & (ties_y < n0), tau, np.nan)
+    if n <= _KENDALL_PAIRWISE_ROW:
+        surplus, untied_x, untied_y = _pair_sign_counts(x, y)
     else:
-        den2 = (n0 - ties_x).astype(float) * (n0 - ties_y).astype(float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            tau = surplus / np.sqrt(den2)
-        tau = np.where(den2 > 0.0, tau, np.nan)
+        # sort each row by (x, y): by y, then stably by x to keep y order in x ties
+        by_y = np.argsort(y, axis=1)
+        x1 = np.take_along_axis(x, by_y, axis=1)
+        by_x = np.argsort(x1, axis=1, kind="stable")
+        order = np.take_along_axis(by_y, by_x, axis=1)
+        xs = np.take_along_axis(x, order, axis=1)
+        ys = np.take_along_axis(y, order, axis=1)
+        new_x = _tie_run_flags(xs)
+        ties_x = _tied_pair_counts(new_x)
+        ties_xy = _tied_pair_counts(new_x | _tie_run_flags(ys))
+        ties_y = _tied_pair_counts(_tie_run_flags(np.sort(y, axis=1)))
+        surplus = n0 - ties_x - ties_y + ties_xy - 2 * _inversion_counts(ys)
+        untied_x, untied_y = n0 - ties_x, n0 - ties_y
+    den2 = np.asarray(untied_x, dtype=float) * untied_y
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tau = surplus / (float(n0) if variant == "a" else np.sqrt(den2))
+    tau = np.where(den2 > 0.0, tau, np.nan)
     return np.clip(tau, -1.0, 1.0)
 
 

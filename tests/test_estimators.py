@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlab.errors import DegenerateSampleError, InputError
-from corrlab.estimators import (CoefficientEstimate, PairedSample, _inversion_counts,
-                                correlation_matrix, distinct_spearman_values,
-                                fractional_rank, kendall, kendall_rows, pearson,
-                                pearson_rows, rank_rows, spearman, spearman_rows)
+from corrlab.estimators import (_KENDALL_PAIRWISE_ROW, CoefficientEstimate, PairedSample,
+                                _inversion_counts, correlation_matrix,
+                                distinct_spearman_values, fractional_rank, kendall,
+                                kendall_rows, pearson, pearson_rows, rank_rows, spearman,
+                                spearman_rows)
 
 
 def rank_oracle(values):
@@ -35,8 +36,8 @@ def rank_oracle(values):
     return ranks
 
 
-def kendall_oracle(x, y):
-    """Quadratic pair enumeration, tau-b normalization."""
+def kendall_oracle(x, y, variant="b"):
+    """Quadratic pair enumeration, tau-b (default) or tau-a normalization."""
     n = len(x)
     concordant = discordant = ties_x = ties_y = 0
     for i, j in itertools.combinations(range(n), 2):
@@ -55,7 +56,30 @@ def kendall_oracle(x, y):
     n0 = n * (n - 1) / 2
     tied_x = sum(1 for i, j in itertools.combinations(range(n), 2) if x[i] == x[j])
     tied_y = sum(1 for i, j in itertools.combinations(range(n), 2) if y[i] == y[j])
+    if variant == "a":
+        return (concordant - discordant) / n0 if max(tied_x, tied_y) < n0 else np.nan
     return (concordant - discordant) / np.sqrt((n0 - tied_x) * (n0 - tied_y))
+
+
+def pearson_reference(x, y):
+    """Row-wise Pearson with every sum taken along the rows, as the long-row path does."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    num = (xc * yc).sum(axis=1)
+    den2 = (xc * xc).sum(axis=1) * (yc * yc).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = num / np.sqrt(den2)
+    return np.clip(np.where(den2 > 0.0, r, np.nan), -1.0, 1.0)
+
+
+def short_row_cases(rng, n, rows=60):
+    """Untied, tied and partly constant (x, y) row pairs of length n."""
+    x = rng.standard_normal((3, rows, n))
+    y = rng.standard_normal((3, rows, n)) + 0.5 * x
+    x[1], y[1] = rng.integers(0, 3, (2, rows, n))
+    x[2, ::3] = 2.5
+    y[2, 1::4] = -1.0
+    return [(x[k], y[k]) for k in range(3)]
 
 
 class TestFractionalRank:
@@ -109,6 +133,55 @@ class TestFractionalRank:
             rv = fractional_rank(a[i])
             np.testing.assert_array_equal(ranks[i], rv.ranks)
             assert ties[i] == rv.had_ties
+
+
+class TestRowKernelShapes:
+    @pytest.mark.parametrize("kernel", [pearson_rows, spearman_rows, kendall_rows])
+    @pytest.mark.parametrize("shapes", [((4, 5), (4, 6)), ((4, 5), (3, 5)), ((5,), (5,)),
+                                        ((2, 4, 5), (2, 4, 5))],
+                             ids=["columns", "rows", "1-d", "3-d"])
+    def test_paired_kernels_reject_bad_shapes(self, kernel, shapes):
+        with pytest.raises(InputError, match="2-d arrays of one shape"):
+            kernel(np.ones(shapes[0]), np.ones(shapes[1]))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 4, 5)])
+    def test_rank_rows_rejects_other_dimensions(self, shape):
+        with pytest.raises(InputError, match="2-d arrays of one shape"):
+            rank_rows(np.ones(shape))
+
+
+class TestShortRowExactness:
+    """Rows of n <= 7 take a column-wise path whose bits must match the
+    row-axis formulas; n = 8..10 cover the long-row side of the switch."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_ranks_match_oracle(self, n):
+        for x, _ in short_row_cases(np.random.default_rng(n), n):
+            ranks, ties = rank_rows(x)
+            np.testing.assert_array_equal(ranks, [rank_oracle(list(row)) for row in x])
+            np.testing.assert_array_equal(ties, [len(set(row)) < n for row in x])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_pearson_and_spearman_match_row_axis_formula(self, n):
+        for x, y in short_row_cases(np.random.default_rng(100 + n), n):
+            np.testing.assert_array_equal(pearson_rows(x, y), pearson_reference(x, y))
+            rx = np.array([rank_oracle(list(row)) for row in x])
+            ry = np.array([rank_oracle(list(row)) for row in y])
+            np.testing.assert_array_equal(spearman_rows(x, y), pearson_reference(rx, ry))
+
+
+class TestKendallSwitch:
+    @pytest.mark.parametrize("n", range(2, _KENDALL_PAIRWISE_ROW + 5))
+    def test_both_paths_match_pair_oracle(self, n):
+        rng = np.random.default_rng(200 + n)
+        tied = rng.integers(0, 4, (2, 4, n)).astype(float)
+        untied = rng.standard_normal((2, 4, n))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for x, y in (tied, untied):
+                for variant in ("a", "b"):
+                    np.testing.assert_array_equal(
+                        kendall_rows(x, y, variant=variant),
+                        [kendall_oracle(x[i], y[i], variant) for i in range(len(x))])
 
 
 class TestPairedSample:
