@@ -322,7 +322,7 @@ def _commit_artifacts(out_dir: str, artifacts: dict[str, str]):
             final = os.path.join(out_dir, name)
             tmp = final + f".tmp{os.getpid()}"
             staged.append((tmp, final))
-            with open(tmp, "w") as handle:
+            with open(tmp, "w", encoding="utf-8") as handle:
                 handle.write(text)
         for tmp, final in staged:
             os.replace(tmp, final)

@@ -140,18 +140,53 @@ def _mid_ranks(columns: np.ndarray) -> np.ndarray:
     return r
 
 
+def _level_ranks(a: np.ndarray):
+    """``rank_rows`` by counting each row's levels, or None unless every
+    value is an integer and each row's largest value is less than n above
+    its smallest.
+
+    Integers a and m with a - m < n make the float offset a - m exact,
+    even past 2**53, so the offsets order and tie the values as they are.
+    A level seen c times with cumulative count C (itself included) spans
+    ranks C - c + 1 .. C, whose mean C - (c - 1)/2 is an exact half-integer.
+    Column 0 is probed first, so continuous data leaves after O(rows) work.
+    """
+    col0 = a[:, 0]
+    if not np.array_equal(np.trunc(col0), col0):
+        return None
+    offsets = a - a.min(axis=1, keepdims=True)
+    top = offsets.max(initial=0.0)
+    if top >= a.shape[1] or not np.array_equal(np.trunc(a), a):
+        return None
+    rows, width = len(a), int(top) + 1
+    offsets += np.arange(0, rows * width, width)[:, None]  # (row, level) -> flat cell
+    cells = offsets.astype(np.intp)
+    counts = np.bincount(cells.ravel(), minlength=rows * width).reshape(rows, width)
+    mid = np.cumsum(counts, axis=1) - 0.5 * (counts - 1)
+    return mid.ravel()[cells], (counts > 1).any(axis=1)
+
+
 def rank_rows(a: np.ndarray):
     """Fractional ranks along the last axis of a finite 2-d array.
 
     Returns ``(ranks, had_ties)`` where ``ranks`` has the same shape as
     ``a`` and ``had_ties`` is a boolean per row.  Tied values receive the
     mean of the ranks they span, so each row sums to n(n+1)/2 exactly.
+
+    Three paths give the same bits.  Rows of n <= 7 are ranked from
+    pairwise signs.  Longer rows are ranked by counting each row's levels
+    when every value of the array is an integer and each row's largest
+    value is less than n above its smallest (Likert items, counts); any
+    other array is sorted.
     """
     (a,) = _row_arrays(a)
     n = a.shape[1]
     if n <= _SHORT_ROW:  # ties shrink the sum of squared ranks
         r = _mid_ranks(a.T)
         return np.ascontiguousarray(r.T), (r * r).sum(axis=0) < n * (n + 1) * (2 * n + 1) / 6
+    counted = _level_ranks(a)
+    if counted is not None:
+        return counted
     order = np.argsort(a, axis=1)  # ties share one mid-rank: need no stable order
     s = np.take_along_axis(a, order, axis=1)
     first = _tie_run_flags(s)

@@ -107,43 +107,46 @@ class PopulationDataset:
 
 
 def ingest_csv(path, delimiter: str = ",") -> PopulationDataset:
-    """Read a delimited numeric file with a header row.
+    """Read a delimited numeric UTF-8 file with a header row.
 
-    Rows containing any blank or non-numeric cell are dropped; the count
-    of dropped rows is recorded on the dataset.  A file whose rows are
-    all dropped, or that yields a constant column, is rejected.
+    A leading byte-order mark is skipped.  Rows of the wrong width and
+    rows with any blank, non-numeric or non-finite cell are dropped; the
+    count of dropped rows is recorded on the dataset.  A file that cannot
+    be decoded or split into fields, whose rows are all dropped, or that
+    yields a constant column, is rejected.
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle, delimiter=delimiter)
             try:
                 header = next(reader)
             except StopIteration:
                 raise InputError(f"{path}: file is empty") from None
-            names = tuple(name.strip() for name in header)
-            rows = []
-            dropped = 0
-            for record in reader:
-                if len(record) != len(names):
-                    dropped += 1
-                    continue
-                try:
-                    parsed = [float(cell) for cell in record]
-                except ValueError:
-                    dropped += 1
-                    continue
-                if not all(math.isfinite(v) for v in parsed):
-                    dropped += 1
-                    continue
-                rows.append(parsed)
-    except OSError as exc:
+            records = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    names = tuple(name.strip() for name in header)
+    total = len(records)
+    records = [record for record in records if len(record) == len(names)]
+    try:  # numpy parses each cell as float() does, in one call
+        values = np.array(records, dtype=float)
+    except ValueError:  # some cell is not a number: its row turns NaN and drops below
+        values = np.array([_parsed_or_nan(record) for record in records], dtype=float)
+    values = values.reshape(len(records), len(names))
+    values = values[np.isfinite(values).all(axis=1)]
+    dropped = total - len(values)
+    if not len(values):
         raise InputError(f"{path}: no usable numeric rows ({dropped} dropped)")
-    if len(rows) < 2:
+    if len(values) < 2:
         raise InputError(f"{path}: need at least two usable rows")
-    return PopulationDataset(column_names=names, values=np.asarray(rows),
-                             dropped_rows=dropped)
+    return PopulationDataset(column_names=names, values=values, dropped_rows=dropped)
+
+
+def _parsed_or_nan(record):
+    try:
+        return [float(cell) for cell in record]
+    except ValueError:
+        return [math.nan] * len(record)
 
 
 @dataclass(frozen=True)

@@ -450,6 +450,18 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [b"\xff\xfea,b\n1,2\n3,4\n",
+                                         b"a,b\n1,2\n3," + b"4" * 131073 + b"\n"],
+                             ids=["undecodable", "over-long field"])
+    def test_unreadable_input_is_input_error(self, tmp_path, capsys, content):
+        data = tmp_path / "data.csv"
+        data.write_bytes(content)
+        out = tmp_path / "out"
+        assert cli.main(["moments", "--input", str(data), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {data}") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["one-column input", "one-scale groups"])
     def test_one_column_resample_is_input_error(self, tmp_path, capsys, source):
         if source == "one-column input":
@@ -546,6 +558,28 @@ class TestArgvFuzz:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli.main(argv + ["--out-dir", out])
         assert code in {0, 2, 3, 4, 5}, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
+# CSV-shaped pieces, with bytes that are not UTF-8 and a byte-order mark
+_CSV_PIECE = st.sampled_from([b"1", b"2", b"-3.5", b"nan", b"x", b"a", b",", b"\n", b"\r",
+                              b'"', b" ", b"\x00", b"\xff", b"\xef\xbb\xbf", b"\xc3\xa9"])
+
+
+class TestInputFileFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(content=st.one_of(st.binary(max_size=64),
+                             st.lists(_CSV_PIECE, max_size=40).map(b"".join)))
+    def test_any_bytes_exit_zero_or_three(self, content):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as work:
+            data = os.path.join(work, "input.csv")
+            with open(data, "wb") as handle:
+                handle.write(content)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["moments", "--input", data,
+                                 "--out-dir", os.path.join(work, "out")])
+        assert code in {0, 3}, (content, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
 

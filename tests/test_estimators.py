@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from corrlab.errors import DegenerateSampleError, InputError
 from corrlab.estimators import (_KENDALL_PAIRWISE_ROW, CoefficientEstimate, PairedSample,
-                                _inversion_counts, correlation_matrix,
+                                _inversion_counts, _level_ranks, correlation_matrix,
                                 distinct_spearman_values, fractional_rank, kendall,
                                 kendall_rows, pearson, pearson_rows, rank_rows, spearman,
                                 spearman_rows)
@@ -82,6 +82,30 @@ def short_row_cases(rng, n, rows=60):
     return [(x[k], y[k]) for k in range(3)]
 
 
+def long_row_cases(rng, n):
+    """Rows of length n > 7 by case name, each with whether rank_rows counts
+    their levels (every value an integer less than n above its row minimum)
+    rather than sorting them."""
+    likert = rng.integers(0, 6, size=(3, n)).astype(float)
+    full = rng.integers(0, n, size=(3, n)).astype(float)
+    full[:, :2] = [0, n - 1]
+    wide = rng.integers(0, n + 1, size=(3, n)).astype(float)
+    wide[:, :2] = [0, n]
+    signed = rng.integers(-3, 3, size=(3, n)).astype(float)
+    signed[signed == 0] = rng.choice([0.0, -0.0], size=int((signed == 0).sum()))
+    k = rng.integers(0, n, size=(3, n))
+    big = 2.0 ** 53 - 8 + np.where(k < 8, k, k & ~1)  # offsets past 2**53 stay exact
+    later_fraction = likert.copy()
+    later_fraction[:, -1] += 0.5
+    untied = np.argsort(rng.random((3, n)), axis=1) * 1.0
+    one_pair = np.where(untied == n - 1, 0.0, untied)
+    return {"likert": (likert, True), "likert mapped": (0.5 * likert + 0.25, False),
+            "span n-1": (full, True), "untied span n-1": (untied, True),
+            "one tied pair": (one_pair, True),
+            "span n": (wide, False), "negative, signed zeros": (signed, True),
+            "past 2**53": (big, True), "column 0 integral only": (later_fraction, False)}
+
+
 class TestFractionalRank:
     def test_tied_pair_shares_mean_rank(self):
         rv = fractional_rank([2.0, 2.0, 5.0])
@@ -119,11 +143,12 @@ class TestFractionalRank:
     @pytest.mark.parametrize("n", [64, 200, 1000])
     def test_tied_rows_match_oracle_at_larger_n(self, n):
         rng = np.random.default_rng(n)
-        a = rng.integers(0, 6, size=(3, n)).astype(float)
-        ranks, ties = rank_rows(a)
-        for i in range(3):
-            np.testing.assert_array_equal(ranks[i], rank_oracle(list(a[i])))
-        assert ties.all()
+        for case, (a, counted) in long_row_cases(rng, n).items():
+            assert (_level_ranks(a) is not None) == counted, case
+            ranks, ties = rank_rows(a)
+            for i in range(3):
+                np.testing.assert_array_equal(ranks[i], rank_oracle(list(a[i])), err_msg=case)
+                assert ties[i] == (len(set(a[i])) < n), case
 
     def test_rank_rows_matches_scalar(self):
         rng = np.random.default_rng(13)

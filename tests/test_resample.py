@@ -1,10 +1,13 @@
 """Tests for CSV ingestion, moments, scale sums, and the resampling study."""
 
+import math
+
 import numpy as np
 import pytest
 
+from corrlab.eigen import eigen_study
 from corrlab.errors import DegenerateSampleError, InfeasibleError, InputError
-from corrlab.estimators import _correlation_core, correlation_matrix
+from corrlab.estimators import _correlation_core, _level_ranks, correlation_matrix
 from corrlab.randgen import CHUNK_REPS, RngStream
 from corrlab.resample import (_MATRIX_KINDS, PopulationDataset, _replicate,
                               asvab_like_population, dbq_like_population, ingest_csv,
@@ -62,6 +65,33 @@ class TestIngestCsv:
         path = tmp_path / "semi.csv"
         path.write_text("a;b\n1;2\n3;4\n")
         assert ingest_csv(path, delimiter=";").n_rows == 2
+
+    @pytest.mark.parametrize("cells", [
+        ["1_0", " 2 ", "+1.5", "-0", "1e400", "nan", "inf", "3"],
+        ["1_0", " 2 ", "+1.5", "-0", "1e400", "nan", "inf", "", "x", "3"]],
+        ids=["all-parsable", "unparsable"])
+    def test_values_and_drops_match_per_cell_float(self, tmp_path, cells):
+        rng = np.random.default_rng(23)
+        records = [list(rng.choice(cells, 3)) for _ in range(300)]
+        records += [["4", "5"], ["4", "5", "6", "7"], ["1", "2", "3"], ["2", "1", "3.5"]]
+        path = tmp_path / "cells.csv"
+        path.write_text("a,b,c\n" + "".join(",".join(r) + "\n" for r in records))
+        kept = []
+        for record in records:
+            try:
+                parsed = [float(cell) for cell in record]
+            except ValueError:
+                continue
+            if len(parsed) == 3 and all(math.isfinite(v) for v in parsed):
+                kept.append(parsed)
+        d = ingest_csv(path)
+        assert d.values.tobytes() == np.array(kept).tobytes()  # -0 keeps its sign
+        assert d.dropped_rows == len(records) - len(kept)
+
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("a,b\n1,2\n3,5\n".encode("utf-8-sig"))
+        assert ingest_csv(path).column_names == ("a", "b")
 
     def test_repeated_column_name_rejected(self):
         values = np.random.default_rng(7).standard_normal((5, 3))
@@ -268,3 +298,23 @@ class TestRunStudy:
             run_study(asvab, 1, 100)
         with pytest.raises(InputError):
             run_study(asvab, 50, 1)
+
+
+class TestRankPaths:
+    @pytest.mark.parametrize("sample_size", [6, 200])
+    def test_counted_and_sorted_levels_give_equal_spearman_bytes(self, dbq, sample_size):
+        # 0.5 v + 0.25 orders and ties the items as v does, but is not integral,
+        # so its Spearman matrices rank by sorting where v's count levels; the
+        # Pearson outputs differ in their last bits and are not compared
+        mapped = PopulationDataset(dbq.column_names, 0.5 * dbq.values + 0.25)
+        assert _level_ranks(dbq.values.T) is not None and _level_ranks(mapped.values.T) is None
+        study = [run_study(d, sample_size, 150, master_seed=2) for d in (dbq, mapped)]
+        assert study[0].redraw_count == study[1].redraw_count
+        for name in ("pop_spearman", "mean_spearman", "sd_spearman",
+                     "mad_spearman_vs_pop_spearman"):
+            values = [np.array([getattr(pair, name) for pair in s.pairs]) for s in study]
+            assert values[0].tobytes() == values[1].tobytes(), name
+        eigen = [eigen_study(d, sample_size, 150, master_seed=2) for d in (dbq, mapped)]
+        assert eigen[0].redraw_count == eigen[1].redraw_count
+        for name in ("mean_spearman", "sd_spearman", "population_spearman"):
+            assert getattr(eigen[0], name).tobytes() == getattr(eigen[1], name).tobytes(), name
