@@ -244,49 +244,34 @@ def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kendall row kernel (pair loop on short rows, Knight-style O(n log n) merge on long)
+# Kendall row kernel (pair loop on short rows; one (x, y) sort and a merge count on long)
 # ---------------------------------------------------------------------------
 
-def _dense_codes(v: np.ndarray) -> np.ndarray:
-    """Per-row integer codes in [0, n) preserving order; ties share a code."""
-    order = np.argsort(v, axis=1)  # ties share a code, so need no stable order
-    s = np.take_along_axis(v, order, axis=1)
-    gid = np.cumsum(_tie_run_flags(s), axis=1) - 1
-    codes = np.empty(v.shape, dtype=np.int64)
-    np.put_along_axis(codes, order, gid, axis=1)
-    return codes
+def _inversion_counts(codes: np.ndarray) -> np.ndarray:
+    """Strict inversions per row: pairs i < j with codes[i] > codes[j].
 
-
-def _inversion_counts(v: np.ndarray) -> np.ndarray:
-    """Strict inversions per row: pairs i < j with v[i] > v[j].
-
-    Bottom-up merge counting; rows are padded to a power of two with a
-    sentinel code above every real code.  Padding is a suffix of each
-    row, so a real value in a right half always faces a left half of w
-    real values, and the values below the sentinel are the real ones.
+    ``codes`` are integers in [0, n).  Bottom-up merge counting; each row
+    is padded at the front to a power of two with a code below every real
+    code, so a pad in a left half never exceeds a right value and a pad in
+    a right half faces only pads.
     """
-    v = np.asarray(v)
-    m, n = v.shape
+    m, n = codes.shape
     total = np.zeros(m, dtype=np.int64)
     if n < 2:
         return total
-    codes = _dense_codes(np.asarray(v, dtype=float))
     p = 1 << (n - 1).bit_length()
-    sentinel = np.int64(n)
-    a = np.full((m, p), sentinel, dtype=np.int64)
-    a[:, :n] = codes
+    a = np.zeros((m, p), dtype=np.int64)
+    a[:, p - n:] = codes + 1
     w = 1
     while w < p:
         b = a.reshape(-1, 2 * w)
-        left = b[:, :w]
-        right = b[:, w:]
         nb = b.shape[0]
-        offset = (np.arange(nb, dtype=np.int64) * (sentinel + 1))[:, None]
-        pos = np.searchsorted((left + offset).ravel(), (right + offset).ravel(),
+        offset = np.arange(nb, dtype=np.int64)[:, None] * (n + 1)
+        pos = np.searchsorted((b[:, :w] + offset).ravel(), (b[:, w:] + offset).ravel(),
                               side="right").reshape(nb, w)
         # left values <= each right value, within its own block
         within = pos - np.arange(nb)[:, None] * w
-        total += np.where(right < sentinel, w - within, 0).reshape(m, -1).sum(axis=1)
+        total += (w - within).reshape(m, -1).sum(axis=1)
         b.sort(axis=1)
         w *= 2
     return total
@@ -327,18 +312,19 @@ def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray
     if n <= _KENDALL_PAIRWISE_ROW:
         surplus, untied_x, untied_y = _pair_sign_counts(x, y)
     else:
-        # sort each row by (x, y): by y, then stably by x to keep y order in x ties
+        # sort each row by (x, y): by y, then stably by x to keep y order in
+        # x ties; the y codes are the tie-run indices of the y sort
         by_y = np.argsort(y, axis=1)
+        new_y = _tie_run_flags(np.take_along_axis(y, by_y, axis=1))
         x1 = np.take_along_axis(x, by_y, axis=1)
         by_x = np.argsort(x1, axis=1, kind="stable")
-        order = np.take_along_axis(by_y, by_x, axis=1)
-        xs = np.take_along_axis(x, order, axis=1)
-        ys = np.take_along_axis(y, order, axis=1)
+        xs = np.take_along_axis(x1, by_x, axis=1)
+        codes = np.take_along_axis(np.cumsum(new_y, axis=1) - 1, by_x, axis=1)
         new_x = _tie_run_flags(xs)
         ties_x = _tied_pair_counts(new_x)
-        ties_xy = _tied_pair_counts(new_x | _tie_run_flags(ys))
-        ties_y = _tied_pair_counts(_tie_run_flags(np.sort(y, axis=1)))
-        surplus = n0 - ties_x - ties_y + ties_xy - 2 * _inversion_counts(ys)
+        ties_y = _tied_pair_counts(new_y)
+        ties_xy = _tied_pair_counts(new_x | _tie_run_flags(codes))
+        surplus = n0 - ties_x - ties_y + ties_xy - 2 * _inversion_counts(codes)
         untied_x, untied_y = n0 - ties_x, n0 - ties_y
     den2 = np.asarray(untied_x, dtype=float) * untied_y
     with np.errstate(invalid="ignore", divide="ignore"):

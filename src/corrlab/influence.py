@@ -22,7 +22,7 @@ from .estimators import PairedSample, _correlation_core, pearson, spearman
 __all__ = ["AxisSpec", "InfluenceGrid", "scan_single", "scan_double",
            "exceedance_fraction", "delta_width", "MAX_AXIS_POINTS"]
 
-# 100x the fig5 axis; a scan holds a few (k x k) float matrices (~170 MB)
+# 100x the fig5 axis; a scan this size holds a few (k x k) float matrices, peaking near 144 MB
 MAX_AXIS_POINTS = 2001
 
 

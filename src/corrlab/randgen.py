@@ -86,8 +86,8 @@ class MarginalSpec:
         if self.family not in _FAMILIES:
             raise InputError(f"unknown marginal family {self.family!r}")
         if self.family == "chi_square":
-            if self.df is None or self.df < 1:
-                raise InputError("chi_square marginal needs df >= 1")
+            if self.df is None or not 1 <= self.df < float("inf"):  # nan fails too
+                raise InputError(f"chi_square marginal needs a finite df >= 1, got {self.df}")
         elif self.df is not None:
             raise InputError(f"df is only valid for chi_square, not {self.family}")
         if self.family == "discretized_likert":
@@ -290,8 +290,10 @@ def calibrate_copula(marginal_x: MarginalSpec, marginal_y: MarginalSpec,
     result deterministic.  The achieved Pearson and Spearman values of the
     final calibration sample are recorded as the population values.
 
-    Raises :class:`InfeasibleError` when the target lies outside what the
-    two marginals can reach.
+    Raises :class:`NumericError` when the transformed sample has no finite
+    Pearson coefficient that grows with the latent correlation, and
+    :class:`InfeasibleError` when the target lies outside what the two
+    marginals can reach.
     """
     if not -1.0 <= target_pearson <= 1.0:
         raise InputError(f"target correlation {target_pearson} outside [-1, 1]")
@@ -310,7 +312,12 @@ def calibrate_copula(marginal_x: MarginalSpec, marginal_y: MarginalSpec,
         return float(pearson_rows(x, transformed_y(latent))[0])
 
     lo, hi = -0.999999, 0.999999
-    f_lo, f_hi = achieved(lo), achieved(hi)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        f_lo, f_hi = achieved(lo), achieved(hi)
+    if not f_lo < f_hi:  # NaN, or no change with the latent: a constant marginal
+        raise NumericError("the transformed calibration sample has no finite Pearson "
+                           "coefficient that moves with the latent correlation (a "
+                           "marginal rounds to a constant in float64)")
     if not f_lo - tol <= target_pearson <= f_hi + tol:
         raise InfeasibleError(
             f"target Pearson {target_pearson} unattainable for these marginals "

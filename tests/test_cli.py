@@ -400,6 +400,20 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["a-file"]
 
+    @pytest.mark.parametrize("df, code", [("nan", 3), ("inf", 3), ("-inf", 3),
+                                          ("1e50", 4), ("1e300", 4)])
+    def test_unusable_chi_square_df(self, tmp_path, capsys, df, code):
+        # non-finite df is refused as input; a df so large that the
+        # calibration sample is constant in float64 is a numeric failure
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--marginal", "chi2", f"--df={df}",
+                         "--calibration-n", "1000", "--sizes", "5", "--reps", "2",
+                         "--out-dir", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unattainable" not in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("delimiter", ["ab", ""])
     def test_bad_delimiter_is_usage_error(self, tmp_path, capsys, delimiter):
         data = tmp_path / "t.csv"

@@ -336,6 +336,29 @@ class TestKendall:
             assert got[i] == pytest.approx(kendall_oracle(x[i], y[i]), abs=1e-12)
 
 
+class TestKendallLongRows:
+    """The one-sort path at the power-of-two padding edges of the merge counter."""
+
+    @pytest.mark.parametrize("n", [53, 64, 65, 128, 129])
+    def test_matches_pair_oracle(self, n):
+        rng = np.random.default_rng(300 + n)
+        untied = rng.standard_normal((2, 3, n))
+        likert = rng.integers(1, 7, (2, 3, n)).astype(float)
+        cases = {"untied": (untied[0], untied[1] + 0.4 * untied[0]),
+                 "likert both": (likert[0], likert[1]),
+                 "ties in x only": (likert[0], untied[1]),
+                 "ties in y only": (untied[0], likert[1]),
+                 "constant x": (np.full((3, n), 2.0), untied[1]),
+                 "constant y": (likert[0], np.full((3, n), -1.0))}
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for name, (x, y) in cases.items():
+                for variant in ("a", "b"):
+                    np.testing.assert_array_equal(
+                        kendall_rows(x, y, variant=variant),
+                        [kendall_oracle(x[i], y[i], variant) for i in range(len(x))],
+                        err_msg=f"{name}, tau-{variant}")
+
+
 class TestInversionCounts:
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     def test_matches_quadratic_count_for_every_padding(self, tied):
@@ -348,7 +371,8 @@ class TestInversionCounts:
                 v = rng.standard_normal((6, n))
             oracle = [sum(1 for i, j in itertools.combinations(range(n), 2)
                           if row[i] > row[j]) for row in v]
-            assert _inversion_counts(v).tolist() == oracle, n
+            codes = np.array([np.unique(row, return_inverse=True)[1] for row in v])
+            assert _inversion_counts(codes).tolist() == oracle, n
 
 
 class TestCorrelationMatrix:

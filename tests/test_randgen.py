@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from corrlab.errors import InfeasibleError, InputError
+from corrlab.errors import InfeasibleError, InputError, NumericError
 from corrlab.estimators import PairedSample, pearson, spearman
 from corrlab.randgen import (MarginalSpec, PopulationSpec, RngStream,
                              calibrate_copula, sample_bivariate_normal,
@@ -116,6 +116,11 @@ class TestMarginalQuantiles:
         with pytest.raises(InputError):
             MarginalSpec("nope")
 
+    @pytest.mark.parametrize("df", [math.nan, math.inf, -math.inf, 0.5])
+    def test_chi_square_needs_a_finite_df_of_at_least_one(self, df):
+        with pytest.raises(InputError, match="finite df >= 1"):
+            MarginalSpec.chi_square(df)
+
 
 class TestCalibration:
     def test_normal_marginals_recover_the_target(self):
@@ -148,6 +153,14 @@ class TestCalibration:
         with pytest.raises(InfeasibleError):
             calibrate_copula(MarginalSpec.exponential(), MarginalSpec.likert(), 0.97,
                              calibration_n=10 ** 4, stream=RngStream(16))
+
+    @pytest.mark.parametrize("df", [1e50, 1e300])
+    def test_constant_marginal_sample_is_a_numeric_error(self, df):
+        # at these df the chi-square quantiles round to one float64 value;
+        # at 1e300 the centered products overflow as well
+        m = MarginalSpec.chi_square(df)
+        with pytest.raises(NumericError, match="no finite Pearson coefficient"):
+            calibrate_copula(m, m, 0.2, calibration_n=1000, stream=RngStream(18))
 
     def test_objective_monotone_in_latent_correlation(self):
         from corrlab.randgen import _transform
