@@ -346,6 +346,16 @@ _MARGINALS = {
 }
 
 
+def _marginal_for(name: str, df: float | None) -> MarginalSpec:
+    if name == "chi2":
+        if df is None:
+            raise UsageError("chi2 marginal needs --df")
+        return MarginalSpec.chi_square(df)
+    if name not in _MARGINALS:
+        raise UsageError(f"unknown marginal family {name!r}")
+    return _MARGINALS[name]()
+
+
 def _calibration_cache_path(out_dir: str, marginal: MarginalSpec, target: float,
                             calibration_n: int) -> str:
     tag = marginal.describe().replace("(", "_").replace(")", "").replace("=", "")
@@ -353,55 +363,42 @@ def _calibration_cache_path(out_dir: str, marginal: MarginalSpec, target: float,
     return os.path.join(out_dir, "calibrations", name)
 
 
-def _load_calibration(path: str, marginal: MarginalSpec, target: float,
-                      calibration_n: int) -> PopulationSpec | None:
+_CALIBRATED = ("latent_rho", "pop_pearson", "pop_spearman")  # cached beside the key
+
+
+def _load_calibration(path: str, marginal: MarginalSpec, key: dict) -> PopulationSpec | None:
     """The cached population at ``path``, or None on a cache miss.
 
-    A missing, unreadable or malformed file is a miss, and so is one
-    written for other marginals, target or size, with another seed or
-    tolerance, or by another calibration algorithm version.
+    A file is a hit only when it matches every entry of ``key``; a
+    missing, unreadable or malformed file is a miss.
     """
     try:
         with open(path) as handle:
             cached = json.load(handle)
-        spec = PopulationSpec.from_dict(cached)
+        if any(cached[name] != value for name, value in key.items()):
+            return None
+        return PopulationSpec(marginal, key["target_pearson"],
+                              *(float(cached[name]) for name in _CALIBRATED))
     except (OSError, ValueError, KeyError, TypeError, CorrlabError):
         return None
-    key = {"calibration_seed": CALIBRATION_SEED, "tolerance": CALIBRATION_TOL,
-           "algorithm": CALIBRATION_VERSION}
-    if (all(cached.get(name) == value for name, value in key.items())
-            and spec.calibration_n == calibration_n
-            and spec.target_pearson == target
-            and spec.marginal_x == marginal
-            and spec.marginal_y == marginal):
-        return spec
-    return None
 
 
-def _population_for(marginal_name: str, df: float | None, target: float,
-                    calibration_n: int, out_dir: str) -> PopulationSpec:
-    if marginal_name == "normal":
+def _population_for(marginal: MarginalSpec, target: float, calibration_n: int,
+                    out_dir: str) -> PopulationSpec:
+    """The population of one condition; a non-normal one is calibrated once
+    and cached in ``out_dir``, keyed by everything the calibration reads."""
+    if marginal.is_standard_normal:
         return PopulationSpec.bivariate_normal(target)
-    if marginal_name == "chi2":
-        if df is None:
-            raise UsageError("chi2 marginal needs --df")
-        marginal = MarginalSpec.chi_square(df)
-    elif marginal_name in _MARGINALS:
-        marginal = _MARGINALS[marginal_name]()
-    else:
-        raise UsageError(f"unknown marginal family {marginal_name!r}")
-
+    key = {"marginal": marginal.to_dict(), "target_pearson": target,
+           "calibration_n": calibration_n, "calibration_seed": CALIBRATION_SEED,
+           "tolerance": CALIBRATION_TOL, "algorithm": CALIBRATION_VERSION}
     cache = _calibration_cache_path(out_dir, marginal, target, calibration_n)
-    spec = _load_calibration(cache, marginal, target, calibration_n)
-    if spec is not None:
-        return spec
-    spec = calibrate_copula(marginal, marginal, target,
-                            calibration_n=calibration_n,
-                            stream=RngStream(CALIBRATION_SEED), tol=CALIBRATION_TOL)
-    record = dict(spec.to_dict(), calibration_seed=CALIBRATION_SEED,
-                  tolerance=CALIBRATION_TOL, algorithm=CALIBRATION_VERSION)
-    _commit_artifacts(os.path.dirname(cache), {
-        os.path.basename(cache): json.dumps(record, indent=2, sort_keys=True)})
+    spec = _load_calibration(cache, marginal, key)
+    if spec is None:
+        spec = calibrate_copula(marginal, target, calibration_n, RngStream(CALIBRATION_SEED))
+        record = dict(key, **{name: getattr(spec, name) for name in _CALIBRATED})
+        _commit_artifacts(os.path.dirname(cache), {
+            os.path.basename(cache): json.dumps(record, indent=2, sort_keys=True)})
     return spec
 
 
@@ -520,16 +517,18 @@ def _run_simulate(cfg: RunConfig):
         raise UsageError(f"unknown coefficient kind {unknown[0]!r} "
                          f"(use {', '.join(KINDS)})")
 
+    # every condition is validated before the first calibration writes its cache
+    marginals = [_marginal_for(params["marginal"], df) for df in dfs]
+
     artifacts = {}
     lines = []
     all_rows = []
-    for cond_index, df in enumerate(dfs):
-        population = _population_for(params["marginal"], df, params["pearson"],
+    for cond_index, marginal in enumerate(marginals):
+        population = _population_for(marginal, params["pearson"],
                                      params["calibration-n"], cfg.out_dir)
         plan = simulate.SimulationPlan(population=population, sample_sizes=sizes,
                                        replications=params["reps"],
-                                       coefficients=params["kinds"],
-                                       master_seed=cfg.seed)
+                                       coefficients=params["kinds"])
         rows = simulate.run_plan(plan, threads=cfg.threads,
                                  stream=RngStream(cfg.seed).child(cond_index))
         all_rows.extend(rows)

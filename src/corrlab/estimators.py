@@ -49,6 +49,13 @@ def _row_arrays(*arrays):
     return out
 
 
+def _varies(a: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Per line of 2-d a along ``axis``, whether it holds two different values."""
+    if axis == 0:  # the short-row layout: whole-row compares, ~10x faster on n <= 7
+        return (a[1:] != a[:1]).any(axis=0)
+    return (a[:, 1:] != a[:, :1]).any(axis=1)
+
+
 def _as_finite_1d(values, name):
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
@@ -226,13 +233,18 @@ def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise Pearson coefficient of two equally shaped 2-d arrays.
 
     Degenerate rows (either side constant) come back as NaN; callers
-    decide whether that is an error or a retry.  numpy's pairwise
-    summation keeps the centered dot products accurate for long rows.
+    decide whether that is an error or a retry.  They are found by
+    comparison, since a constant whose mean rounds leaves tiny nonzero
+    centered values.  numpy's pairwise summation keeps the centered dot
+    products accurate for long rows.
     """
     x, y = _row_arrays(x, y)
+    axis = 1
     if x.shape[1] <= _SHORT_ROW:
-        return _pearson(np.ascontiguousarray(x.T), np.ascontiguousarray(y.T), axis=0)
-    return _pearson(x, y, axis=1)
+        x, y, axis = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T), 0
+    r = _pearson(x, y, axis)
+    r[~(_varies(x, axis) & _varies(y, axis))] = np.nan
+    return r
 
 
 def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:

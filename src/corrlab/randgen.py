@@ -10,9 +10,10 @@ numpy's ziggurat sampler.  Reproducibility holds per build, not across
 numpy major versions.
 
 Correlated non-normal pairs are produced by pushing a correlated
-standard-normal pair through each marginal's quantile function, with
-the latent correlation calibrated so the transformed pair hits a target
-population Pearson value measured on a large calibration sample.
+standard-normal pair through one marginal's quantile function, the same
+for both variables, with the latent correlation calibrated so the
+transformed pair hits a target population Pearson value measured on a
+large calibration sample.
 """
 
 from __future__ import annotations
@@ -154,11 +155,6 @@ class MarginalSpec:
             out["thresholds"] = list(self.thresholds)
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MarginalSpec":
-        return cls(d["family"], df=d.get("df"),
-                   thresholds=tuple(d["thresholds"]) if "thresholds" in d else None)
-
 
 # ---------------------------------------------------------------------------
 # Populations
@@ -166,47 +162,40 @@ class MarginalSpec:
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """A bivariate population: two marginals coupled through a latent
-    standard-normal pair with correlation ``latent_rho``.
+    """A bivariate population: x and y share one marginal and are coupled
+    through a latent standard-normal pair with correlation ``latent_rho``.
 
     ``pop_pearson``/``pop_spearman`` are the population coefficients; for
-    non-normal marginals they are measured on the calibration sample (the
-    large-sample convention), for normal marginals they are analytic.
+    a non-normal marginal they are measured on the calibration sample (the
+    large-sample convention), for the normal marginal they are analytic.
     """
 
-    marginal_x: MarginalSpec
-    marginal_y: MarginalSpec
+    marginal: MarginalSpec
     target_pearson: float
     latent_rho: float
     pop_pearson: float
     pop_spearman: float
-    calibration_n: int = 0
-    label: str = ""
 
     def __post_init__(self):
         if not -1.0 <= self.latent_rho <= 1.0:
             raise InputError(f"latent correlation {self.latent_rho} outside [-1, 1]")
-        if not self.label:
-            object.__setattr__(self, "label", self._default_label())
 
-    def _default_label(self) -> str:
-        mx, my = self.marginal_x.describe(), self.marginal_y.describe()
-        marg = mx if mx == my else f"{mx}/{my}"
-        return f"{marg}_rp{self.target_pearson:g}"
+    @property
+    def label(self) -> str:
+        return f"{self.marginal.describe()}_rp{self.target_pearson:g}"
 
     @classmethod
-    def bivariate_normal(cls, rho: float, label: str = "") -> "PopulationSpec":
+    def bivariate_normal(cls, rho: float) -> "PopulationSpec":
         """Standard-normal pair with exact population correlation rho."""
         if not -1.0 <= rho <= 1.0:
             raise InputError(f"rho must lie in [-1, 1], got {rho}")
-        return cls(MarginalSpec.standard_normal(), MarginalSpec.standard_normal(),
-                   target_pearson=float(rho), latent_rho=float(rho),
-                   pop_pearson=float(rho),
-                   pop_spearman=spearman_from_pearson(rho), label=label)
+        return cls(MarginalSpec.standard_normal(), target_pearson=float(rho),
+                   latent_rho=float(rho), pop_pearson=float(rho),
+                   pop_spearman=spearman_from_pearson(rho))
 
     @property
     def pop_kendall(self) -> float:
-        # exact for any continuous marginals under the latent-normal coupling
+        # exact for any continuous marginal under the latent-normal coupling
         return kendall_from_pearson(self.latent_rho)
 
     def population_value(self, kind: str) -> float:
@@ -217,29 +206,6 @@ class PopulationSpec:
         if kind == "kendall":
             return self.pop_kendall
         raise InputError(f"unknown coefficient kind {kind!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "marginal_x": self.marginal_x.to_dict(),
-            "marginal_y": self.marginal_y.to_dict(),
-            "target_pearson": self.target_pearson,
-            "latent_rho": self.latent_rho,
-            "pop_pearson": self.pop_pearson,
-            "pop_spearman": self.pop_spearman,
-            "calibration_n": self.calibration_n,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PopulationSpec":
-        return cls(marginal_x=MarginalSpec.from_dict(d["marginal_x"]),
-                   marginal_y=MarginalSpec.from_dict(d["marginal_y"]),
-                   target_pearson=d["target_pearson"],
-                   latent_rho=d["latent_rho"],
-                   pop_pearson=d["pop_pearson"],
-                   pop_spearman=d["pop_spearman"],
-                   calibration_n=d.get("calibration_n", 0),
-                   label=d.get("label", ""))
 
 
 def _couple(rho: float, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
@@ -266,8 +232,8 @@ def _pairs(spec: PopulationSpec, rng: np.random.Generator, rows: int, n: int):
     pairs made from its own 2n normals, whatever the number of rows."""
     z = rng.standard_normal((rows, 2, n))
     z1 = z[:, 0]
-    return (_transform(spec.marginal_x, z1),
-            _transform(spec.marginal_y, _couple(spec.latent_rho, z1, z[:, 1])))
+    return (_transform(spec.marginal, z1),
+            _transform(spec.marginal, _couple(spec.latent_rho, z1, z[:, 1])))
 
 
 def sample_population(spec: PopulationSpec, n: int, stream: RngStream) -> PairedSample:
@@ -278,10 +244,9 @@ def sample_population(spec: PopulationSpec, n: int, stream: RngStream) -> Paired
     return PairedSample(x[0], y[0])
 
 
-def calibrate_copula(marginal_x: MarginalSpec, marginal_y: MarginalSpec,
-                     target_pearson: float, calibration_n: int = 10 ** 6,
-                     stream: RngStream = RngStream(0), tol: float = CALIBRATION_TOL,
-                     label: str = "") -> PopulationSpec:
+def calibrate_copula(marginal: MarginalSpec, target_pearson: float,
+                     calibration_n: int = 10 ** 6,
+                     stream: RngStream = RngStream(0)) -> PopulationSpec:
     """Find the latent correlation that realizes a target population Pearson.
 
     One set of calibration normals is drawn up front and reused for every
@@ -292,8 +257,8 @@ def calibrate_copula(marginal_x: MarginalSpec, marginal_y: MarginalSpec,
 
     Raises :class:`NumericError` when the transformed sample has no finite
     Pearson coefficient that grows with the latent correlation, and
-    :class:`InfeasibleError` when the target lies outside what the two
-    marginals can reach.
+    :class:`InfeasibleError` when the target lies outside what the
+    marginal can reach.
     """
     if not -1.0 <= target_pearson <= 1.0:
         raise InputError(f"target correlation {target_pearson} outside [-1, 1]")
@@ -303,10 +268,10 @@ def calibrate_copula(marginal_x: MarginalSpec, marginal_y: MarginalSpec,
     rng = stream.generator()
     z1 = rng.standard_normal(calibration_n)
     z0 = rng.standard_normal(calibration_n)
-    x = _transform(marginal_x, z1)[None, :]
+    x = _transform(marginal, z1)[None, :]
 
     def transformed_y(latent: float) -> np.ndarray:
-        return _transform(marginal_y, _couple(latent, z1, z0))[None, :]
+        return _transform(marginal, _couple(latent, z1, z0))[None, :]
 
     def achieved(latent: float) -> float:
         return float(pearson_rows(x, transformed_y(latent))[0])
@@ -318,14 +283,14 @@ def calibrate_copula(marginal_x: MarginalSpec, marginal_y: MarginalSpec,
         raise NumericError("the transformed calibration sample has no finite Pearson "
                            "coefficient that moves with the latent correlation (a "
                            "marginal rounds to a constant in float64)")
-    if not f_lo - tol <= target_pearson <= f_hi + tol:
+    if not f_lo - CALIBRATION_TOL <= target_pearson <= f_hi + CALIBRATION_TOL:
         raise InfeasibleError(
-            f"target Pearson {target_pearson} unattainable for these marginals "
+            f"target Pearson {target_pearson} unattainable for this marginal "
             f"(reachable range is about [{f_lo:.4f}, {f_hi:.4f}])")
 
     latent, value = 0.0, achieved(0.0)
     for _ in range(200):
-        if abs(value - target_pearson) <= tol:
+        if abs(value - target_pearson) <= CALIBRATION_TOL:
             break
         if value < target_pearson:
             lo = latent
@@ -337,8 +302,6 @@ def calibrate_copula(marginal_x: MarginalSpec, marginal_y: MarginalSpec,
         raise NumericError("copula calibration bisection did not converge")
 
     pop_spearman = float(spearman_rows(x, transformed_y(latent))[0])
-    return PopulationSpec(marginal_x=marginal_x, marginal_y=marginal_y,
-                          target_pearson=float(target_pearson),
-                          latent_rho=float(latent),
-                          pop_pearson=value, pop_spearman=pop_spearman,
-                          calibration_n=int(calibration_n), label=label)
+    return PopulationSpec(marginal, target_pearson=float(target_pearson),
+                          latent_rho=float(latent), pop_pearson=value,
+                          pop_spearman=pop_spearman)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, InputError
-from .estimators import KINDS, kendall_rows, pearson_rows, spearman_rows
+from .estimators import KINDS, _varies, kendall_rows, pearson_rows, spearman_rows
 from .randgen import CHUNK_REPS, REDRAW_CAP_PER_SAMPLE, PopulationSpec, RngStream, _pairs
 
 __all__ = ["SimulationPlan", "SummaryStats", "logspace_sizes", "replication_chunks",
@@ -58,7 +58,6 @@ class SimulationPlan:
     sample_sizes: tuple[int, ...]
     replications: int = 20000
     coefficients: tuple[str, ...] = ("pearson", "spearman")
-    master_seed: int = 0
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sample_sizes)
@@ -97,11 +96,6 @@ class SummaryStats:
         sd = "" if self.sd is None else self.sd
         return (self.condition, self.kind, self.n, self.mean, sd, self.p5,
                 self.p95, self.bias, self.rmse, self.redraw_count)
-
-
-def _varies(a: np.ndarray) -> np.ndarray:
-    """Per row of a, whether it holds two different values."""
-    return (a[:, 1:] != a[:, :1]).any(axis=1)
 
 
 def replication_chunks(population: PopulationSpec, n: int, reps: int,
@@ -165,19 +159,19 @@ def run_cell(plan: SimulationPlan, n: int, cell_stream: RngStream) -> list[Summa
 
 
 def run_plan(plan: SimulationPlan, threads: int = 1,
-             stream: RngStream | None = None) -> list[SummaryStats]:
+             stream: RngStream = RngStream(0)) -> list[SummaryStats]:
     """Run every cell of the plan; one row per (size, coefficient).
 
     Cells are independent streams, so the result is identical for any
-    thread count; rows come back sorted by (n, kind).  ``stream`` lets a
-    caller running several conditions give each its own root path.
+    thread count; rows come back sorted by (n, kind).  Cell i draws under
+    ``stream.child(i)``, so a caller running several conditions gives each
+    its own root stream.
     """
-    root = RngStream(plan.master_seed) if stream is None else stream
     cells = [(i, n) for i, n in enumerate(plan.sample_sizes)]
 
     def one(args):
         index, n = args
-        return run_cell(plan, n, root.child(index))
+        return run_cell(plan, n, stream.child(index))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

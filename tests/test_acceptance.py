@@ -39,7 +39,7 @@ def finish(number, name, checks):
 
 def run_normal_cell(rho, n, kinds, cond, cell):
     plan = SimulationPlan(PopulationSpec.bivariate_normal(rho), (n,),
-                          replications=REPS, coefficients=kinds, master_seed=SEED)
+                          replications=REPS, coefficients=kinds)
     rows = run_cell(plan, n, RngStream(SEED).child(cond, cell))
     return {row.kind: row for row in rows}
 
@@ -62,12 +62,10 @@ def exponential_cells():
     cells = {}
     for cond, (target, sizes) in enumerate([(0.4, (18, 213, 1000)),
                                             (0.8, (1000,))]):
-        spec = calibrate_copula(marginal, marginal, target,
-                                calibration_n=10 ** 6,
+        spec = calibrate_copula(marginal, target, calibration_n=10 ** 6,
                                 stream=RngStream(SEED).child(90 + cond))
         plan = SimulationPlan(spec, sizes, replications=REPS,
-                              coefficients=("pearson", "spearman"),
-                              master_seed=SEED)
+                              coefficients=("pearson", "spearman"))
         for cell, n in enumerate(sizes):
             rows = run_cell(plan, n, RngStream(SEED).child(10 + cond, cell))
             cells[(target, n)] = {row.kind: row for row in rows}

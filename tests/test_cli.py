@@ -286,7 +286,9 @@ class TestStudies:
                              "--calibration-n", "50000",
                              "--out-dir", str(tmp_path)]) == 0
         cache_dir = tmp_path / "calibrations"
-        assert len(list(cache_dir.iterdir())) == 1
+        (cache,) = cache_dir.iterdir()
+        record = json.loads(cache.read_text())  # what the benchmark's set-up check reads
+        assert abs(record["pop_pearson"] - record["target_pearson"]) <= 1e-3
 
 
 class TestCalibrationCache:
@@ -321,12 +323,15 @@ class TestCalibrationCache:
     @pytest.mark.parametrize("field,value", [
         ("calibration_seed", 1), ("tolerance", 0.5),
         ("algorithm", CALIBRATION_VERSION - 1), ("algorithm", None),
-        ("marginal_y", {"family": "uniform"})])
+        ("marginal_y", {"family": "exponential"}), ("marginal", {"family": "uniform"}),
+        ("marginal", None), ("target_pearson", 0.3), ("calibration_n", 40000)])
     def test_stale_file_is_recalibrated(self, tmp_path, field, value):
         out = tmp_path / "out"
         self.run(out)
         with open(self.cache_path(out)) as handle:
             record = json.load(handle)
+        if field == "marginal_y":  # the older format: one marginal per variable
+            record["marginal_x"] = record.pop("marginal")
         if value is None:
             del record[field]
         else:
@@ -360,23 +365,16 @@ class TestExitCodes:
         assert cli.main(["convert", "--pearson", "0.2",
                          "--out-dir", str(tmp_path)]) == 4
 
-    def test_infeasible_condition_is_five(self, tmp_path):
-        # .97 is beyond the reachable bound for exponential vs likert;
-        # simulate with mixed marginals is not expressible, so drive the
-        # same error through an impossible resample instead
-        from corrlab import randgen
-        def unattainable(cfg):
-            return randgen.calibrate_copula(
-                randgen.MarginalSpec.exponential(), randgen.MarginalSpec.likert(),
-                0.97, calibration_n=10 ** 4, stream=randgen.RngStream(1))
-        import corrlab.cli as climod
-        real = climod._RUNNERS["convert"]
-        try:
-            climod._RUNNERS["convert"] = lambda cfg: unattainable(cfg)
-            assert cli.main(["convert", "--pearson", "0.2",
-                             "--out-dir", str(tmp_path)]) == 5
-        finally:
-            climod._RUNNERS["convert"] = real
+    def test_infeasible_condition_is_five(self, tmp_path, capsys):
+        # two exponentials reach no Pearson below 1 - pi^2/6, about -.645
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--marginal", "exponential", "--pearson", "-0.9",
+                         "--calibration-n", "10000", "--sizes", "5", "--reps", "2",
+                         "--out-dir", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: target Pearson -0.9 unattainable")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_refused_allocation_is_five(self, tmp_path, capsys, monkeypatch):
         def refuse(cfg):
@@ -401,7 +399,7 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["a-file"]
 
     @pytest.mark.parametrize("df, code", [("nan", 3), ("inf", 3), ("-inf", 3),
-                                          ("1e50", 4), ("1e300", 4)])
+                                          ("1,nan", 3), ("1e50", 4), ("1e300", 4)])
     def test_unusable_chi_square_df(self, tmp_path, capsys, df, code):
         # non-finite df is refused as input; a df so large that the
         # calibration sample is constant in float64 is a numeric failure

@@ -241,6 +241,16 @@ class TestPearson:
         with pytest.raises(DegenerateSampleError):
             pearson(PairedSample([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("n", [5, 100])
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, 0.7, 1e50])
+    def test_constant_row_is_nan(self, value, n):
+        # the mean of such a row rounds, so its centered values are tiny
+        # equal numbers, not zeros
+        constant = np.full((1, n), value)
+        other = np.random.default_rng(n).standard_normal((1, n))
+        for x, y in ((constant, constant), (constant, other), (other, constant)):
+            assert np.isnan(pearson_rows(x, y)[0])
+
 
 class TestSpearman:
     def test_reduces_to_pearson_on_rank_data(self):

@@ -34,14 +34,14 @@ class TestLogspaceSizes:
         assert sizes == tuple(range(2, 13))
 
 
-def _plan(rho=0.2, sizes=(20,), reps=2000, kinds=("pearson", "spearman"), seed=0):
+def _plan(rho=0.2, sizes=(20,), reps=2000, kinds=("pearson", "spearman")):
     return SimulationPlan(PopulationSpec.bivariate_normal(rho), sizes,
-                          replications=reps, coefficients=kinds, master_seed=seed)
+                          replications=reps, coefficients=kinds)
 
 
 def _two_category_population():
     marginal = MarginalSpec.likert((0.5,))
-    return PopulationSpec(marginal, marginal, target_pearson=0.0, latent_rho=0.0,
+    return PopulationSpec(marginal, target_pearson=0.0, latent_rho=0.0,
                           pop_pearson=0.0, pop_spearman=0.0)
 
 
@@ -54,7 +54,7 @@ class TestRunCell:
         assert by_kind["spearman"].mean == pytest.approx(0.0, abs=0.005)
 
     def test_small_sample_bias_matches_theory(self):
-        plan = _plan(rho=0.2, sizes=(5,), reps=20000, seed=2)
+        plan = _plan(rho=0.2, sizes=(5,), reps=20000)
         rows = run_cell(plan, 5, RngStream(2).child(0))
         by_kind = {r.kind: r for r in rows}
         assert by_kind["pearson"].mean == pytest.approx(0.177, abs=0.01)
@@ -67,7 +67,7 @@ class TestRunCell:
         assert rows[0].p5 == rows[0].p95 == rows[0].mean
 
     def test_rmse_identity(self):
-        plan = _plan(reps=3000, seed=3)
+        plan = _plan(reps=3000)
         for row in run_cell(plan, 20, RngStream(3).child(0)):
             reps = plan.replications
             lhs = row.rmse ** 2
@@ -75,25 +75,25 @@ class TestRunCell:
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_percentiles_bracket_mean(self):
-        plan = _plan(reps=2000, seed=4)
+        plan = _plan(reps=2000)
         for row in run_cell(plan, 20, RngStream(4).child(0)):
             assert row.p5 <= row.mean <= row.p95
 
     def test_degenerate_draws_are_redrawn_and_counted(self):
         # two-category marginal at n=4: a constant draw is common
         plan = SimulationPlan(_two_category_population(), (4,), replications=500,
-                              coefficients=("pearson",), master_seed=5)
+                              coefficients=("pearson",))
         rows = run_cell(plan, 4, RngStream(5).child(0))
         assert rows[0].redraw_count > 0
 
     def test_hopeless_condition_is_infeasible(self):
         # nearly all mass on one category: n=3 draws are almost always constant
         marginal = MarginalSpec.likert((0.999,))
-        population = PopulationSpec(marginal, marginal, target_pearson=0.0,
+        population = PopulationSpec(marginal, target_pearson=0.0,
                                     latent_rho=0.0, pop_pearson=0.0,
                                     pop_spearman=0.0)
         plan = SimulationPlan(population, (3,), replications=50,
-                              coefficients=("pearson",), master_seed=6)
+                              coefficients=("pearson",))
         with pytest.raises(InfeasibleError):
             run_cell(plan, 3, RngStream(6).child(0))
 
@@ -106,15 +106,15 @@ class TestRunPlan:
             (n, k) for n in (10, 20) for k in ("pearson", "spearman", "kendall")}
 
     def test_seed_determinism_and_thread_independence(self):
-        plan = _plan(sizes=(10, 30), reps=500, seed=7)
-        rows_a = run_plan(plan)
-        rows_b = run_plan(plan)
-        rows_c = run_plan(plan, threads=4)
+        plan = _plan(sizes=(10, 30), reps=500)
+        rows_a = run_plan(plan, stream=RngStream(7))
+        rows_b = run_plan(plan, stream=RngStream(7))
+        rows_c = run_plan(plan, threads=4, stream=RngStream(7))
         assert rows_a == rows_b == rows_c
 
     def test_different_seeds_differ(self):
-        rows_a = run_plan(_plan(reps=200, seed=1))
-        rows_b = run_plan(_plan(reps=200, seed=2))
+        rows_a = run_plan(_plan(reps=200), stream=RngStream(1))
+        rows_b = run_plan(_plan(reps=200), stream=RngStream(2))
         assert rows_a != rows_b
 
     @staticmethod
@@ -140,20 +140,20 @@ class TestRunPlan:
         assert not np.isin(y[CHUNK_REPS:], y[:CHUNK_REPS]).any()
 
     def test_sd_shrinks_with_sample_size(self):
-        plan = _plan(sizes=(10, 40, 160), reps=4000, seed=9)
-        rows = [r for r in run_plan(plan) if r.kind == "pearson"]
+        plan = _plan(sizes=(10, 40, 160), reps=4000)
+        rows = [r for r in run_plan(plan, stream=RngStream(9)) if r.kind == "pearson"]
         sds = [r.sd for r in rows]
         assert sds[0] > sds[1] > sds[2]
 
     def test_kendall_mean_tracks_population_conversion(self):
-        plan = _plan(sizes=(100,), reps=4000, kinds=("kendall",), seed=10)
-        row = run_plan(plan)[0]
+        plan = _plan(sizes=(100,), reps=4000, kinds=("kendall",))
+        row = run_plan(plan, stream=RngStream(10))[0]
         assert row.mean == pytest.approx(kendall_from_pearson(0.2), abs=0.01)
         assert row.population_value == pytest.approx(kendall_from_pearson(0.2))
 
     def test_population_values_recorded_per_kind(self):
-        plan = _plan(sizes=(12,), reps=50, kinds=("pearson", "spearman"), seed=11)
-        by_kind = {r.kind: r for r in run_plan(plan)}
+        plan = _plan(sizes=(12,), reps=50, kinds=("pearson", "spearman"))
+        by_kind = {r.kind: r for r in run_plan(plan, stream=RngStream(11))}
         assert by_kind["pearson"].population_value == 0.2
         assert by_kind["spearman"].population_value == pytest.approx(
             spearman_from_pearson(0.2))
