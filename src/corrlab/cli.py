@@ -27,8 +27,8 @@ from . import eigen as eigenmod
 from . import exact, influence, resample, simulate
 from .errors import CorrlabError, InfeasibleError, InputError, UsageError
 from .estimators import KINDS, pearson_rows, spearman_rows
-from .randgen import (CALIBRATION_TOL, CALIBRATION_VERSION, MarginalSpec,
-                      PopulationSpec, RngStream, calibrate_copula,
+from .randgen import (CALIBRATION_TOL, CALIBRATION_VERSION, MIN_CALIBRATION_N,
+                      MarginalSpec, PopulationSpec, RngStream, calibrate_copula,
                       sample_bivariate_normal, sample_population)
 
 __all__ = ["main", "build_parser", "SCHEMA", "PRESETS"]
@@ -517,8 +517,11 @@ def _run_simulate(cfg: RunConfig):
         raise UsageError(f"unknown coefficient kind {unknown[0]!r} "
                          f"(use {', '.join(KINDS)})")
 
-    # every condition is validated before the first calibration writes its cache
+    # every condition is validated before the first calibration writes its cache,
+    # and the calibration size for every marginal, though the normal needs none
     marginals = [_marginal_for(params["marginal"], df) for df in dfs]
+    if params["calibration-n"] < MIN_CALIBRATION_N:
+        raise InputError(f"calibration sample must have at least {MIN_CALIBRATION_N} pairs")
 
     artifacts = {}
     lines = []

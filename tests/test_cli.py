@@ -412,6 +412,17 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("marginal", ["normal", "exponential"])
+    def test_small_calibration_sample_is_three(self, tmp_path, capsys, marginal):
+        # refused for every marginal, though the normal one never calibrates
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--marginal", marginal, "--calibration-n", "5",
+                         "--sizes", "5,6", "--reps", "2", "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: calibration sample must have at least 1000 pairs")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("delimiter", ["ab", ""])
     def test_bad_delimiter_is_usage_error(self, tmp_path, capsys, delimiter):
         data = tmp_path / "t.csv"

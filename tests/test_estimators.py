@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from corrlab.errors import DegenerateSampleError, InputError
 from corrlab.estimators import (_KENDALL_PAIRWISE_ROW, CoefficientEstimate, PairedSample,
-                                _inversion_counts, _level_ranks, correlation_matrix,
+                                _inversion_counts, _level_ranks, _varies, correlation_matrix,
                                 distinct_spearman_values, fractional_rank, kendall,
                                 kendall_rows, pearson, pearson_rows, rank_rows, spearman,
                                 spearman_rows)
@@ -193,6 +193,21 @@ class TestShortRowExactness:
             rx = np.array([rank_oracle(list(row)) for row in x])
             ry = np.array([rank_oracle(list(row)) for row in y])
             np.testing.assert_array_equal(spearman_rows(x, y), pearson_reference(rx, ry))
+
+
+class TestVaries:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_both_layouts_match_set_oracle(self, n):
+        # n = 2..7 take the entry loop in both layouts; n = 8 the row-wise reduce
+        rng = np.random.default_rng(300 + n)
+        rows = rng.standard_normal((64, n))
+        rows[::4] = rows[::4, :1]  # constant rows
+        rows[1::4] = rows[1::4, :1]
+        rows[1::4, rng.integers(0, n)] += 1.0  # rows where exactly one entry differs
+        rows[2::8] = 0.1  # constant rows whose mean rounds
+        expected = [len(set(row)) > 1 for row in rows]
+        np.testing.assert_array_equal(_varies(rows), expected)
+        np.testing.assert_array_equal(_varies(np.ascontiguousarray(rows.T), axis=0), expected)
 
 
 class TestKendallSwitch:

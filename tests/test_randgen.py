@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy import special
 
+from corrlab import cli
 from corrlab.errors import InfeasibleError, InputError, NumericError
 from corrlab.estimators import PairedSample, pearson, spearman
-from corrlab.randgen import (MarginalSpec, PopulationSpec, RngStream,
-                             calibrate_copula, sample_bivariate_normal,
+from corrlab.randgen import (CALIBRATION_VERSION, MarginalSpec, PopulationSpec,
+                             RngStream, _chi_square_exact, _chi_square_table,
+                             _transform, calibrate_copula, sample_bivariate_normal,
                              sample_population)
 
 
@@ -120,6 +122,86 @@ class TestMarginalQuantiles:
     def test_chi_square_needs_a_finite_df_of_at_least_one(self, df):
         with pytest.raises(InputError, match="finite df >= 1"):
             MarginalSpec.chi_square(df)
+
+
+class TestNormalMap:
+    """``_transform``: latent standard normals straight to each marginal."""
+
+    @pytest.mark.parametrize("df", [1.0, 2.0, 5.0, 32.0, 100.0])
+    def test_chi_square_table_matches_exact_split_map(self, df):
+        m = MarginalSpec.chi_square(df)
+        z = np.linspace(-8.5, 8.5, 200001)
+        got = _transform(m, z)
+        np.testing.assert_allclose(got, _chi_square_exact(df, z), rtol=1e-11, atol=0)
+        assert np.all(np.diff(got) > 0)
+        assert _chi_square_table(df) is not None
+
+    @pytest.mark.parametrize("df", [1.0, 2.0, 32.0])
+    def test_chi_square_beyond_the_table_is_exact(self, df):
+        beyond = np.array([-30.0, -9.0, -8.5000001, 8.5000001, 9.0, 30.0])
+        z = np.concatenate([beyond, [-1.0, 0.0, 1.0]])
+        got = _transform(MarginalSpec.chi_square(df), z)
+        np.testing.assert_array_equal(got[:beyond.size], _chi_square_exact(df, beyond))
+        assert np.all(np.diff(got[:beyond.size]) > 0)
+
+    def test_chi_square_without_a_table_is_exact(self):
+        # the node values of so large a df round together
+        assert _chi_square_table(1e50) is None
+        z = np.linspace(-3.0, 3.0, 7)
+        np.testing.assert_array_equal(_transform(MarginalSpec.chi_square(1e50), z),
+                                      _chi_square_exact(1e50, z))
+
+    def test_exponential_upper_tail(self):
+        z = np.array([10.0, 30.0, 40.0])
+        assert special.ndtr(-40.0) == 0.0
+        np.testing.assert_allclose(_transform(MarginalSpec.exponential(), z),
+                                   -special.log_ndtr(-z), rtol=1e-14, atol=0)
+
+    def test_exponential_lower_tail_is_positive_zero(self):
+        got = _transform(MarginalSpec.exponential(), np.array([-9.0, -40.0]))
+        np.testing.assert_array_equal(got, 0.0)
+        assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("marginal", [MarginalSpec.exponential(),
+                                          MarginalSpec.chi_square(1),
+                                          MarginalSpec.chi_square(32)],
+                             ids=["exponential", "chi2_1", "chi2_32"])
+    def test_far_upper_values_are_finite(self, marginal):
+        # ndtr(9) rounds to 1, which quantile refuses
+        assert special.ndtr(9.0) == 1.0
+        got = _transform(marginal, np.array([8.0, 9.0]))
+        assert np.all(np.isfinite(got)) and got[1] > got[0]
+
+    def test_normal_is_the_identity(self):
+        z = np.array([-40.0, 0.3, 40.0])
+        assert _transform(MarginalSpec.standard_normal(), z) is z
+
+    @pytest.mark.parametrize("marginal", [MarginalSpec.uniform(), MarginalSpec.likert()],
+                             ids=["uniform", "likert"])
+    def test_uniform_and_likert_keep_their_quantile(self, marginal):
+        z = RngStream(19).generator().standard_normal(1000)
+        np.testing.assert_array_equal(_transform(marginal, z),
+                                      marginal.quantile(special.ndtr(z)))
+
+
+# float.hex() of (latent_rho, pop_pearson) of two cheap calibrations, per
+# CALIBRATION_VERSION: a change that moves calibrated values must raise the
+# version, or caches of the old values would still load
+_CALIBRATION_FINGERPRINT = {
+    3: {"exponential": ("0x1.cfffe1975f2cbp-2", "0x1.9947567ad5620p-2"),
+        "chi_square(df=1)": ("0x1.fdffde939eadep-2", "0x1.9a332a9264d3cp-2")},
+}
+
+
+def test_calibration_fingerprint_matches_version():
+    got = {}
+    for marginal in (MarginalSpec.exponential(), MarginalSpec.chi_square(1)):
+        spec = calibrate_copula(marginal, 0.4, calibration_n=10 ** 4,
+                                stream=RngStream(cli.CALIBRATION_SEED))
+        got[marginal.describe()] = (spec.latent_rho.hex(), spec.pop_pearson.hex())
+    assert got == _CALIBRATION_FINGERPRINT.get(CALIBRATION_VERSION), (
+        f"calibrated values moved: raise CALIBRATION_VERSION and update this "
+        f"fingerprint (got {got})")
 
 
 class TestCalibration:
