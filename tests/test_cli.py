@@ -322,9 +322,10 @@ class TestCalibrationCache:
 
     @pytest.mark.parametrize("field,value", [
         ("calibration_seed", 1), ("tolerance", 0.5),
-        ("algorithm", CALIBRATION_VERSION - 1), ("algorithm", None),
+        ("algorithm", 1), ("algorithm", None),
         ("marginal_y", {"family": "exponential"}), ("marginal", {"family": "uniform"}),
-        ("marginal", None), ("target_pearson", 0.3), ("calibration_n", 40000)])
+        ("marginal", None), ("target_pearson", 0.3), ("calibration_n", 40000),
+        pytest.param("algorithm", CALIBRATION_VERSION - 1, id="algorithm-previous")])
     def test_stale_file_is_recalibrated(self, tmp_path, field, value):
         out = tmp_path / "out"
         self.run(out)
