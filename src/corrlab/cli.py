@@ -19,7 +19,9 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from itertools import islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,7 +38,7 @@ __all__ = ["main", "build_parser", "SCHEMA", "PRESETS"]
 ENV_OUT_DIR = "CORRLAB_OUT_DIR"
 DEFAULT_OUT_DIR = "corrlab-out"
 CALIBRATION_SEED = 916001  # populations are fixtures, independent of the run seed
-_RENDER_ROWS = 4096  # rows converted to Python floats at once; a whole table costs MBs
+_RENDER_ROWS = 4096  # rows rendered and written at a time; a whole table can be 273 MB of text
 
 
 def _list_of(conv):
@@ -291,17 +293,47 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _csv_text(columns, rows, cfg_hash: str) -> str:
-    # str of a Python or numpy float is its shortest round-trip repr
-    lines = [f"# config {cfg_hash}", ",".join(columns)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_text(columns, chunks, cfg_hash: str):
+    """The texts of one CSV artifact in write order: its header, then its chunks."""
+    yield f"# config {cfg_hash}\n{','.join(columns)}\n"
+    yield from chunks
+
+
+def _value_rows(rows):
+    """CSV text of rows of values, one ``_RENDER_ROWS`` chunk at a time.
+
+    str of a Python or numpy float is its shortest round-trip repr.
+    """
+    rows = iter(rows)
+    while chunk := list(islice(rows, _RENDER_ROWS)):
+        yield "".join([",".join(map(str, row)) + "\n" for row in chunk])
 
 
 def _float_rows(*columns):
-    """Rows of float columns as Python floats, whose str is faster than numpy's."""
-    for lo in range(0, len(columns[0]), _RENDER_ROWS):
-        yield from np.column_stack([c[lo:lo + _RENDER_ROWS] for c in columns]).tolist()
+    """CSV text of float columns, one ``_RENDER_ROWS`` chunk of rows at a time.
+
+    A column is an array, or a function from an array of row indices to
+    those rows' values.  Each value is written as its shortest round-trip
+    repr, the same text as ``repr(float(value))``.
+    """
+    size = len(next(c for c in columns if not callable(c)))
+    for lo in range(0, size, _RENDER_ROWS):
+        hi = min(lo + _RENDER_ROWS, size)
+        index = np.arange(lo, hi)
+        texts = [_reprs(np.asarray(c(index) if callable(c) else c[lo:hi], dtype=float))
+                 for c in columns]
+        yield "\n".join(map(",".join, zip(*texts))) + "\n"
+
+
+def _reprs(values: np.ndarray) -> list:
+    """repr of each value, computed once per distinct bit pattern.
+
+    Unique by bits, not by value, so -0.0 and 0.0 (and NaN payloads) stay
+    apart.
+    """
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[where].tolist()
 
 
 def _json_text(payload, cfg_hash: str) -> str:
@@ -310,28 +342,34 @@ def _json_text(payload, cfg_hash: str) -> str:
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
-def _commit_artifacts(out_dir: str, artifacts: dict[str, str]):
-    """Write all artifacts, each atomically, after everything is rendered.
+def _commit_artifacts(out_dir: str, artifacts: dict):
+    """Stream each artifact's texts into a staged file, then rename them all.
 
-    An unwritable location is a usage error naming the path.
+    ``artifacts`` maps a file name to the texts to write in order, which
+    may be rendered lazily while they are written.  Only once every file
+    is staged does each replace its final name, so any exception while
+    rendering or writing leaves no staged file and no final file.  An
+    unwritable location is a usage error naming the path.
     """
     staged = []
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for name, text in artifacts.items():
+        for name, texts in artifacts.items():
             final = os.path.join(out_dir, name)
             tmp = final + f".tmp{os.getpid()}"
             staged.append((tmp, final))
             with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(texts)
         for tmp, final in staged:
             os.replace(tmp, final)
-    except OSError as exc:
+    except BaseException as exc:
         for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        raise UsageError(f"cannot write output to {exc.filename or out_dir}: "
-                         f"{exc.strerror or exc}") from exc
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write output to {exc.filename or out_dir}: "
+                             f"{exc.strerror or exc}") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +436,7 @@ def _population_for(marginal: MarginalSpec, target: float, calibration_n: int,
         spec = calibrate_copula(marginal, target, calibration_n, RngStream(CALIBRATION_SEED))
         record = dict(key, **{name: getattr(spec, name) for name in _CALIBRATED})
         _commit_artifacts(os.path.dirname(cache), {
-            os.path.basename(cache): json.dumps(record, indent=2, sort_keys=True)})
+            os.path.basename(cache): [json.dumps(record, indent=2, sort_keys=True)]})
     return spec
 
 
@@ -417,7 +455,7 @@ def _dataset_for(params: dict, default_population: str = "dbq-like"):
 
 # ---------------------------------------------------------------------------
 # Subcommand runners: each returns its artifacts plus stdout lines; a .csv
-# artifact is (columns, rows), a .json artifact is its payload
+# artifact is (columns, chunk texts), a .json artifact is its payload
 # ---------------------------------------------------------------------------
 
 def _run_convert(cfg: RunConfig):
@@ -494,7 +532,8 @@ def _run_moments(cfg: RunConfig):
             for i, name in enumerate(profile.column_names)]
     lines = [f"profiled {dataset.n_cols} columns over {dataset.n_rows} rows "
              f"({dataset.dropped_rows} rows dropped)"]
-    return {"moments.csv": (("column", "mean", "sd", "skewness", "kurtosis"), rows)}, lines
+    return {"moments.csv": (("column", "mean", "sd", "skewness", "kurtosis"),
+                            _value_rows(rows))}, lines
 
 
 def _run_simulate(cfg: RunConfig):
@@ -539,9 +578,9 @@ def _run_simulate(cfg: RunConfig):
         if params["emit-sample"] > 0 and cond_index == 0:
             sample = sample_population(population, params["emit-sample"],
                                        RngStream(cfg.seed).child(cond_index, 2 ** 20))
-            artifacts["depiction_sample.csv"] = (("x", "y"), zip(sample.x, sample.y))
+            artifacts["depiction_sample.csv"] = (("x", "y"), _float_rows(sample.x, sample.y))
     artifacts["simulation_summary.csv"] = (simulate.SUMMARY_COLUMNS,
-                                           [r.row() for r in all_rows])
+                                           _value_rows(r.row() for r in all_rows))
     return artifacts, lines
 
 
@@ -558,9 +597,9 @@ def _run_influence(cfg: RunConfig):
             else influence.scan_double(base, outlier, axis))
 
     k = grid.axis.size
-    gx = np.repeat(grid.axis, k)
-    gy = np.tile(grid.axis, k)
-    rows = _float_rows(gx, gy, grid.delta_pearson.ravel(), grid.delta_spearman.ravel())
+    # row r is the cell (axis[r // k], axis[r % k]); no k*k-long x or y column is formed
+    rows = _float_rows(lambda r: grid.axis[r // k], lambda r: grid.axis[r % k],
+                       grid.delta_pearson.ravel(), grid.delta_spearman.ravel())
     summary = {
         "base_pearson": grid.base_pearson,
         "base_spearman": grid.base_spearman,
@@ -603,9 +642,9 @@ def _run_resample(cfg: RunConfig):
                "redraw_count": result.redraw_count, "n_pairs": len(result.pairs)}
     lines = [f"{result.n_samples} samples of {result.sample_size} rows, "
              f"{len(result.pairs)} pairs, {result.redraw_count} redraws"]
-    return {"resample_pairs.csv": ([f.name for f in fields(resample.PairSummary)],
-                                   map(astuple, result.pairs)),
-            "resample_table.csv": (("statistic", "value"), table_rows),
+    names = [f.name for f in fields(resample.PairSummary)]
+    return {"resample_pairs.csv": (names, _value_rows(map(attrgetter(*names), result.pairs))),
+            "resample_table.csv": (("statistic", "value"), _value_rows(table_rows)),
             "resample_summary.json": summary}, lines
 
 
@@ -622,7 +661,7 @@ def _run_eigen(cfg: RunConfig):
             "max_trace_error": summary.max_trace_error}
     lines = [f"top {summary.k} eigenvalues over {summary.n_samples} samples "
              f"(max trace error {summary.max_trace_error:.2e})"]
-    return {"eigen_table.csv": (("eigenvalue",) + columns, rows),
+    return {"eigen_table.csv": (("eigenvalue",) + columns, _value_rows(rows)),
             "eigen_summary.json": meta}, lines
 
 
@@ -638,12 +677,12 @@ _RUNNERS = {
 
 
 def dispatch(cfg: RunConfig) -> int:
-    """Run the subcommand, then render and write every artifact under one hash."""
+    """Run the subcommand, then stream every artifact to disk under one hash."""
     artifacts, lines = _RUNNERS[cfg.subcommand](cfg)
     artifacts["resolved_config.json"] = cfg.as_echo()
     cfg_hash = cfg.hash()
     _commit_artifacts(cfg.out_dir, {
-        name: _json_text(body, cfg_hash) if name.endswith(".json")
+        name: [_json_text(body, cfg_hash)] if name.endswith(".json")
         else _csv_text(*body, cfg_hash)
         for name, body in artifacts.items()})
     for line in lines:

@@ -42,6 +42,14 @@ __all__ = [
 
 SERIES_RELATIVE_TOL = 1e-15
 SERIES_MAX_TERMS = 10 ** 6
+# Above NEAR_ONE_X the power series at small c needs up to millions of terms
+# (tens of millions at c = 2, x = 1 - 1e-12); the connection formula toward
+# 1 - x converges in a few dozen.  From NEAR_ONE_MAX_C on the series
+# converges within about 40 terms even at x = 1 - 2**-52.  The formula is
+# taken only where 2c is an integer: as c nears an integer without reaching
+# it, its two terms grow without bound and cancel.
+NEAR_ONE_X = 0.99
+NEAR_ONE_MAX_C = 50.0
 
 
 @dataclass(frozen=True)
@@ -72,21 +80,79 @@ def hyp2f1_half_half(c: float, x) -> float | np.ndarray:
     """Gauss hypergeometric function 2F1(1/2, 1/2; c; x) for c > 1, 0 <= x < 1.
 
     Power series summed with the term-ratio recurrence, truncated once
-    the relative term falls below 1e-15, capped at 1e6 terms.
+    the relative term falls below 1e-15, capped at 1e6 terms.  For
+    x > ``NEAR_ONE_X`` at an integer or half-integer c < ``NEAR_ONE_MAX_C``
+    the connection formula toward 1 - x (`_toward_one`) runs instead; at
+    any other c the series runs there too, and raises `NumericError` when
+    it needs more terms than the cap.
     """
     if not c > 1.0:
         raise InputError(f"series parameter c must exceed 1, got {c}")
     x_arr = np.asarray(x, dtype=float)
     if np.any((x_arr < 0.0) | (x_arr >= 1.0)):
         raise InputError("series argument must lie in [0, 1)")
-    term = np.ones_like(x_arr)
-    total = np.ones_like(x_arr)
+    near = (x_arr > NEAR_ONE_X) & (c < NEAR_ONE_MAX_C) & (2.0 * c == math.floor(2.0 * c))
+    out = np.empty_like(x_arr)
+    if not np.all(near):
+        out[~near] = _power_series(c, x_arr[~near])
+    if np.any(near):
+        out[near] = _toward_one(c, 1.0 - x_arr[near])
+    return out if np.ndim(x) else float(out)
+
+
+def _power_series(c: float, x: np.ndarray) -> np.ndarray:
+    term = np.ones_like(x)
+    total = np.ones_like(x)
     for i in range(SERIES_MAX_TERMS):
-        term = term * ((0.5 + i) ** 2 / ((c + i) * (i + 1.0))) * x_arr
+        term = term * ((0.5 + i) ** 2 / ((c + i) * (i + 1.0))) * x
         total = total + term
         if np.all(term <= SERIES_RELATIVE_TOL * total):
-            return total if np.ndim(x) else float(total)
+            return total
     raise NumericError("hypergeometric series did not converge within 1e6 terms")
+
+
+def _toward_one(c: float, y: np.ndarray) -> np.ndarray:
+    """2F1(1/2, 1/2; c; 1 - y) for 0 < y < 0.01 and 2c an integer in (2, 100).
+
+    With s = c - 1, DLMF 15.8.4 gives A*H + y**s * T, where
+    A = Gamma(c) Gamma(s) / Gamma(c - 1/2)**2 (Gauss's value at x = 1),
+    H = sum_k (1/2)_k**2 / ((1 - s)_k k!) y**k and
+    T = Gamma(c) Gamma(-s) / pi * sum_n (s + 1/2)_n**2 / ((1 + s)_n n!) y**n.
+    When s is an integer m, H stops before k = m and T is the logarithmic
+    sum of DLMF 15.8.10 (A&S 15.3.11): -(-1)**m / pi times the same
+    coefficients, each weighted by
+    ln y - psi(n + 1) - psi(n + m + 1) + 2 psi(n + m + 1/2).
+    At c < 50 and y < 0.01 the terms of T shrink from the first and those
+    of H from k = s on, so each sum stops at a term below 1e-15 of it.
+    """
+    s = c - 1.0
+    log_case = s == math.floor(s)
+    term = head = np.ones_like(y)
+    for k in range(int(s) - 1 if log_case else SERIES_MAX_TERMS):
+        term = term * ((0.5 + k) ** 2 / ((1.0 - s + k) * (k + 1.0))) * y
+        head = head + term
+        if k > s and np.all(np.abs(term) <= SERIES_RELATIVE_TOL * np.abs(head)):
+            break
+    if log_case:
+        scale = -(-1.0) ** s / math.pi
+
+        def weight(n):
+            return (np.log(y) - special.digamma(n + 1.0) - special.digamma(n + c)
+                    + 2.0 * special.digamma(n + c - 0.5))
+    else:
+        scale = special.gamma(c) * special.gamma(-s) / math.pi
+
+        def weight(n):
+            return 1.0
+    term = np.ones_like(y)
+    tail = weight(0) * term
+    for n in range(1, SERIES_MAX_TERMS):
+        term = term * ((s - 0.5 + n) ** 2 / ((s + n) * n)) * y
+        part = weight(n) * term
+        tail = tail + part
+        if np.all(np.abs(part) <= SERIES_RELATIVE_TOL * np.abs(tail)):
+            break
+    return special.beta(s, 0.5) / special.beta(c - 0.5, 0.5) * head + scale * y ** s * tail
 
 
 # ---------------------------------------------------------------------------

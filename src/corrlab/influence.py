@@ -22,7 +22,8 @@ from .estimators import PairedSample, _correlation_core, pearson, spearman
 __all__ = ["AxisSpec", "InfluenceGrid", "scan_single", "scan_double",
            "exceedance_fraction", "delta_width", "MAX_AXIS_POINTS"]
 
-# 100x the fig5 axis; a scan this size holds a few (k x k) float matrices, peaking near 144 MB
+# 100x the fig5 axis; a scan this size holds a few (k x k) float matrices, peaking near
+# 144 MB, and the CLI run that streams its 273 MB grid CSV to disk peaks near 160 MB
 MAX_AXIS_POINTS = 2001
 
 

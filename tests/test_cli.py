@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -206,6 +207,71 @@ class TestArtifacts:
                   "--out-dir", str(b)])
         assert ((a / "simulation_summary.csv").read_bytes()
                 != (b / "simulation_summary.csv").read_bytes())
+
+
+# floats whose shortest repr is easy to get wrong: both zeros, NaN, the
+# infinities, subnormals, the extremes and the switch to exponent notation
+_AWKWARD_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-5, 0.1]
+_CHUNK = cli._RENDER_ROWS
+
+
+@st.composite
+def _float_columns(draw):
+    """Two columns of one length, each drawn from a small pool (heavy
+    repeats, both zeros) or of fresh values (mostly distinct)."""
+    size = draw(st.sampled_from([0, 1, 2, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            pool = np.array(_AWKWARD_FLOATS + draw(st.lists(st.floats(), max_size=10)))
+            columns.append(pool[rng.integers(0, pool.size, size)])
+        else:
+            columns.append(rng.standard_normal(size) * 10.0 ** draw(st.integers(-320, 300)))
+    return columns
+
+
+class TestRendering:
+    @settings(max_examples=60, deadline=None)
+    @given(columns=_float_columns())
+    def test_float_rows_write_the_repr_of_every_value(self, columns):
+        rows = list(zip(*(c.tolist() for c in columns)))
+        expected = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        assert "".join(cli._float_rows(*columns)) == expected
+        assert "".join(cli._value_rows(rows)) == expected
+
+    @pytest.mark.parametrize("k", [1, 3, 64, 65])
+    def test_grid_columns_from_row_indices(self, k):
+        # 65 * 65 rows cross a chunk boundary
+        axis, cells = np.linspace(-1.0, 1.0, k), np.arange(k * k) / 7.0
+        by_index = cli._float_rows(lambda r: axis[r // k], lambda r: axis[r % k], cells)
+        assert "".join(by_index) == "".join(cli._float_rows(np.repeat(axis, k),
+                                                            np.tile(axis, k), cells))
+
+    def test_failure_while_streaming_leaves_no_file(self, tmp_path, monkeypatch):
+        reprs, calls = cli._reprs, []
+
+        def fail_in_second_chunk(values):
+            calls.append(values.size)
+            if len(calls) > 4:  # the grid has four columns
+                raise NumericError("formatting failed")
+            return reprs(values)
+        monkeypatch.setattr(cli, "_reprs", fail_in_second_chunk)
+        out = tmp_path / "out"
+        assert cli.main(["influence", "--preset", "fig5", "--out-dir", str(out)]) == 4
+        assert len(calls) == 5
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_any_exception_removes_every_staged_file(self, tmp_path, error):
+        def texts():
+            yield "partial\n"
+            raise error("stop")
+        with pytest.raises(error):
+            cli._commit_artifacts(str(tmp_path), {"a.json": ["{}\n"], "b.csv": texts(),
+                                                  "c.json": ["{}\n"]})
+        assert os.listdir(tmp_path) == []
 
 
 class TestStudies:
@@ -717,6 +783,11 @@ class TestPeakMemory:
                 "assert axis.size == influence.MAX_AXIS_POINTS\n"
                 "influence.scan_single(sample_bivariate_normal(0.2, 200, RngStream(1)), axis)")
         assert self.peak_mb(code) < 150
+
+    def test_influence_cli_streams_its_grid(self, tmp_path):
+        # 1,002,001 rows; rendering the whole table before writing it took 320 MB
+        argv = ["influence", "--axis-step", "0.01", "--out-dir", str(tmp_path)]
+        assert self.peak_mb(f"from corrlab import cli\nassert cli.main({argv!r}) == 0") < 150
 
     def test_resample_reduces_one_block_at_a_time(self, tmp_path):
         # one full chunk and part of a second; gathering a whole chunk of

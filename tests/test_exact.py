@@ -47,6 +47,30 @@ class TestHypergeometricSeries:
         vals = hyp2f1_half_half(4.5, xs)
         assert np.all(np.diff(vals) > 0)
 
+    @pytest.mark.parametrize("c", [1.5, 2.0, 2.5, 3.0, 7.25, 10.0, 49.5, 50.0, 100.5])
+    def test_near_one_matches_mpmath(self, c):
+        # above x = 0.99 the connection formula runs at integer and half-integer
+        # c < 50; the series runs at c = 7.25 and from c = 50 on
+        xs = [np.nextafter(0.99, 1.0), 0.995, 1 - 1e-5, 1 - 1e-9, 1 - 1e-12, 1 - 2 ** -52]
+        with mp.workdps(40):
+            expected = [float(mp.hyp2f1(0.5, 0.5, c, x)) for x in xs]
+        np.testing.assert_allclose(hyp2f1_half_half(c, np.array(xs)), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("x", [0.995, 0.999])
+    def test_near_integer_c_keeps_the_series(self, x):
+        # there the two terms of the connection formula cancel to about 1e-6
+        c = 2 + 1e-13
+        with mp.workdps(40):
+            expected = float(mp.hyp2f1(0.5, 0.5, c, x))
+        assert hyp2f1_half_half(c, x) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1.5, 2.0, 7.25])
+    def test_series_kept_up_to_the_switch(self, c):
+        at, above = 0.99, np.nextafter(0.99, 1.0)
+        assert hyp2f1_half_half(c, at) == float(exact._power_series(c, np.array(at)))
+        assert hyp2f1_half_half(c, above) == pytest.approx(hyp2f1_half_half(c, at),
+                                                           rel=1e-12)
+
     def test_domain_errors(self):
         with pytest.raises(InputError):
             hyp2f1_half_half(0.5, 0.5)
@@ -142,6 +166,16 @@ class TestExpectedValues:
             assert expected_pearson(rho, 1000) == pytest.approx(rho, abs=1e-3)
             assert expected_spearman(rho, 1000) == pytest.approx(
                 spearman_from_pearson(rho), abs=1e-3)
+
+    @pytest.mark.parametrize("rho,n", [(0.999999, 3), (0.99999, 3), (-0.9999999999, 4),
+                                       (0.995, 10), (0.999, 98)])
+    def test_expected_pearson_near_unit_population_value(self, rho, n):
+        # the series at x = rho**2 needed over 1e6 terms here
+        with mp.workdps(40):
+            scale = 2 * mp.exp(2 * (mp.loggamma(mp.mpf(n) / 2) - mp.loggamma(mp.mpf(n - 1) / 2)))
+            expected = float(scale / (n - 1) * rho * mp.hyp2f1(0.5, 0.5, mp.mpf(n + 1) / 2,
+                                                               mp.mpf(rho) ** 2))
+        assert expected_pearson(rho, n) == pytest.approx(expected, rel=1e-12)
 
     def test_magnitude_never_exceeds_population_value(self):
         for rho in np.linspace(-0.9, 0.9, 10):
