@@ -312,15 +312,18 @@ def _value_rows(rows):
 def _float_rows(*columns):
     """CSV text of float columns, one ``_RENDER_ROWS`` chunk of rows at a time.
 
-    A column is an array, or a function from an array of row indices to
-    those rows' values.  Each value is written as its shortest round-trip
-    repr, the same text as ``repr(float(value))``.
+    A column is an array, a function from an array of row indices to
+    those rows' values, or the list of chunk texts that ``_float_rows``
+    yielded for it alone (a column that several tables share, rendered
+    once).  At least one column is an array.  Each value is written as
+    its shortest round-trip repr, the same text as ``repr(float(value))``.
     """
-    size = len(next(c for c in columns if not callable(c)))
+    size = len(next(c for c in columns if isinstance(c, np.ndarray)))
     for lo in range(0, size, _RENDER_ROWS):
         hi = min(lo + _RENDER_ROWS, size)
         index = np.arange(lo, hi)
-        texts = [_reprs(np.asarray(c(index) if callable(c) else c[lo:hi], dtype=float))
+        texts = [c[lo // _RENDER_ROWS].splitlines() if isinstance(c, list) else
+                 _reprs(np.asarray(c(index) if callable(c) else c[lo:hi], dtype=float))
                  for c in columns]
         yield "\n".join(map(",".join, zip(*texts))) + "\n"
 
@@ -482,13 +485,15 @@ def _run_density(cfg: RunConfig):
     artifacts = {}
     lines = []
     summary = []
+    grid_chunks = None  # every curve shares one r grid: render it once
     for rho in params["pearson"]:
         for n in params["n"]:
             curve = exact.density_curve(rho, n, points=params["points"])
             area = float(np.trapezoid(curve.density, curve.grid))
             stem = f"rp{rho:g}_n{n}"
+            grid_chunks = grid_chunks or list(_float_rows(curve.grid))
             artifacts[f"density_{stem}.csv"] = (("r", "density"),
-                                                _float_rows(curve.grid, curve.density))
+                                                _float_rows(grid_chunks, curve.density))
             entry = {"pearson": rho, "n": n, "area": area}
             if params["mc-reps"] > 0:
                 artifacts[f"histogram_{stem}.csv"] = (

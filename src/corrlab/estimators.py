@@ -37,7 +37,9 @@ __all__ = [
 KINDS = ("pearson", "spearman", "kendall")
 _KENDALL_BLOCK_VALUES = 2 ** 18  # column pairs x rows per kendall_rows call
 _SHORT_ROW = 7  # rows this short reduce column-wise, bit for bit: numpy sums < 8 terms in order
+assert _SHORT_ROW * (_SHORT_ROW ** 2 - 1) // 3 <= 127, "short-row sign sums are reduced in int8"
 _KENDALL_PAIRWISE_ROW = 52  # measured crossover of the pair loop and the merge counter
+assert _KENDALL_PAIRWISE_ROW <= 128, "the pair loop sums up to n - 1 signs in int8"
 
 
 def _row_arrays(*arrays):
@@ -141,15 +143,25 @@ def _tie_run_start(first: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.where(first, idx, 0), axis=1)
 
 
-def _mid_ranks(columns: np.ndarray) -> np.ndarray:
-    """Mid-ranks down axis 0 of an (n, rows) array as the exact half-integers
-    (n+1)/2 + sum_j sign(a_i - a_j)/2, one pass per pair of positions."""
-    r = np.full(columns.shape, 0.5 * (len(columns) + 1))
-    for i, j in itertools.combinations(range(len(columns)), 2):
-        half = 0.5 * np.sign(columns[i] - columns[j])
-        r[i] += half
-        r[j] -= half
-    return r
+def _sign_sums(columns: np.ndarray) -> np.ndarray:
+    """S_i = sum_j sign(a_i - a_j) down axis 0 of a contiguous (n, rows)
+    array, as exact int8: the a_j below a_i minus those above it, from one
+    comparison per ordered pair of positions.  No difference is formed, so
+    nothing overflows or rounds.
+
+    The mid-rank of a_i is (n+1)/2 + S_i/2, so S_i/2 is the mid-rank minus
+    the exact mean rank.  Every sum of S_i**2 or of S_i*T_i down a column
+    lies within n(n**2 - 1)/3, which is 112 at n = 7, so short rows reduce
+    them exactly in int8 as well.
+    """
+    above = (columns[:, None] > columns).view(np.int8)  # [i, j]: a_i > a_j
+    return above.sum(axis=1, dtype=np.int8) - above.sum(axis=0, dtype=np.int8)
+
+
+def _column_dots(s: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
+    """Sums of s*t down axis 0 of two int8 sign or sign-sum arrays, in int8:
+    exact while every sum lies within +-127."""
+    return np.add.reduce(s * t, axis=0, dtype=np.int8, out=out)
 
 
 def _level_ranks(a: np.ndarray):
@@ -185,17 +197,19 @@ def rank_rows(a: np.ndarray):
     ``a`` and ``had_ties`` is a boolean per row.  Tied values receive the
     mean of the ranks they span, so each row sums to n(n+1)/2 exactly.
 
-    Three paths give the same bits.  Rows of n <= 7 are ranked from
-    pairwise signs.  Longer rows are ranked by counting each row's levels
-    when every value of the array is an integer and each row's largest
-    value is less than n above its smallest (Likert items, counts); any
-    other array is sorted.
+    Three paths give the same bits.  Rows of n <= 7 are ranked as
+    (n+1)/2 + S/2 from their int8 sign sums S (see :func:`_sign_sums`),
+    and tied where the sum of S**2 falls short of its untied n(n**2 - 1)/3.
+    Longer rows are ranked by counting each row's levels when every value
+    of the array is an integer and each row's largest value is less than
+    n above its smallest (Likert items, counts); any other array is sorted.
     """
     (a,) = _row_arrays(a)
     n = a.shape[1]
-    if n <= _SHORT_ROW:  # ties shrink the sum of squared ranks
-        r = _mid_ranks(a.T)
-        return np.ascontiguousarray(r.T), (r * r).sum(axis=0) < n * (n + 1) * (2 * n + 1) / 6
+    if n <= _SHORT_ROW:  # ties shrink the sum of squared sign sums
+        s = _sign_sums(np.ascontiguousarray(a.T))
+        had_ties = _column_dots(s, s) < n * (n * n - 1) // 3
+        return np.ascontiguousarray(((s + (n + 1)) * 0.5).T), had_ties
     counted = _level_ranks(a)
     if counted is not None:
         return counted
@@ -253,10 +267,21 @@ def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise Spearman coefficient of finite rows: Pearson applied to fractional ranks."""
+    """Row-wise Spearman coefficient of finite rows: Pearson applied to fractional ranks.
+
+    Rows of n <= 7 take sum(S*T) / sqrt(sum(S**2) * sum(T**2)) of the int8
+    sign sums S, T of x and y; a constant row has S = 0, which makes it
+    0 / 0, NaN.  Centred mid-ranks are S/2 and T/2, and scaling by powers
+    of two is exact through the products, the square root and the
+    division, so this is Pearson of the mid-ranks bit for bit; it cannot
+    leave [-1, 1].
+    """
     x, y = _row_arrays(x, y)
     if x.shape[1] <= _SHORT_ROW:
-        return _pearson(_mid_ranks(x.T), _mid_ranks(y.T), axis=0)
+        sx, sy = (_sign_sums(np.ascontiguousarray(a.T)) for a in (x, y))
+        den2 = _column_dots(sx, sx) * _column_dots(sy, sy).astype(float)
+        with np.errstate(invalid="ignore"):
+            return _column_dots(sx, sy) / np.sqrt(den2)
     return pearson_rows(rank_rows(x)[0], rank_rows(y)[0])
 
 
@@ -299,19 +324,28 @@ def _tied_pair_counts(first: np.ndarray) -> np.ndarray:
     return (np.arange(first.shape[1]) - _tie_run_start(first)).sum(axis=1)
 
 
+def _pair_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sign(a - b) as exact int8 from two comparisons: no difference to
+    overflow or round."""
+    return (a > b).view(np.int8) - (a < b).view(np.int8)
+
+
 def _pair_sign_counts(x: np.ndarray, y: np.ndarray):
     """Concordance surplus and untied x and y pair counts per row: integer
     sums of sign(x_j - x_i) * sign(y_j - y_i) over j > i, as exact as the
-    merge counter's and cheaper below the crossover."""
+    merge counter's and cheaper below the crossover.  Position i's int8
+    sums hold its n - 1 - i signs against the later positions, so they are
+    exact up to n = 128; the positions are then summed in int64."""
     xt, yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
-    counts = np.zeros((3, x.shape[0]))
-    for i in range(x.shape[1] - 1):
-        sx = np.sign(xt[i + 1:] - xt[i])
-        sy = np.sign(yt[i + 1:] - yt[i])
-        counts[0] += np.einsum("ij,ij->j", sx, sy)
-        counts[1] += np.einsum("ij,ij->j", sx, sx)
-        counts[2] += np.einsum("ij,ij->j", sy, sy)
-    return counts
+    n = x.shape[1]
+    per_position = np.zeros((3, n, x.shape[0]), dtype=np.int8)
+    for i in range(n - 1):
+        sx = _pair_signs(xt[i + 1:], xt[i])
+        sy = _pair_signs(yt[i + 1:], yt[i])
+        _column_dots(sx, sy, out=per_position[0, i])
+        _column_dots(sx, sx, out=per_position[1, i])
+        _column_dots(sy, sy, out=per_position[2, i])
+    return per_position.sum(axis=1, dtype=np.int64)
 
 
 def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray:

@@ -165,10 +165,11 @@ def moment_profile(dataset: PopulationDataset) -> MomentProfile:
     v = dataset.values
     mean = v.mean(axis=0)
     centered = v - mean
-    m2 = (centered ** 2).mean(axis=0)
+    squared = centered * centered  # products, not pow: ** 3 and ** 4 call pow per entry
+    m2 = squared.mean(axis=0)
     sd = np.sqrt(m2)
-    skew = (centered ** 3).mean(axis=0) / sd ** 3
-    kurt = (centered ** 4).mean(axis=0) / m2 ** 2
+    skew = (squared * centered).mean(axis=0) / sd ** 3
+    kurt = (squared * squared).mean(axis=0) / m2 ** 2
     return MomentProfile(column_names=dataset.column_names, mean=mean, sd=sd,
                          skewness=skew, kurtosis=kurt)
 

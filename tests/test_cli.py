@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrlab import cli
+from corrlab import cli, exact
 from corrlab.errors import NumericError, UsageError
 from corrlab.randgen import CALIBRATION_VERSION, MarginalSpec
 
@@ -155,6 +155,17 @@ class TestDensity:
         dens = np.array([float(r[1]) for r in rows])
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
 
+    def test_curves_share_one_rendered_grid(self, tmp_path):
+        # 5,001 points span two render chunks of the shared r texts
+        assert cli.main(["density", "--pearson", "0,0.6", "--n", "4,30", "--points", "5001",
+                         "--out-dir", str(tmp_path)]) == 0
+        for rho in (0.0, 0.6):
+            for n in (4, 30):
+                _, rows = read_csv(tmp_path / f"density_rp{rho:g}_n{n}.csv")
+                curve = exact.density_curve(rho, n, points=5001)
+                assert [r[0] for r in rows] == [repr(float(v)) for v in curve.grid]
+                assert [r[1] for r in rows] == [repr(float(v)) for v in curve.density]
+
     def test_histogram_artifact(self, tmp_path):
         assert cli.main(["density", "--pearson", "0.2", "--n", "5",
                          "--mc-reps", "20000", "--out-dir", str(tmp_path)]) == 0
@@ -240,6 +251,8 @@ class TestRendering:
         expected = "".join(",".join(map(repr, row)) + "\n" for row in rows)
         assert "".join(cli._float_rows(*columns)) == expected
         assert "".join(cli._value_rows(rows)) == expected
+        shared = list(cli._float_rows(columns[0]))  # rendered once, as density shares its grid
+        assert "".join(cli._float_rows(shared, columns[1])) == expected
 
     @pytest.mark.parametrize("k", [1, 3, 64, 65])
     def test_grid_columns_from_row_indices(self, k):

@@ -82,6 +82,61 @@ def short_row_cases(rng, n, rows=60):
     return [(x[k], y[k]) for k in range(3)]
 
 
+def float_sign_ranks(columns):
+    """Mid-ranks down axis 0 of an (n, rows) array as the float half-integers
+    (n+1)/2 + sum_j sign(a_i - a_j)/2, from float differences and np.sign."""
+    r = np.full(columns.shape, 0.5 * (len(columns) + 1))
+    with np.errstate(over="ignore"):  # +-1.7e308 differences overflow to +-inf
+        for i, j in itertools.combinations(range(len(columns)), 2):
+            half = 0.5 * np.sign(columns[i] - columns[j])
+            r[i] += half
+            r[j] -= half
+    return r
+
+
+def float_sign_spearman(x, y):
+    """Pearson of float_sign_ranks, every sum taken down the columns."""
+    rx, ry = (float_sign_ranks(np.ascontiguousarray(a.T)) for a in (x, y))
+    xc, yc = rx - rx.mean(axis=0), ry - ry.mean(axis=0)
+    den2 = (xc * xc).sum(axis=0) * (yc * yc).sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = (xc * yc).sum(axis=0) / np.sqrt(den2)
+    return np.clip(np.where(den2 > 0.0, r, np.nan), -1.0, 1.0)
+
+
+def float_sign_kendall(x, y, variant):
+    """Kendall from float pairwise signs: sums of sign(x_j - x_i) * sign(y_j - y_i)."""
+    n = x.shape[1]
+    xt, yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
+    counts = np.zeros((3, x.shape[0]))
+    with np.errstate(over="ignore"):
+        for i in range(n - 1):
+            sx, sy = np.sign(xt[i + 1:] - xt[i]), np.sign(yt[i + 1:] - yt[i])
+            counts[:] += [(sx * sy).sum(axis=0), (sx * sx).sum(axis=0), (sy * sy).sum(axis=0)]
+    surplus, untied_x, untied_y = counts
+    n0 = n * (n - 1) // 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tau = surplus / (float(n0) if variant == "a" else np.sqrt(untied_x * untied_y))
+    return np.clip(np.where(untied_x * untied_y > 0.0, tau, np.nan), -1.0, 1.0)
+
+
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308, 1.7e308, -1.7e308, 1.0])
+
+
+def sign_sum_cases(rng, n, rows):
+    """(name, rows x n array): untied, small-integer ties, signed zeros,
+    subnormals and +-1.7e308 (whose differences overflow), each with every
+    fourth row made constant."""
+    cases = {"untied": rng.standard_normal((rows, n)),
+             "integer ties": rng.integers(-2, 3, (rows, n)).astype(float),
+             "signed zeros": rng.choice([0.0, -0.0, 1.0], (rows, n)),
+             "subnormals": rng.choice([0.0, 5e-324, -5e-324, 1e-310, -1e-310], (rows, n)),
+             "edge values": rng.choice(EDGE_VALUES, (rows, n))}
+    for a in cases.values():
+        a[::4] = a[::4, :1]
+    return cases
+
+
 def long_row_cases(rng, n):
     """Rows of length n > 7 by case name, each with whether rank_rows counts
     their levels (every value an integer less than n above its row minimum)
@@ -193,6 +248,60 @@ class TestShortRowExactness:
             rx = np.array([rank_oracle(list(row)) for row in x])
             ry = np.array([rank_oracle(list(row)) for row in y])
             np.testing.assert_array_equal(spearman_rows(x, y), pearson_reference(rx, ry))
+
+
+class TestSignSums:
+    """The int8 sign-sum kernels against the float-difference formulas they
+    replace, bit for bit: ranks and tie flags for n = 1..7, Spearman with
+    its NaN rows, and Kendall's pair loop up past its switch to the merge
+    counter."""
+
+    @pytest.mark.parametrize("rows", [5, 4096])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_ranks_and_ties(self, n, rows):
+        for name, a in sign_sum_cases(np.random.default_rng(400 + n), n, rows).items():
+            ranks, ties = rank_rows(a)
+            expected = float_sign_ranks(np.ascontiguousarray(a.T)).T
+            np.testing.assert_array_equal(ranks, expected, err_msg=name)
+            assert ranks.flags.c_contiguous
+            np.testing.assert_array_equal(
+                ties, (expected * expected).sum(axis=1) < n * (n + 1) * (2 * n + 1) / 6,
+                err_msg=name)
+            np.testing.assert_array_equal(ties, [len(set(row)) < n for row in a.tolist()],
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("rows", [5, 4096])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_spearman(self, n, rows):
+        rng = np.random.default_rng(500 + n)
+        xs, ys = sign_sum_cases(rng, n, rows), sign_sum_cases(rng, n, rows)
+        for name in xs:
+            x, y = xs[name], np.roll(ys[name], 1, axis=0)  # y alone constant in row 1
+            got = spearman_rows(x, y)
+            np.testing.assert_array_equal(got, float_sign_spearman(x, y), err_msg=name)
+            assert np.isnan(got[::4]).all() and np.isnan(got[1])
+
+    @pytest.mark.parametrize("n", range(2, _KENDALL_PAIRWISE_ROW + 6))
+    def test_kendall_edge_values(self, n):
+        rng = np.random.default_rng(600 + n)
+        xs, ys = sign_sum_cases(rng, n, 5), sign_sum_cases(rng, n, 5)
+        for name in xs:
+            for variant in ("a", "b"):
+                np.testing.assert_array_equal(
+                    kendall_rows(xs[name], ys[name], variant=variant),
+                    float_sign_kendall(xs[name], ys[name], variant),
+                    err_msg=f"{name}, tau-{variant}")
+
+    @pytest.mark.parametrize("n", [2, 7, 30, _KENDALL_PAIRWISE_ROW])
+    def test_kendall_full_chunk(self, n):
+        rng = np.random.default_rng(700 + n)
+        xs, ys = sign_sum_cases(rng, n, 4096), sign_sum_cases(rng, n, 4096)
+        for name in ("untied", "integer ties", "edge values"):
+            for variant in ("a", "b"):
+                np.testing.assert_array_equal(
+                    kendall_rows(xs[name], ys[name], variant=variant),
+                    float_sign_kendall(xs[name], ys[name], variant),
+                    err_msg=f"{name}, tau-{variant}")
 
 
 class TestVaries:

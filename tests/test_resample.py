@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, moments, scale sums, and the resampling study."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -124,6 +125,21 @@ class TestMomentProfile:
         prof = moment_profile(PopulationDataset(("pm", "ramp"), values))
         assert prof.skewness[0] == pytest.approx(0.0, abs=1e-12)
         assert prof.kurtosis[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_exact_rational_moments(self):
+        values = np.array([[0, 3, -2], [1, 3, 5], [1, 7, 1], [2, -4, 1], [5, 0, 0],
+                           [9, 1, -6], [1, 2, 2]], dtype=float)
+        prof = moment_profile(PopulationDataset(("a", "b", "c"), values))
+        for j, column in enumerate(values.T.astype(int).tolist()):
+            mean = Fraction(sum(column), len(column))
+            m2, m3, m4 = (sum((v - mean) ** k for v in column) / len(column)
+                          for k in (2, 3, 4))
+            assert prof.mean[j] == float(mean)
+            assert prof.sd[j] ** 2 == pytest.approx(float(m2), rel=1e-14)
+            # skewness is m3 / m2**1.5: compare its square, a rational, and its sign
+            assert prof.skewness[j] ** 2 == pytest.approx(float(m3 ** 2 / m2 ** 3), rel=1e-14)
+            assert np.sign(prof.skewness[j]) == np.sign(m3)
+            assert prof.kurtosis[j] == pytest.approx(float(m4 / m2 ** 2), rel=1e-14)
 
     def test_moment_inequality(self, dbq):
         prof = moment_profile(dbq)
