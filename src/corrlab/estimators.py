@@ -40,6 +40,7 @@ _SHORT_ROW = 7  # rows this short reduce column-wise, bit for bit: numpy sums < 
 assert _SHORT_ROW * (_SHORT_ROW ** 2 - 1) // 3 <= 127, "short-row sign sums are reduced in int8"
 _KENDALL_PAIRWISE_ROW = 52  # measured crossover of the pair loop and the merge counter
 assert _KENDALL_PAIRWISE_ROW <= 128, "the pair loop sums up to n - 1 signs in int8"
+_BASE_BLOCK = 16  # the merge counter counts inside blocks this wide by direct compares
 
 
 def _row_arrays(*arrays):
@@ -178,7 +179,8 @@ def _level_ranks(a: np.ndarray):
     col0 = a[:, 0]
     if not np.array_equal(np.trunc(col0), col0):
         return None
-    offsets = a - a.min(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # a span past 1.8e308 overflows to inf, which is >= n
+        offsets = a - a.min(axis=1, keepdims=True)
     top = offsets.max(initial=0.0)
     if top >= a.shape[1] or not np.array_equal(np.trunc(a), a):
         return None
@@ -197,12 +199,14 @@ def rank_rows(a: np.ndarray):
     ``a`` and ``had_ties`` is a boolean per row.  Tied values receive the
     mean of the ranks they span, so each row sums to n(n+1)/2 exactly.
 
-    Three paths give the same bits.  Rows of n <= 7 are ranked as
+    Four paths give the same bits.  Rows of n <= 7 are ranked as
     (n+1)/2 + S/2 from their int8 sign sums S (see :func:`_sign_sums`),
     and tied where the sum of S**2 falls short of its untied n(n**2 - 1)/3.
     Longer rows are ranked by counting each row's levels when every value
     of the array is an integer and each row's largest value is less than
     n above its smallest (Likert items, counts); any other array is sorted.
+    If no two sorted values are equal anywhere in the array (-0.0 ties 0.0),
+    1..n is scattered through the sort order and both tie passes are skipped.
     """
     (a,) = _row_arrays(a)
     n = a.shape[1]
@@ -214,15 +218,17 @@ def rank_rows(a: np.ndarray):
     if counted is not None:
         return counted
     order = np.argsort(a, axis=1)  # ties share one mid-rank: need no stable order
-    s = np.take_along_axis(a, order, axis=1)
-    first = _tie_run_flags(s)
+    first = _tie_run_flags(np.take_along_axis(a, order, axis=1))
+    ranks = np.empty(a.shape, dtype=float)
+    if first.all():  # no tie anywhere: the ranks are 1..n scattered through the sort
+        np.put_along_axis(ranks, order, np.arange(1.0, n + 1.0), axis=1)
+        return ranks, np.zeros(len(a), dtype=bool)
     # flag each run's last position (just before the next run's first);
     # in the reversed row those positions begin the runs
     last = np.ones(a.shape, dtype=bool)
     last[:, :-1] = first[:, 1:]
     end = n - 1 - _tie_run_start(last[:, ::-1])[:, ::-1]
     rank_sorted = 0.5 * (_tie_run_start(first) + end) + 1.0
-    ranks = np.empty(a.shape, dtype=float)
     np.put_along_axis(ranks, order, rank_sorted, axis=1)
     return ranks, ~first.all(axis=1)
 
@@ -275,14 +281,24 @@ def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     of two is exact through the products, the square root and the
     division, so this is Pearson of the mid-ranks bit for bit; it cannot
     leave [-1, 1].
+
+    Longer rows, if neither array ties anywhere, centre their ranks 1..n on
+    the exact (n+1)/2; the products sum exactly, and each side's sum of
+    squares is c = n(n**2 - 1)/12 (82.5 at n = 10), so sum / sqrt(c*c) is
+    Pearson of the ranks bit for bit while 4c < 2**53; other arrays take pearson_rows.
     """
     x, y = _row_arrays(x, y)
-    if x.shape[1] <= _SHORT_ROW:
+    n = x.shape[1]
+    if n <= _SHORT_ROW:
         sx, sy = (_sign_sums(np.ascontiguousarray(a.T)) for a in (x, y))
         den2 = _column_dots(sx, sx) * _column_dots(sy, sy).astype(float)
         with np.errstate(invalid="ignore"):
             return _column_dots(sx, sy) / np.sqrt(den2)
-    return pearson_rows(rank_rows(x)[0], rank_rows(y)[0])
+    (rx, tied_x), (ry, tied_y) = rank_rows(x), rank_rows(y)
+    if tied_x.any() or tied_y.any() or n * (n * n - 1) // 3 >= 2 ** 53:
+        return pearson_rows(rx, ry)
+    c, mean = n * (n * n - 1) / 12, 0.5 * (n + 1)
+    return np.clip(((rx - mean) * (ry - mean)).sum(axis=1) / np.sqrt(c * c), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +308,25 @@ def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _inversion_counts(codes: np.ndarray) -> np.ndarray:
     """Strict inversions per row: pairs i < j with codes[i] > codes[j].
 
-    ``codes`` are integers in [0, n).  Bottom-up merge counting; each row
-    is padded at the front to a power of two with a code below every real
-    code, so a pad in a left half never exceeds a right value and a pad in
-    a right half faces only pads.
+    ``codes`` are integers in [0, n).  Each row is padded at the front to
+    max(2**k, 16) with a code below every real code, so a pad never exceeds
+    a later value.  The inversions inside each 16-wide base block are
+    counted directly, with one compare of the pairs d apart for d = 1..15;
+    the blocks are then sorted, and bottom-up merge counting takes over
+    from width 16 (Knight 1966).
     """
     m, n = codes.shape
     total = np.zeros(m, dtype=np.int64)
     if n < 2:
         return total
-    p = 1 << (n - 1).bit_length()
+    p = max(1 << (n - 1).bit_length(), _BASE_BLOCK)
     a = np.zeros((m, p), dtype=np.int64)
-    a[:, p - n:] = codes + 1
-    w = 1
+    np.add(codes, 1, out=a[:, p - n:])
+    b = a.reshape(-1, _BASE_BLOCK)
+    for d in range(1, _BASE_BLOCK):  # pairs d apart inside each base block
+        total += np.count_nonzero((b[:, :-d] > b[:, d:]).reshape(m, -1), axis=1)
+    b.sort(axis=1)
+    w = _BASE_BLOCK
     while w < p:
         b = a.reshape(-1, 2 * w)
         nb = b.shape[0]
@@ -354,6 +376,10 @@ def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray
     ``variant="b"`` (default) penalizes ties in the denominator;
     ``variant="a"`` divides the concordant-discordant surplus by the
     total number of pairs.  Degenerate rows come back as NaN.
+
+    Longer rows count the inversions of their y codes in (x, y) order.  If
+    neither array ties anywhere, the codes are the x sort order itself and
+    every tie count is 0, so the code gather and the tie counts are skipped.
     """
     if variant not in ("a", "b"):
         raise InputError(f"kendall variant must be 'a' or 'b', got {variant!r}")
@@ -363,18 +389,20 @@ def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray
     if n <= _KENDALL_PAIRWISE_ROW:
         surplus, untied_x, untied_y = _pair_sign_counts(x, y)
     else:
-        # sort each row by (x, y): by y, then stably by x to keep y order in
-        # x ties; the y codes are the tie-run indices of the y sort
+        # sort each row by (x, y): by y, then by x, stably if x ties anywhere
+        # to keep y order in x ties; the y codes are the tie-run indices of the y sort
         by_y = np.argsort(y, axis=1)
         new_y = _tie_run_flags(np.take_along_axis(y, by_y, axis=1))
         x1 = np.take_along_axis(x, by_y, axis=1)
-        by_x = np.argsort(x1, axis=1, kind="stable")
-        xs = np.take_along_axis(x1, by_x, axis=1)
-        codes = np.take_along_axis(np.cumsum(new_y, axis=1) - 1, by_x, axis=1)
-        new_x = _tie_run_flags(xs)
-        ties_x = _tied_pair_counts(new_x)
-        ties_y = _tied_pair_counts(new_y)
-        ties_xy = _tied_pair_counts(new_x | _tie_run_flags(codes))
+        by_x = np.argsort(x1, axis=1)  # without x ties, the one order
+        new_x = _tie_run_flags(np.take_along_axis(x1, by_x, axis=1))
+        by_x = by_x if new_x.all() else np.argsort(x1, axis=1, kind="stable")
+        codes, ties_x, ties_y, ties_xy = by_x, 0, 0, 0  # no tie anywhere: y codes are 0..n-1
+        if not (new_x.all() and new_y.all()):
+            codes = np.take_along_axis(np.cumsum(new_y, axis=1) - 1, by_x, axis=1)
+            ties_x = _tied_pair_counts(new_x)
+            ties_y = _tied_pair_counts(new_y)
+            ties_xy = _tied_pair_counts(new_x | _tie_run_flags(codes))
         surplus = n0 - ties_x - ties_y + ties_xy - 2 * _inversion_counts(codes)
         untied_x, untied_y = n0 - ties_x, n0 - ties_y
     den2 = np.asarray(untied_x, dtype=float) * untied_y

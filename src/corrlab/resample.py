@@ -162,14 +162,14 @@ class MomentProfile:
 
 def moment_profile(dataset: PopulationDataset) -> MomentProfile:
     """Mean, SD, skewness (m3/sd^3), and kurtosis (m4/sd^4) per column."""
-    v = dataset.values
-    mean = v.mean(axis=0)
-    centered = v - mean
+    columns = np.ascontiguousarray(dataset.values.T)  # numpy sums along rows pairwise
+    mean = columns.mean(axis=1)
+    centered = columns - mean[:, None]
     squared = centered * centered  # products, not pow: ** 3 and ** 4 call pow per entry
-    m2 = squared.mean(axis=0)
+    m2 = squared.mean(axis=1)
     sd = np.sqrt(m2)
-    skew = (squared * centered).mean(axis=0) / sd ** 3
-    kurt = (squared * squared).mean(axis=0) / m2 ** 2
+    skew = (squared * centered).mean(axis=1) / sd ** 3
+    kurt = (squared * squared).mean(axis=1) / m2 ** 2
     return MomentProfile(column_names=dataset.column_names, mean=mean, sd=sd,
                          skewness=skew, kurtosis=kurt)
 

@@ -802,6 +802,15 @@ class TestPeakMemory:
         argv = ["influence", "--axis-step", "0.01", "--out-dir", str(tmp_path)]
         assert self.peak_mb(f"from corrlab import cli\nassert cli.main({argv!r}) == 0") < 150
 
+    def test_untied_kendall_chunk_skips_the_tie_arrays(self):
+        # the two draws take 117 MB with the interpreter; gathering the codes
+        # and counting the ties on untied rows took the call to 422 MB
+        code = ("import numpy as np\n"
+                "from corrlab.estimators import kendall_rows\n"
+                "x, y = np.random.default_rng(5).standard_normal((2, 4096, 1000))\n"
+                "kendall_rows(x, y)")
+        assert self.peak_mb(code) < 400
+
     def test_resample_reduces_one_block_at_a_time(self, tmp_path):
         # one full chunk and part of a second; gathering a whole chunk of
         # 200 x 34 tables would take 223 MB by itself

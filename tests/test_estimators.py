@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrlab import estimators
 from corrlab.errors import DegenerateSampleError, InputError
 from corrlab.estimators import (_KENDALL_PAIRWISE_ROW, CoefficientEstimate, PairedSample,
                                 _inversion_counts, _level_ranks, _varies, correlation_matrix,
@@ -159,6 +160,28 @@ def long_row_cases(rng, n):
             "one tied pair": (one_pair, True),
             "span n": (wide, False), "negative, signed zeros": (signed, True),
             "past 2**53": (big, True), "column 0 integral only": (later_fraction, False)}
+
+
+def untied_path_cases(rng, rows, n):
+    """(x, y) pairs of rows x n arrays by case name.  In "one tie" and
+    "signed zeros", row ``rows // 2`` holds the array's only tie (in x, and
+    in y), so the whole array must take the tie path."""
+    x = rng.standard_normal((rows, n))
+    y = 0.5 * x + rng.standard_normal((rows, n))
+    r = rows // 2
+    one_tie, zeros = x.copy(), y.copy()
+    one_tie[r, -1] = one_tie[r, 0]
+    zeros[r, :2] = [0.0, -0.0]
+    huge = np.sign(x) * 1e308 * (1.0 + 0.7 * rng.random((rows, n)))  # at most 1.7e308
+    mixed = x.copy()
+    mixed[::3] = rng.integers(0, 5, (len(mixed[::3]), n))
+    return {"untied": (x, y), "one tie": (one_tie, y), "signed zeros": (x, zeros),
+            "near +-1e308": (huge, -huge[::-1]), "tied rows mixed in": (mixed, y)}
+
+
+def checked_rows(rng, rows):
+    """The row that holds each case's tie, the first and last, and a few more."""
+    return np.unique(np.concatenate([[0, rows // 2, rows - 1], rng.integers(0, rows, 5)]))
 
 
 class TestFractionalRank:
@@ -493,7 +516,103 @@ class TestKendallLongRows:
                         err_msg=f"{name}, tau-{variant}")
 
 
+class TestUntiedFastPaths:
+    """A long-row array without a tie anywhere skips the tie handling; one
+    tie sends the whole array down the tie path.  Both agree with the
+    oracles bit for bit on the checked rows, at 1 row and at a full chunk.
+    n = 10 is the first where c = n(n**2 - 1)/12 is not an integer."""
+
+    SIZES = [8, 10, 53, 213, 1000]
+
+    @pytest.mark.parametrize("rows", [1, 4096])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rank_and_spearman(self, n, rows):
+        rng = np.random.default_rng(800 + n)
+        check = checked_rows(rng, rows)
+        for name, (x, y) in untied_path_cases(rng, rows, n).items():
+            ranks, ties = rank_rows(x)
+            rx = np.array([rank_oracle(row) for row in x[check].tolist()])
+            ry = np.array([rank_oracle(row) for row in y[check].tolist()])
+            np.testing.assert_array_equal(ranks[check], rx, err_msg=name)
+            np.testing.assert_array_equal(
+                ties[check], [len(set(row)) < n for row in x[check].tolist()], err_msg=name)
+            np.testing.assert_array_equal(spearman_rows(x, y)[check], pearson_reference(rx, ry),
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("rows", [1, 4096])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_kendall(self, n, rows):
+        rng = np.random.default_rng(900 + n)
+        check = checked_rows(rng, rows)
+        untied = untied_path_cases(rng, rows, n)
+        likert = rng.integers(1, 7, (rows, n)).astype(float)
+        x, y = untied["untied"]
+        cases = {name: (a, b, "b") for name, (a, b) in untied.items()}
+        cases.update({"ties in x only": (likert, y, "ab"), "ties in y only": (x, likert, "ab")})
+        for name, (a, b, variants) in cases.items():
+            for variant in variants:
+                np.testing.assert_array_equal(
+                    kendall_rows(a, b, variant=variant)[check],
+                    float_sign_kendall(a[check], b[check], variant),
+                    err_msg=f"{name}, tau-{variant}")
+
+
+class _TiePass(Exception):
+    pass
+
+
+class TestFastPathsArePinned:
+    """The tie passes raise here: untied arrays must not reach them, and an
+    array with one tie must."""
+
+    @pytest.fixture(autouse=True)
+    def tie_passes_raise(self, monkeypatch):
+        def tie_pass(*args):
+            raise _TiePass
+        monkeypatch.setattr(estimators, "_tie_run_start", tie_pass)
+        monkeypatch.setattr(estimators, "_tied_pair_counts", tie_pass)
+
+    @pytest.mark.parametrize("n", [8, 213])
+    def test_untied_arrays_skip_the_tie_passes(self, n):
+        x, y = np.random.default_rng(n).standard_normal((2, 64, n))
+        assert not rank_rows(x)[1].any()
+        assert np.isfinite(spearman_rows(x, y)).all()
+        assert np.isfinite(kendall_rows(x, y)).all()
+
+    @pytest.mark.parametrize("kernel", ["rank", "spearman x", "spearman y", "kendall x",
+                                        "kendall y"])
+    def test_one_tie_reaches_the_tie_passes(self, kernel):
+        x, y = np.random.default_rng(5).standard_normal((2, 64, 213))
+        tied = x.copy()
+        tied[40, 7] = tied[40, 100]
+        calls = {"rank": lambda: rank_rows(tied),
+                 "spearman x": lambda: spearman_rows(tied, y),
+                 "spearman y": lambda: spearman_rows(y, tied),
+                 "kendall x": lambda: kendall_rows(tied, y),
+                 "kendall y": lambda: kendall_rows(y, tied)}
+        with pytest.raises(_TiePass):
+            calls[kernel]()
+
+
+def quadratic_inversions(codes):
+    """Pairs i < j with codes[i] > codes[j] per row, one position at a time."""
+    return sum((codes[:, i:i + 1] > codes[:, i + 1:]).sum(axis=1)
+               for i in range(codes.shape[1] - 1))
+
+
 class TestInversionCounts:
+    @pytest.mark.parametrize("rows", [1, 1024])
+    @pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 1000])
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_base_block_edges(self, tied, n, rows):
+        # n = 15..17 pad to one or two 16-wide base blocks, 31..33 to two or four
+        rng = np.random.default_rng(n + rows)
+        if tied:
+            codes = rng.integers(0, 4, (rows, n))
+        else:
+            codes = np.argsort(rng.random((rows, n)), axis=1)
+        assert _inversion_counts(codes).tolist() == quadratic_inversions(codes).tolist()
+
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     def test_matches_quadratic_count_for_every_padding(self, tied):
         # n = 1..70 pads to 1..128, covering every padding remainder up to 128
