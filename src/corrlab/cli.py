@@ -28,7 +28,7 @@ import numpy as np
 from . import eigen as eigenmod
 from . import exact, influence, resample, simulate
 from .errors import CorrlabError, InfeasibleError, InputError, UsageError
-from .estimators import KINDS, pearson_rows, spearman_rows
+from .estimators import KINDS, _pearson_rows, spearman_rows
 from .randgen import (CALIBRATION_TOL, CALIBRATION_VERSION, MIN_CALIBRATION_N,
                       MarginalSpec, PopulationSpec, RngStream, calibrate_copula,
                       sample_bivariate_normal, sample_population)
@@ -514,7 +514,7 @@ def _density_histogram(rho: float, n: int, reps: int, seed: int):
     counts = np.zeros((2, edges.size - 1), dtype=np.int64)
     for x, y, _ in simulate.replication_chunks(PopulationSpec.bivariate_normal(rho), n,
                                                reps, RngStream(seed).child(2)):
-        counts[0] += np.histogram(pearson_rows(x, y), bins=edges)[0]
+        counts[0] += np.histogram(_pearson_rows(x, y), bins=edges)[0]  # rows vary
         counts[1] += np.histogram(spearman_rows(x, y), bins=edges)[0]
     frac_p, frac_s = counts / reps
     return _float_rows(centers, frac_p, frac_s, _exact_bin_fractions(rho, n, edges))

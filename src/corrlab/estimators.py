@@ -171,10 +171,9 @@ def _level_ranks(a: np.ndarray):
     its smallest.
 
     Integers a and m with a - m < n make the float offset a - m exact,
-    even past 2**53, so the offsets order and tie the values as they are.
-    A level seen c times with cumulative count C (itself included) spans
-    ranks C - c + 1 .. C, whose mean C - (c - 1)/2 is an exact half-integer.
-    Column 0 is probed first, so continuous data leaves after O(rows) work.
+    even past 2**53, so the offsets order and tie the values as they are;
+    each level takes its :func:`_mid_ranks` rank.  Column 0 is probed
+    first, so continuous data leaves after O(rows) work.
     """
     col0 = a[:, 0]
     if not np.array_equal(np.trunc(col0), col0):
@@ -188,8 +187,16 @@ def _level_ranks(a: np.ndarray):
     offsets += np.arange(0, rows * width, width)[:, None]  # (row, level) -> flat cell
     cells = offsets.astype(np.intp)
     counts = np.bincount(cells.ravel(), minlength=rows * width).reshape(rows, width)
-    mid = np.cumsum(counts, axis=1) - 0.5 * (counts - 1)
-    return mid.ravel()[cells], (counts > 1).any(axis=1)
+    return _mid_ranks(counts).ravel()[cells], (counts > 1).any(axis=1)
+
+
+def _mid_ranks(counts: np.ndarray) -> np.ndarray:
+    """Mid-rank of each level from the level counts along the last axis.
+
+    A level seen c times with cumulative count C (itself included) spans
+    ranks C - c + 1 .. C, whose mean C - (c - 1)/2 is an exact half-integer.
+    """
+    return np.cumsum(counts, axis=-1) - 0.5 * (counts - 1)
 
 
 def rank_rows(a: np.ndarray):
@@ -263,12 +270,19 @@ def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     centered values.  numpy's pairwise summation keeps the centered dot
     products accurate for long rows.
     """
+    return _pearson_rows(x, y, check=True)
+
+
+def _pearson_rows(x: np.ndarray, y: np.ndarray, check: bool = False) -> np.ndarray:
+    """:func:`pearson_rows`, trusting without ``check`` that every row of x
+    and of y varies, as the rows of a simulation chunk do once redrawn."""
     x, y = _row_arrays(x, y)
     axis = 1
     if x.shape[1] <= _SHORT_ROW:
         x, y, axis = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T), 0
     r = _pearson(x, y, axis)
-    r[~(_varies(x, axis) & _varies(y, axis))] = np.nan
+    if check:
+        r[~(_varies(x, axis) & _varies(y, axis))] = np.nan
     return r
 
 
@@ -510,12 +524,23 @@ def _correlation_core(table: np.ndarray, kind: str = "pearson",
     if kind == "spearman":
         columns = [rank_rows(c.reshape(-1, c.shape[-1]))[0].reshape(c.shape)
                    for c in columns]
-    centered = [c - c.mean(axis=-1, keepdims=True) for c in columns]
+    return _centered_correlation(*[c - c.mean(axis=-1, keepdims=True) for c in columns])
+
+
+def _centered_correlation(*centered: np.ndarray) -> np.ndarray:
+    """The matrices of :func:`_correlation_core` from its centred (..., cols,
+    rows) columns: one stack pairs its columns with themselves, two pair
+    column i of the first with column j of the second.
+
+    The einsum and matmul reduce in an order set by the memory layout, so
+    a caller that centres its own columns lays them out as
+    :func:`_correlation_core` does to get the same bits.
+    """
     scales = [np.sqrt(np.einsum("...ij,...ij->...i", c, c)) for c in centered]
     mat = centered[0] @ np.swapaxes(centered[-1], -1, -2)
     mat /= scales[0][..., :, None]  # one scale vector at a time: no outer product
     mat /= scales[-1][..., None, :]
-    if other is None:
+    if len(centered) == 1:
         mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
         diagonal = np.arange(mat.shape[-1])
         mat[..., diagonal, diagonal] = 1.0

@@ -8,6 +8,18 @@ Draws whose correlation matrix cannot be calculated (a constant column
 in the sample) are redrawn and counted.  Draws follow the chunk layout
 of :mod:`corrlab.randgen` and are reduced one block at a time.
 
+A population whose values are all integers (Likert items, counts) is
+drawn as per-column level codes, value - column minimum, in the
+narrowest unsigned dtype when each column spans less than the sample
+size (the rule by which ``rank_rows`` counts levels), sample size *
+max|value| < 2**53 and no value is -0.0.  One count of each block's
+(table, column, level) cells then gives the exact Pearson means and the
+Spearman mid-ranks, and both centred stacks are gathered from per-level
+tables in the memory layout in which
+:func:`corrlab.estimators._correlation_core` centres gathered values, so
+the matrices keep their bits.  Any other population is gathered as
+floats, ranked and centred.
+
 The original survey datasets this protocol was designed around are not
 redistributable, so the module ships two deterministic synthetic
 populations with documented moment targets:
@@ -30,7 +42,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateSampleError, InfeasibleError, InputError
-from .estimators import _correlation_core, correlation_matrix
+from .estimators import (_centered_correlation, _correlation_core, _mid_ranks,
+                         correlation_matrix)
 from .randgen import (CHUNK_REPS, REDRAW_CAP_PER_SAMPLE, MarginalSpec, RngStream,
                       _couple)
 
@@ -225,6 +238,59 @@ class StudyResult:
     redraw_count: int
 
 
+def _constant_columns(tables: np.ndarray) -> np.ndarray:
+    """Per column of each (..., rows, cols) table, whether every row equals the first."""
+    return (tables[..., 1:, :] == tables[..., :1, :]).all(axis=-2)
+
+
+@dataclass(frozen=True)
+class _LevelCodes:
+    """An integer table as per-column level codes value - column minimum."""
+
+    codes: np.ndarray  # (rows, cols) in the narrowest unsigned dtype
+    levels: np.ndarray  # (cols, width): the value of each code, column by column
+
+    def matrices(self, tables: np.ndarray) -> list[np.ndarray]:
+        """The ``_MATRIX_KINDS`` matrices of a (tables, rows, cols) stack of
+        codes, bit for bit ``_correlation_core`` of the values they code.
+
+        Integer sums below 2**53 are exact in any order, so the Pearson
+        means from the level counts equal numpy's means; the mid-ranks are
+        exact half-integers and centre on the exact (n + 1)/2.
+        """
+        count, n, p = tables.shape
+        width = self.levels.shape[1]
+        cells = tables + np.arange(0, count * p * width, width).reshape(count, 1, p)
+        counts = np.bincount(cells.ravel(), minlength=count * p * width)
+        counts = counts.reshape(count, p, width)
+        means = (counts * self.levels).sum(axis=-1, keepdims=True) / n
+        # Pearson centres the gathered (table, row, col) values, Spearman
+        # the contiguous (table, col, row) ranks
+        pearson = np.take(self.levels - means, cells).swapaxes(1, 2)
+        spearman = np.take(_mid_ranks(counts) - 0.5 * (n + 1), cells.swapaxes(1, 2))
+        return [_centered_correlation(pearson), _centered_correlation(spearman)]
+
+
+def _level_codes(values: np.ndarray, sample_size: int) -> _LevelCodes | None:
+    """The table's level codes, or None unless every value is an integer,
+    no value is -0.0, each column's largest value is less than
+    ``sample_size`` above its smallest and sample_size * max|value| < 2**53.
+    """
+    if not np.array_equal(np.trunc(values[0]), values[0]):  # continuous data leaves here
+        return None
+    low, high = values.min(axis=0), values.max(axis=0)
+    if float(max(-low.min(), high.max())) * sample_size >= 2 ** 53:
+        return None
+    span = float((high - low).max())  # exact: both ends lie within 2**53
+    if span >= sample_size:
+        return None
+    offsets = values - low
+    codes = offsets.astype(np.min_scalar_type(int(span)))  # drops a fraction: compared below
+    if not np.array_equal(codes, offsets) or np.signbit(values[values == 0.0]).any():
+        return None
+    return _LevelCodes(codes=codes, levels=low[:, None] + np.arange(int(span) + 1))
+
+
 def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
                master_seed: int):
     """Yield (matrices, redraws) for successive blocks of replications.
@@ -234,7 +300,8 @@ def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
     column is redrawn from (k, i).  ``matrices[r, a]`` is replication r's
     matrix of kind ``_MATRIX_KINDS[a]``; ``redraws`` counts failed draws.
     A replication over the redraw cap makes the condition infeasible, and
-    the error names the column that degenerated most often.
+    the error names the column that degenerated most often.  Tables of an
+    integer population are drawn as level codes (see :func:`_level_codes`).
     """
     if sample_size < 2:
         raise InputError("sample size must be at least 2")
@@ -242,6 +309,8 @@ def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
         raise InputError("need at least two replications")
     values = dataset.values
     n_rows, p = values.shape
+    levels = _level_codes(values, sample_size)
+    source = values if levels is None else levels.codes
     block = max(1, _BLOCK_VALUES // (sample_size * p))
     degenerate = np.zeros(p, dtype=np.int64)
     stream = RngStream(master_seed)
@@ -250,16 +319,16 @@ def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
         picks = chunk.generator().integers(
             0, n_rows, (min(CHUNK_REPS, n_samples - start), sample_size))
         for lo in range(0, len(picks), block):
-            tables = values[picks[lo:lo + block]]
-            dead = tables.max(axis=1) == tables.min(axis=1)
+            tables = source[picks[lo:lo + block]]
+            dead = _constant_columns(tables)
             redraws = 0
             for i in np.flatnonzero(dead.any(axis=1)):
                 degenerate += dead[i]
                 rng = chunk.child(lo + i).generator()
                 for _ in range(REDRAW_CAP_PER_SAMPLE):
                     redraws += 1
-                    table = values[rng.integers(0, n_rows, sample_size)]
-                    table_dead = table.max(axis=0) == table.min(axis=0)
+                    table = source[rng.integers(0, n_rows, sample_size)]
+                    table_dead = _constant_columns(table)
                     if not table_dead.any():
                         tables[i] = table
                         break
@@ -270,7 +339,10 @@ def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
                         f"replication {start + lo + i} exceeded {REDRAW_CAP_PER_SAMPLE} "
                         f"redraws at sample size {sample_size}; column {worst!r} "
                         "keeps degenerating")
-            matrices = [_correlation_core(tables, kind) for kind in _MATRIX_KINDS]
+            if levels is None:
+                matrices = [_correlation_core(tables, kind) for kind in _MATRIX_KINDS]
+            else:
+                matrices = levels.matrices(tables)
             yield np.stack(matrices, axis=1), redraws
 
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from corrlab import estimators
 from corrlab.errors import DegenerateSampleError, InputError
 from corrlab.estimators import (_KENDALL_PAIRWISE_ROW, CoefficientEstimate, PairedSample,
-                                _inversion_counts, _level_ranks, _varies, correlation_matrix,
+                                _inversion_counts, _level_ranks, _pearson_rows, _varies,
+                                correlation_matrix,
                                 distinct_spearman_values, fractional_rank, kendall,
                                 kendall_rows, pearson, pearson_rows, rank_rows, spearman,
                                 spearman_rows)
@@ -397,6 +398,11 @@ class TestPearson:
         other = np.random.default_rng(n).standard_normal((1, n))
         for x, y in ((constant, constant), (constant, other), (other, constant)):
             assert np.isnan(pearson_rows(x, y)[0])
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 8, 50])
+    def test_unchecked_rows_that_vary_keep_their_bytes(self, n):
+        x, y = np.random.default_rng(n).standard_normal((2, 300, n))
+        assert _pearson_rows(x, y).tobytes() == pearson_rows(x, y).tobytes()
 
 
 class TestSpearman:

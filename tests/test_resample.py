@@ -1,18 +1,21 @@
 """Tests for CSV ingestion, moments, scale sums, and the resampling study."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
+from corrlab import estimators, resample
 from corrlab.eigen import eigen_study
 from corrlab.errors import DegenerateSampleError, InfeasibleError, InputError
 from corrlab.estimators import _correlation_core, _level_ranks, correlation_matrix
 from corrlab.randgen import CHUNK_REPS, RngStream
-from corrlab.resample import (_MATRIX_KINDS, PopulationDataset, _replicate,
-                              asvab_like_population, dbq_like_population, ingest_csv,
-                              moment_profile, run_study, scale_sums)
+from corrlab.resample import (_MATRIX_KINDS, PairSummary, PopulationDataset, _level_codes,
+                              _replicate, asvab_like_population, dbq_like_population,
+                              ingest_csv, moment_profile, run_study, scale_sums)
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +26,18 @@ def dbq():
 @pytest.fixture(scope="module")
 def asvab():
     return asvab_like_population()
+
+
+@pytest.fixture(scope="module")
+def survey():
+    """Skewed 4-, 5- and 7-point items from one latent factor; two 7-point
+    items run from -3 to 3."""
+    rng = RngStream(77).generator()
+    latent = 0.6 * rng.standard_normal((3000, 1)) + 0.8 * rng.standard_normal((3000, 6))
+    points = np.array([4, 5, 7, 4, 5, 7])
+    codes = np.minimum((ndtr(latent) ** 4 * points).astype(int), points - 1)
+    values = codes + np.array([1, 1, -3, 0, 1, -3])
+    return PopulationDataset(tuple(f"q{j}" for j in range(6)), values.astype(float))
 
 
 class TestIngestCsv:
@@ -350,3 +365,100 @@ class TestRankPaths:
         assert eigen[0].redraw_count == eigen[1].redraw_count
         for name in ("mean_spearman", "sd_spearman", "population_spearman"):
             assert getattr(eigen[0], name).tobytes() == getattr(eigen[1], name).tobytes(), name
+
+
+def _study_bytes(result):
+    per_pair = [[getattr(pair, f.name) for f in fields(PairSummary)[2:]] for pair in result.pairs]
+    return (np.array(per_pair).tobytes(), np.array(list(result.aggregates.values())).tobytes(),
+            result.redraw_count)
+
+
+def _eigen_bytes(summary):
+    return [np.asarray(getattr(summary, f.name)).tobytes() for f in fields(summary)]
+
+
+def _replicate_bytes(dataset, sample_size, n_samples=300):
+    blocks = list(_replicate(dataset, sample_size, n_samples, master_seed=4))
+    return (np.concatenate([matrices for matrices, _ in blocks]).tobytes(),
+            sum(redraws for _, redraws in blocks))
+
+
+class TestLevelCodes:
+    """Integer populations resample from level codes, every other one from
+    its values, and both give the same bits."""
+
+    @staticmethod
+    def _force_float_path(monkeypatch):
+        monkeypatch.setattr(resample, "_level_codes", lambda values, sample_size: None)
+
+    @pytest.mark.parametrize("population, sample_size", [
+        ("dbq", 6), ("dbq", 25), ("dbq", 200), ("survey", 25), ("survey", 200)])
+    def test_level_and_sorted_paths_give_equal_bytes(self, request, monkeypatch,
+                                                     population, sample_size):
+        dataset = request.getfixturevalue(population)
+        assert _level_codes(dataset.values, sample_size) is not None
+        study = run_study(dataset, sample_size, 150, master_seed=8)
+        eigen = eigen_study(dataset, sample_size, 150, master_seed=8)
+        if sample_size < 200:
+            assert study.redraw_count > 0
+        self._force_float_path(monkeypatch)
+        assert _study_bytes(run_study(dataset, sample_size, 150, master_seed=8)) == \
+            _study_bytes(study)
+        assert _eigen_bytes(eigen_study(dataset, sample_size, 150, master_seed=8)) == \
+            _eigen_bytes(eigen)
+
+    def test_level_path_neither_ranks_nor_centres_a_block(self, dbq, monkeypatch):
+        calls = []
+        for module, name in ((estimators, "rank_rows"), (resample, "_correlation_core")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        assert len(list(_replicate(dbq, 200, 100, master_seed=1))) > 1
+        assert calls == []
+        self._force_float_path(monkeypatch)
+        list(_replicate(dbq, 200, 100, master_seed=1))
+        assert set(calls) == {"rank_rows", "_correlation_core"}
+
+    def test_codes_take_the_narrowest_unsigned_type(self, dbq):
+        assert _level_codes(dbq.values, 200).codes.dtype == np.uint8
+        wide = np.column_stack([np.arange(300.0), np.arange(300.0) % 7])
+        assert _level_codes(wide, 300).codes.dtype == np.uint16
+
+    # 2**53 // 200 * 200 < 2**53 <= (2**53 // 200 + 1) * 200
+    NEAR = float(2 ** 53 // 200)
+
+    @pytest.mark.parametrize("column, sample_size, selected", [
+        (np.arange(20.0), 20, True),
+        (np.arange(20.0), 19, False),  # spans 19: not less than the sample size
+        (np.arange(20.0) + (np.arange(20) == 7) * 0.5, 20, False),  # 7.5 is no integer
+        (np.where(np.arange(20) == 7, -0.0, np.arange(20.0) - 7), 20, False),
+        (NEAR - np.arange(20.0) % 6, 200, True),
+        (NEAR + 1 - np.arange(20.0) % 6, 200, False),  # 200 * max|v| reaches 2**53
+        (np.arange(20.0) % 6 - NEAR - 1, 200, False),
+    ], ids=["span-below-n", "span-n", "fraction", "negative-zero", "below-2**53",
+            "at-2**53", "negative-at-2**53"])
+    def test_selection_rule(self, monkeypatch, column, sample_size, selected):
+        dataset = PopulationDataset(("a", "b"), np.column_stack([column, np.arange(20.0) % 3]))
+        assert (_level_codes(dataset.values, sample_size) is not None) == selected
+        if selected:  # near 2**53 the Pearson means are still exact sums
+            counted = _replicate_bytes(dataset, sample_size)
+            self._force_float_path(monkeypatch)
+            assert _replicate_bytes(dataset, sample_size) == counted
+
+    def test_redraw_cap_names_the_same_column_and_replication(self, monkeypatch):
+        # 60 ones in 20,000 rows: most 2-row samples redraw, and replication
+        # 38 of seed 0 exhausts its redraws
+        rows = 20_000
+        rare = (np.arange(rows) < 60).astype(float)
+        d = PopulationDataset(("spread", "rare"), np.column_stack([np.arange(rows) % 2.0, rare]))
+        assert _level_codes(d.values, 2) is not None
+
+        def message():
+            with pytest.raises(InfeasibleError, match=r"replication 38 .*'rare'") as caught:
+                run_study(d, sample_size=2, n_samples=300)
+            return str(caught.value)
+
+        counted = message()
+        self._force_float_path(monkeypatch)
+        assert message() == counted
