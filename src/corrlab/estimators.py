@@ -38,9 +38,15 @@ KINDS = ("pearson", "spearman", "kendall")
 _KENDALL_BLOCK_VALUES = 2 ** 18  # column pairs x rows per kendall_rows call
 _SHORT_ROW = 7  # rows this short reduce column-wise, bit for bit: numpy sums < 8 terms in order
 assert _SHORT_ROW * (_SHORT_ROW ** 2 - 1) // 3 <= 127, "short-row sign sums are reduced in int8"
-_KENDALL_PAIRWISE_ROW = 52  # measured crossover of the pair loop and the merge counter
+# measured crossovers of the pair loop and the merge counter: the pair loop
+# takes rows up to this long, or up to the second bound in arrays of at most
+# _FEW_ROWS rows, where its 6 numpy calls per position cost more than the sorts
+_KENDALL_PAIRWISE_ROW = 52
+_FEW_ROWS, _KENDALL_PAIRWISE_FEW_ROWS = 128, 24
 assert _KENDALL_PAIRWISE_ROW <= 128, "the pair loop sums up to n - 1 signs in int8"
-_BASE_BLOCK = 16  # the merge counter counts inside blocks this wide by direct compares
+# the merge counter counts inside base blocks this wide by direct compares
+_MIN_BASE_BLOCK, _MAX_BASE_BLOCK = 16, 63
+assert _MAX_BASE_BLOCK <= 128, "_block_inversions counts in int8"
 
 
 def _row_arrays(*arrays):
@@ -322,25 +328,30 @@ def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _inversion_counts(codes: np.ndarray) -> np.ndarray:
     """Strict inversions per row: pairs i < j with codes[i] > codes[j].
 
-    ``codes`` are integers in [0, n).  Each row is padded at the front to
-    max(2**k, 16) with a code below every real code, so a pad never exceeds
-    a later value.  The inversions inside each 16-wide base block are
-    counted directly, with one compare of the pairs d apart for d = 1..15;
-    the blocks are then sorted, and bottom-up merge counting takes over
-    from width 16 (Knight 1966).
+    ``codes`` are integers in [0, n).  Each row splits into 2**k base
+    blocks, k the least with 63 * 2**k >= n, each w = max(ceil(n / 2**k), 16)
+    wide; the row is padded at the front to w * 2**k with a code below every
+    real code, so a pad never exceeds a later value and fewer than 2**k pads
+    are counted.  The inversions inside each base block are counted directly
+    (see :func:`_block_inversions`) in the narrowest integer type that holds
+    n; the blocks are then sorted, and bottom-up merge counting in int64
+    takes over from width w (Knight 1966).
     """
     m, n = codes.shape
     total = np.zeros(m, dtype=np.int64)
     if n < 2:
         return total
-    p = max(1 << (n - 1).bit_length(), _BASE_BLOCK)
-    a = np.zeros((m, p), dtype=np.int64)
-    np.add(codes, 1, out=a[:, p - n:])
-    b = a.reshape(-1, _BASE_BLOCK)
-    for d in range(1, _BASE_BLOCK):  # pairs d apart inside each base block
-        total += np.count_nonzero((b[:, :-d] > b[:, d:]).reshape(m, -1), axis=1)
-    b.sort(axis=1)
-    w = _BASE_BLOCK
+    blocks = 1 << (-(-n // _MAX_BASE_BLOCK) - 1).bit_length()
+    w = max(-(-n // blocks), _MIN_BASE_BLOCK)
+    p = w * blocks
+    narrow = next(t for t in (np.int8, np.int16, np.int32) if n <= np.iinfo(t).max)
+    a = np.zeros((m, p), dtype=narrow)
+    np.add(codes, 1, out=a[:, p - n:], casting="unsafe")
+    total += _block_inversions(a.reshape(-1, w)).reshape(m, -1).sum(axis=1)
+    if w == p:
+        return total
+    a.reshape(-1, w).sort(axis=1)
+    a = a.astype(np.int64)
     while w < p:
         b = a.reshape(-1, 2 * w)
         nb = b.shape[0]
@@ -353,6 +364,18 @@ def _inversion_counts(codes: np.ndarray) -> np.ndarray:
         b.sort(axis=1)
         w *= 2
     return total
+
+
+def _block_inversions(blocks: np.ndarray) -> np.ndarray:
+    """Strict inversions inside each row of a (blocks, w) array, w <= 128,
+    from one compare of the pairs d apart for d = 1..w-1 on the transposed
+    (position, block) layout, where each compare runs over whole rows."""
+    w = blocks.shape[1]
+    columns = np.ascontiguousarray(blocks.T)
+    later_below = np.zeros((w - 1, len(blocks)), dtype=np.int8)  # each count < w
+    for d in range(1, w):
+        later_below[:w - d] += (columns[:-d] > columns[d:]).view(np.int8)
+    return later_below.sum(axis=0, dtype=np.int64)
 
 
 def _tied_pair_counts(first: np.ndarray) -> np.ndarray:
@@ -391,7 +414,9 @@ def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray
     ``variant="a"`` divides the concordant-discordant surplus by the
     total number of pairs.  Degenerate rows come back as NaN.
 
-    Longer rows count the inversions of their y codes in (x, y) order.  If
+    Rows up to 52 long (24 in arrays of at most 128 rows) sum their pair
+    signs position by position.  Longer rows count the inversions of their
+    y codes in (x, y) order (see :func:`_inversion_counts`).  If
     neither array ties anywhere, the codes are the x sort order itself and
     every tie count is 0, so the code gather and the tie counts are skipped.
     """
@@ -400,7 +425,7 @@ def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray
     x, y = _row_arrays(x, y)
     n = x.shape[1]
     n0 = n * (n - 1) // 2
-    if n <= _KENDALL_PAIRWISE_ROW:
+    if n <= (_KENDALL_PAIRWISE_ROW if len(x) > _FEW_ROWS else _KENDALL_PAIRWISE_FEW_ROWS):
         surplus, untied_x, untied_y = _pair_sign_counts(x, y)
     else:
         # sort each row by (x, y): by y, then by x, stably if x ties anywhere

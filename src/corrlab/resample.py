@@ -284,10 +284,14 @@ def _level_codes(values: np.ndarray, sample_size: int) -> _LevelCodes | None:
     span = float((high - low).max())  # exact: both ends lie within 2**53
     if span >= sample_size:
         return None
-    offsets = values - low
-    codes = offsets.astype(np.min_scalar_type(int(span)))  # drops a fraction: compared below
-    if not np.array_equal(codes, offsets) or np.signbit(values[values == 0.0]).any():
-        return None
+    codes = np.empty(values.shape, dtype=np.min_scalar_type(int(span)))
+    step = max(1, _BLOCK_VALUES // values.shape[1])  # row blocks: no table-sized float copy
+    for lo in range(0, len(values), step):
+        rows, block = values[lo:lo + step], codes[lo:lo + step]
+        offsets = rows - low
+        block[...] = offsets  # drops a fraction: compared below
+        if not np.array_equal(block, offsets) or np.signbit(rows[rows == 0.0]).any():
+            return None
     return _LevelCodes(codes=codes, levels=low[:, None] + np.arange(int(span) + 1))
 
 

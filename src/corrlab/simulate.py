@@ -4,7 +4,10 @@ A :class:`SimulationPlan` names a population, a list of sample sizes,
 the coefficients to estimate, and a replication count.  Each (size,
 coefficient) cell yields a :class:`SummaryStats` row.  Cell c draws
 through the chunk layout of :mod:`corrlab.randgen` under path (c,), so
-results do not depend on how cells are scheduled.
+results do not depend on how cells are scheduled.  A sweep keeps every
+replication in one (coefficient, cell, replication) array and takes each
+statistic once per coefficient over all cells; a cell's row has the same
+bits as :func:`run_cell` gives for that cell alone.
 """
 
 from __future__ import annotations
@@ -126,37 +129,54 @@ def replication_chunks(population: PopulationSpec, n: int, reps: int,
         yield x, y, redraws
 
 
-def _summarize(condition: str, kind: str, n: int, values: np.ndarray,
-               population_value: float, redraws: int) -> SummaryStats:
-    reps = values.size
-    mean = float(values.mean())
-    sd = float(values.std(ddof=1)) if reps > 1 else None
-    p5, p95 = np.percentile(values, [5.0, 95.0])  # type-7 linear interpolation
-    bias = mean - population_value
-    rmse = float(np.sqrt(np.mean((values - population_value) ** 2)))
-    return SummaryStats(condition=condition, kind=kind, n=n, mean=mean, sd=sd,
-                        p5=float(p5), p95=float(p95), bias=bias, rmse=rmse,
-                        population_value=population_value, redraw_count=redraws)
-
-
-def run_cell(plan: SimulationPlan, n: int, cell_stream: RngStream) -> list[SummaryStats]:
-    """All requested coefficient summaries for one sample size."""
+def _cell_values(plan: SimulationPlan, n: int, cell_stream: RngStream,
+                 out: np.ndarray) -> int:
+    """Fill row k of ``out`` with the replications of ``plan.coefficients[k]``
+    at sample size n; return the redraw count."""
     reps = plan.replications
-    values = {kind: np.empty(reps) for kind in plan.coefficients}
+    kernels = [_ROW_KERNELS[kind] for kind in plan.coefficients]
     total_redraws = 0
     done = 0
     for x, y, redraws in replication_chunks(plan.population, n, reps, cell_stream):
         total_redraws += redraws
-        for kind, out in values.items():
-            out[done:done + len(x)] = _ROW_KERNELS[kind](x, y)
+        for kernel, values in zip(kernels, out):
+            values[done:done + len(x)] = kernel(x, y)
         done += len(x)
     if total_redraws > MAX_REDRAW_RATE * (reps + total_redraws):
         raise InfeasibleError(
             f"more than half of all draws at n={n} were degenerate "
             f"({total_redraws} redraws for {reps} replications)")
-    return [_summarize(plan.condition, kind, n, values[kind],
-                       plan.population.population_value(kind), total_redraws)
-            for kind in plan.coefficients]
+    return total_redraws
+
+
+def _summarize(plan: SimulationPlan, sizes, values: np.ndarray,
+               redraws) -> list[SummaryStats]:
+    """One row per (coefficient, size), coefficient-major, from ``values[kind, cell, rep]``.
+
+    Each statistic is one call per kind over every cell.  numpy reduces,
+    partitions and interpolates each row of a C-contiguous 2-d array as it
+    would the row alone, so a cell's row does not depend on the others.
+    """
+    rows = []
+    for kind, v in zip(plan.coefficients, values):
+        population_value = plan.population.population_value(kind)
+        mean = v.mean(axis=1).tolist()
+        sd = v.std(axis=1, ddof=1).tolist() if v.shape[1] > 1 else [None] * len(sizes)
+        p5, p95 = np.percentile(v, [5.0, 95.0], axis=1).tolist()  # type-7 linear interpolation
+        rmse = np.sqrt(np.mean((v - population_value) ** 2, axis=1)).tolist()
+        rows += [SummaryStats(condition=plan.condition, kind=kind, n=n, mean=mean[c], sd=sd[c],
+                              p5=p5[c], p95=p95[c], bias=mean[c] - population_value,
+                              rmse=rmse[c], population_value=population_value,
+                              redraw_count=redraws[c])
+                 for c, n in enumerate(sizes)]
+    return rows
+
+
+def run_cell(plan: SimulationPlan, n: int, cell_stream: RngStream) -> list[SummaryStats]:
+    """All requested coefficient summaries for one sample size."""
+    values = np.empty((len(plan.coefficients), 1, plan.replications))
+    redraws = _cell_values(plan, n, cell_stream, values[:, 0])
+    return _summarize(plan, [n], values, [redraws])
 
 
 def run_plan(plan: SimulationPlan, threads: int = 1,
@@ -166,19 +186,20 @@ def run_plan(plan: SimulationPlan, threads: int = 1,
     Cells are independent streams, so the result is identical for any
     thread count; rows come back sorted by (n, kind).  Cell i draws under
     ``stream.child(i)``, so a caller running several conditions gives each
-    its own root stream.
+    its own root stream.  Every cell fills its slice of one (kind, cell,
+    replication) array, and the summaries are taken over all cells at once.
     """
-    cells = [(i, n) for i, n in enumerate(plan.sample_sizes)]
+    sizes = plan.sample_sizes
+    values = np.empty((len(plan.coefficients), len(sizes), plan.replications))
 
-    def one(args):
-        index, n = args
-        return run_cell(plan, n, stream.child(index))
+    def one(index):
+        return _cell_values(plan, sizes[index], stream.child(index), values[:, index])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            nested = list(pool.map(one, cells))
+            redraws = list(pool.map(one, range(len(sizes))))
     else:
-        nested = [one(c) for c in cells]
-    rows = [row for cell_rows in nested for row in cell_rows]
+        redraws = [one(i) for i in range(len(sizes))]
+    rows = _summarize(plan, sizes, values, redraws)
     rows.sort(key=lambda r: (r.n, r.kind))
     return rows

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from corrlab import estimators
 from corrlab.errors import DegenerateSampleError, InputError
-from corrlab.estimators import (_KENDALL_PAIRWISE_ROW, CoefficientEstimate, PairedSample,
+from corrlab.estimators import (_FEW_ROWS, _KENDALL_PAIRWISE_FEW_ROWS, _KENDALL_PAIRWISE_ROW,
+                                CoefficientEstimate, PairedSample,
                                 _inversion_counts, _level_ranks, _pearson_rows, _varies,
                                 correlation_matrix,
                                 distinct_spearman_values, fractional_rank, kendall,
@@ -344,6 +345,9 @@ class TestVaries:
 
 
 class TestKendallSwitch:
+    """Arrays of at most _FEW_ROWS rows leave the pair loop after
+    _KENDALL_PAIRWISE_FEW_ROWS, larger ones after _KENDALL_PAIRWISE_ROW."""
+
     @pytest.mark.parametrize("n", range(2, _KENDALL_PAIRWISE_ROW + 5))
     def test_both_paths_match_pair_oracle(self, n):
         rng = np.random.default_rng(200 + n)
@@ -355,6 +359,29 @@ class TestKendallSwitch:
                     np.testing.assert_array_equal(
                         kendall_rows(x, y, variant=variant),
                         [kendall_oracle(x[i], y[i], variant) for i in range(len(x))])
+
+    @pytest.mark.parametrize("rows", [_FEW_ROWS, _FEW_ROWS + 1])
+    def test_bound_follows_the_row_count(self, rows, monkeypatch):
+        pair_loop_rows = []
+        pair_loop = estimators._pair_sign_counts
+
+        def spy(x, y):
+            pair_loop_rows.append(x.shape[1])
+            return pair_loop(x, y)
+
+        monkeypatch.setattr(estimators, "_pair_sign_counts", spy)
+        bound = _KENDALL_PAIRWISE_ROW if rows > _FEW_ROWS else _KENDALL_PAIRWISE_FEW_ROWS
+        rng = np.random.default_rng(rows)
+        for n in (_KENDALL_PAIRWISE_FEW_ROWS, _KENDALL_PAIRWISE_FEW_ROWS + 1,
+                  _KENDALL_PAIRWISE_ROW, _KENDALL_PAIRWISE_ROW + 1):
+            xs, ys = sign_sum_cases(rng, n, rows), sign_sum_cases(rng, n, rows)
+            for name in ("untied", "integer ties", "edge values"):
+                for variant in ("a", "b"):
+                    np.testing.assert_array_equal(
+                        kendall_rows(xs[name], ys[name], variant=variant),
+                        float_sign_kendall(xs[name], ys[name], variant),
+                        err_msg=f"{name}, n = {n}, tau-{variant}")
+            assert (n in pair_loop_rows) == (n <= bound), n
 
 
 class TestPairedSample:
@@ -500,9 +527,10 @@ class TestKendall:
 
 
 class TestKendallLongRows:
-    """The one-sort path at the power-of-two padding edges of the merge counter."""
+    """The one-sort path at the base-block edges of the merge counter: one
+    block up to n = 63, two up to 126, four up to 252; 128 is past int8."""
 
-    @pytest.mark.parametrize("n", [53, 64, 65, 128, 129])
+    @pytest.mark.parametrize("n", [53, 63, 64, 65, 126, 127, 128, 129])
     def test_matches_pair_oracle(self, n):
         rng = np.random.default_rng(300 + n)
         untied = rng.standard_normal((2, 3, n))
@@ -606,12 +634,23 @@ def quadratic_inversions(codes):
                for i in range(codes.shape[1] - 1))
 
 
+def inversion_cases(rng, rows, n):
+    """Untied (permutations) and tied (four levels) code arrays of rows x n."""
+    return {"untied": np.argsort(rng.random((rows, n)), axis=1),
+            "tied": rng.integers(0, 4, (rows, n))}
+
+
+# n = 63 * 2**k fills 2**k base blocks of 63; one more makes 2**(k+1) blocks of 32
+BLOCK_EDGES = [63 * 2 ** k + e for k in range(1, 5) for e in (0, 1)]
+
+
 class TestInversionCounts:
     @pytest.mark.parametrize("rows", [1, 1024])
     @pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 1000])
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     def test_base_block_edges(self, tied, n, rows):
-        # n = 15..17 pad to one or two 16-wide base blocks, 31..33 to two or four
+        # n = 15 pads one 16-wide base block, 16, 17 and 31..33 fill one;
+        # n = 1000 pads 16 blocks of 63 with 8 pads
         rng = np.random.default_rng(n + rows)
         if tied:
             codes = rng.integers(0, 4, (rows, n))
@@ -621,7 +660,8 @@ class TestInversionCounts:
 
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     def test_matches_quadratic_count_for_every_padding(self, tied):
-        # n = 1..70 pads to 1..128, covering every padding remainder up to 128
+        # n = 1..70: one base block padded to 16, one block of 16..63 without
+        # pads, then two blocks of 32..35 behind 0 or 1 pad
         rng = np.random.default_rng(34)
         for n in range(1, 71):
             if tied:
@@ -632,6 +672,28 @@ class TestInversionCounts:
                           if row[i] > row[j]) for row in v]
             codes = np.array([np.unique(row, return_inverse=True)[1] for row in v])
             assert _inversion_counts(codes).tolist() == oracle, n
+
+    @pytest.mark.parametrize("rows", [1, 1024])
+    def test_every_short_length_and_block_edge(self, rows):
+        # n = 1..130 crosses 1, 2 and 4 base blocks and the int8 -> int16 switch
+        # at 128; the edges double the block count up to 32 blocks of 32
+        rng = np.random.default_rng(rows)
+        for n in list(range(1, 131)) + BLOCK_EDGES:
+            for name, codes in inversion_cases(rng, rows, n).items():
+                np.testing.assert_array_equal(_inversion_counts(codes),
+                                              quadratic_inversions(codes) + np.zeros(rows, int),
+                                              err_msg=f"{name}, n = {n}")
+
+    @pytest.mark.parametrize("n", [2 ** 15 - 1, 2 ** 15])
+    def test_int16_to_int32_switch(self, n):
+        # the largest code + 1 is n: it fits int16 at 2**15 - 1 and not at 2**15
+        rng = np.random.default_rng(n)
+        cases = inversion_cases(rng, 1, n)
+        cases["reversed"] = np.arange(n)[None, ::-1]
+        for name, codes in cases.items():
+            expected = quadratic_inversions(codes).tolist()
+            assert _inversion_counts(codes).tolist() == expected, name
+        assert expected == [n * (n - 1) // 2]
 
 
 class TestCorrelationMatrix:

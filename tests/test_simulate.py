@@ -1,12 +1,16 @@
 """Tests for the Monte Carlo sweep engine."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
 from corrlab.errors import InfeasibleError, InputError
+from corrlab.estimators import kendall_rows, pearson_rows, spearman_rows
 from corrlab.exact import kendall_from_pearson, spearman_from_pearson
 from corrlab.randgen import MarginalSpec, PopulationSpec, RngStream
-from corrlab.simulate import (CHUNK_REPS, SimulationPlan, logspace_sizes,
+from corrlab.simulate import (CHUNK_REPS, SimulationPlan, SummaryStats, logspace_sizes,
                               replication_chunks, run_cell, run_plan)
 
 
@@ -167,3 +171,63 @@ class TestRunPlan:
             _plan(kinds=("nope",))
         with pytest.raises(InputError):
             _plan(reps=0)
+
+
+def float_bits(rows):
+    """Every field of each summary row, floats as their IEEE-754 bytes."""
+    return [tuple(struct.pack("<d", v) if isinstance(v, float) else v
+                  for v in dataclasses.astuple(row)) for row in rows]
+
+
+def one_cell_reference(plan, n, cell_stream):
+    """A cell's rows from its replications alone: 1-d numpy statistics of
+    the public row kernels' values, the summary before sweeps were batched."""
+    chunks = list(replication_chunks(plan.population, n, plan.replications, cell_stream))
+    kernels = {"pearson": pearson_rows, "spearman": spearman_rows, "kendall": kendall_rows}
+    redraws = sum(chunk[2] for chunk in chunks)
+    rows = []
+    for kind in plan.coefficients:
+        values = np.concatenate([kernels[kind](x, y) for x, y, _ in chunks])
+        pop = plan.population.population_value(kind)
+        mean = float(values.mean())
+        p5, p95 = np.percentile(values, [5.0, 95.0])
+        rows.append(SummaryStats(
+            condition=plan.condition, kind=kind, n=n, mean=mean,
+            sd=float(values.std(ddof=1)) if values.size > 1 else None,
+            p5=float(p5), p95=float(p95), bias=mean - pop,
+            rmse=float(np.sqrt(np.mean((values - pop) ** 2))), population_value=pop,
+            redraw_count=redraws))
+    return rows
+
+
+class TestBatchedSummaries:
+    """run_plan summarises every cell of a kind in one call; each row must
+    have the bits of the cell summarised alone, whatever the thread count."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("reps", [1, 2, 100, CHUNK_REPS + 1])
+    def test_plan_rows_equal_cell_rows(self, reps, threads):
+        sizes = (5, 8, 30, 60) if reps < CHUNK_REPS else (5, 60)
+        plan = _plan(rho=0.3, sizes=sizes, reps=reps,
+                     kinds=("kendall", "pearson", "spearman"))
+        stream = RngStream(12)
+        rows = run_plan(plan, threads=threads, stream=stream)
+        cells = [run_cell(plan, n, stream.child(i)) for i, n in enumerate(sizes)]
+        by_cell = sorted((row for cell in cells for row in cell), key=lambda r: (r.n, r.kind))
+        assert float_bits(rows) == float_bits(by_cell)
+        assert all((row.sd is None) == (reps == 1) for row in rows)
+
+    @pytest.mark.parametrize("reps", [1, 2, 100, CHUNK_REPS + 1])
+    def test_cell_rows_equal_one_dimensional_statistics(self, reps):
+        plan = _plan(rho=0.3, sizes=(30,), reps=reps, kinds=("kendall", "pearson", "spearman"))
+        stream = RngStream(13).child(0)
+        assert float_bits(run_cell(plan, 30, stream)) == float_bits(
+            one_cell_reference(plan, 30, stream))
+
+    def test_redraw_counts_stay_with_their_cells(self):
+        plan = SimulationPlan(_two_category_population(), (4, 5, 30), replications=100)
+        rows = run_plan(plan, threads=2, stream=RngStream(14))
+        reference = [row for i, n in enumerate(plan.sample_sizes)
+                     for row in one_cell_reference(plan, n, RngStream(14).child(i))]
+        assert float_bits(rows) == float_bits(sorted(reference, key=lambda r: (r.n, r.kind)))
+        assert rows[0].redraw_count > rows[-1].redraw_count
