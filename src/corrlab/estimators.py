@@ -38,14 +38,8 @@ KINDS = ("pearson", "spearman", "kendall")
 _KENDALL_BLOCK_VALUES = 2 ** 18  # column pairs x rows per kendall_rows call
 _SHORT_ROW = 7  # rows this short reduce column-wise, bit for bit: numpy sums < 8 terms in order
 assert _SHORT_ROW * (_SHORT_ROW ** 2 - 1) // 3 <= 127, "short-row sign sums are reduced in int8"
-# measured crossovers of the pair loop and the merge counter: the pair loop
-# takes rows up to this long, or up to the second bound in arrays of at most
-# _FEW_ROWS rows, where its 6 numpy calls per position cost more than the sorts
-_KENDALL_PAIRWISE_ROW = 52
-_FEW_ROWS, _KENDALL_PAIRWISE_FEW_ROWS = 128, 24
-assert _KENDALL_PAIRWISE_ROW <= 128, "the pair loop sums up to n - 1 signs in int8"
-# the merge counter counts inside base blocks this wide by direct compares
-_MIN_BASE_BLOCK, _MAX_BASE_BLOCK = 16, 63
+# the merge counter counts inside base blocks at most this wide by direct compares
+_MAX_BASE_BLOCK = 63
 assert _MAX_BASE_BLOCK <= 128, "_block_inversions counts in int8"
 
 
@@ -165,10 +159,10 @@ def _sign_sums(columns: np.ndarray) -> np.ndarray:
     return above.sum(axis=1, dtype=np.int8) - above.sum(axis=0, dtype=np.int8)
 
 
-def _column_dots(s: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
-    """Sums of s*t down axis 0 of two int8 sign or sign-sum arrays, in int8:
-    exact while every sum lies within +-127."""
-    return np.add.reduce(s * t, axis=0, dtype=np.int8, out=out)
+def _column_dots(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Sums of s*t down axis 0 of two int8 sign-sum arrays, in int8: exact
+    while every sum lies within +-127, as it does for rows of n <= 7."""
+    return np.add.reduce(s * t, axis=0, dtype=np.int8)
 
 
 def _level_ranks(a: np.ndarray):
@@ -322,27 +316,28 @@ def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kendall row kernel (pair loop on short rows; one (x, y) sort and a merge count on long)
+# Kendall row kernel (one (x, y) sort and a merge count of the y codes)
 # ---------------------------------------------------------------------------
 
 def _inversion_counts(codes: np.ndarray) -> np.ndarray:
     """Strict inversions per row: pairs i < j with codes[i] > codes[j].
 
     ``codes`` are integers in [0, n).  Each row splits into 2**k base
-    blocks, k the least with 63 * 2**k >= n, each w = max(ceil(n / 2**k), 16)
-    wide; the row is padded at the front to w * 2**k with a code below every
-    real code, so a pad never exceeds a later value and fewer than 2**k pads
-    are counted.  The inversions inside each base block are counted directly
-    (see :func:`_block_inversions`) in the narrowest integer type that holds
-    n; the blocks are then sorted, and bottom-up merge counting in int64
+    blocks, k the least with 63 * 2**k >= n, each w = ceil(n / 2**k) wide;
+    rows of n <= 63 are one block of width n.  The row is padded at the
+    front to w * 2**k with a code below every real code, so a pad never
+    exceeds a later value and fewer than 2**k pads are counted.  The
+    inversions inside each base block are counted directly (see
+    :func:`_block_inversions`) in the narrowest integer type that holds n;
+    the blocks are then sorted, and bottom-up merge counting in int64
     takes over from width w (Knight 1966).
     """
     m, n = codes.shape
     total = np.zeros(m, dtype=np.int64)
-    if n < 2:
+    if m == 0 or n < 2:
         return total
     blocks = 1 << (-(-n // _MAX_BASE_BLOCK) - 1).bit_length()
-    w = max(-(-n // blocks), _MIN_BASE_BLOCK)
+    w = -(-n // blocks)
     p = w * blocks
     narrow = next(t for t in (np.int8, np.int16, np.int32) if n <= np.iinfo(t).max)
     a = np.zeros((m, p), dtype=narrow)
@@ -383,30 +378,6 @@ def _tied_pair_counts(first: np.ndarray) -> np.ndarray:
     return (np.arange(first.shape[1]) - _tie_run_start(first)).sum(axis=1)
 
 
-def _pair_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sign(a - b) as exact int8 from two comparisons: no difference to
-    overflow or round."""
-    return (a > b).view(np.int8) - (a < b).view(np.int8)
-
-
-def _pair_sign_counts(x: np.ndarray, y: np.ndarray):
-    """Concordance surplus and untied x and y pair counts per row: integer
-    sums of sign(x_j - x_i) * sign(y_j - y_i) over j > i, as exact as the
-    merge counter's and cheaper below the crossover.  Position i's int8
-    sums hold its n - 1 - i signs against the later positions, so they are
-    exact up to n = 128; the positions are then summed in int64."""
-    xt, yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
-    n = x.shape[1]
-    per_position = np.zeros((3, n, x.shape[0]), dtype=np.int8)
-    for i in range(n - 1):
-        sx = _pair_signs(xt[i + 1:], xt[i])
-        sy = _pair_signs(yt[i + 1:], yt[i])
-        _column_dots(sx, sy, out=per_position[0, i])
-        _column_dots(sx, sx, out=per_position[1, i])
-        _column_dots(sy, sy, out=per_position[2, i])
-    return per_position.sum(axis=1, dtype=np.int64)
-
-
 def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray:
     """Row-wise Kendall coefficient of finite rows.
 
@@ -414,37 +385,34 @@ def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray
     ``variant="a"`` divides the concordant-discordant surplus by the
     total number of pairs.  Degenerate rows come back as NaN.
 
-    Rows up to 52 long (24 in arrays of at most 128 rows) sum their pair
-    signs position by position.  Longer rows count the inversions of their
-    y codes in (x, y) order (see :func:`_inversion_counts`).  If
-    neither array ties anywhere, the codes are the x sort order itself and
-    every tie count is 0, so the code gather and the tie counts are skipped.
+    Every row is sorted by (x, y), and the inversions of its y codes in
+    that order are the discordant pairs (see :func:`_inversion_counts`);
+    the tie counts of x, y and (x, y) give the rest of the pair counts as
+    exact integers.  If neither array ties anywhere, the codes are the x
+    sort order itself and every tie count is 0, so the code gather and the
+    tie counts are skipped.
     """
     if variant not in ("a", "b"):
         raise InputError(f"kendall variant must be 'a' or 'b', got {variant!r}")
     x, y = _row_arrays(x, y)
     n = x.shape[1]
     n0 = n * (n - 1) // 2
-    if n <= (_KENDALL_PAIRWISE_ROW if len(x) > _FEW_ROWS else _KENDALL_PAIRWISE_FEW_ROWS):
-        surplus, untied_x, untied_y = _pair_sign_counts(x, y)
-    else:
-        # sort each row by (x, y): by y, then by x, stably if x ties anywhere
-        # to keep y order in x ties; the y codes are the tie-run indices of the y sort
-        by_y = np.argsort(y, axis=1)
-        new_y = _tie_run_flags(np.take_along_axis(y, by_y, axis=1))
-        x1 = np.take_along_axis(x, by_y, axis=1)
-        by_x = np.argsort(x1, axis=1)  # without x ties, the one order
-        new_x = _tie_run_flags(np.take_along_axis(x1, by_x, axis=1))
-        by_x = by_x if new_x.all() else np.argsort(x1, axis=1, kind="stable")
-        codes, ties_x, ties_y, ties_xy = by_x, 0, 0, 0  # no tie anywhere: y codes are 0..n-1
-        if not (new_x.all() and new_y.all()):
-            codes = np.take_along_axis(np.cumsum(new_y, axis=1) - 1, by_x, axis=1)
-            ties_x = _tied_pair_counts(new_x)
-            ties_y = _tied_pair_counts(new_y)
-            ties_xy = _tied_pair_counts(new_x | _tie_run_flags(codes))
-        surplus = n0 - ties_x - ties_y + ties_xy - 2 * _inversion_counts(codes)
-        untied_x, untied_y = n0 - ties_x, n0 - ties_y
-    den2 = np.asarray(untied_x, dtype=float) * untied_y
+    # sort each row by (x, y): by y, then by x, stably if x ties anywhere
+    # to keep y order in x ties; the y codes are the tie-run indices of the y sort
+    by_y = np.argsort(y, axis=1)
+    new_y = _tie_run_flags(np.take_along_axis(y, by_y, axis=1))
+    x1 = np.take_along_axis(x, by_y, axis=1)
+    by_x = np.argsort(x1, axis=1)  # without x ties, the one order
+    new_x = _tie_run_flags(np.take_along_axis(x1, by_x, axis=1))
+    by_x = by_x if new_x.all() else np.argsort(x1, axis=1, kind="stable")
+    codes, ties_x, ties_y, ties_xy = by_x, 0, 0, 0  # no tie anywhere: y codes are 0..n-1
+    if not (new_x.all() and new_y.all()):
+        codes = np.take_along_axis(np.cumsum(new_y, axis=1) - 1, by_x, axis=1)
+        ties_x = _tied_pair_counts(new_x)
+        ties_y = _tied_pair_counts(new_y)
+        ties_xy = _tied_pair_counts(new_x | _tie_run_flags(codes))
+    surplus = n0 - ties_x - ties_y + ties_xy - 2 * _inversion_counts(codes)
+    den2 = np.asarray(n0 - ties_x, dtype=float) * (n0 - ties_y)
     with np.errstate(invalid="ignore", divide="ignore"):
         tau = surplus / (float(n0) if variant == "a" else np.sqrt(den2))
     tau = np.where(den2 > 0.0, tau, np.nan)

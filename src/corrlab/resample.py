@@ -12,13 +12,13 @@ A population whose values are all integers (Likert items, counts) is
 drawn as per-column level codes, value - column minimum, in the
 narrowest unsigned dtype when each column spans less than the sample
 size (the rule by which ``rank_rows`` counts levels), sample size *
-max|value| < 2**53 and no value is -0.0.  One count of each block's
-(table, column, level) cells then gives the exact Pearson means and the
-Spearman mid-ranks, and both centred stacks are gathered from per-level
-tables in the memory layout in which
-:func:`corrlab.estimators._correlation_core` centres gathered values, so
-the matrices keep their bits.  Any other population is gathered as
-floats, ranked and centred.
+max|value| < 2**53, the sample size is below 2**17 and no value is -0.0.
+One count of each block's (table, column, level) cells then gives the
+exact Pearson means and the Spearman mid-ranks, and both centred stacks
+are gathered from per-level tables in the one (table, row, column)
+layout in which :func:`corrlab.estimators._correlation_core` centres
+gathered values, so the matrices keep their bits.  Any other population
+is gathered as floats, ranked and centred.
 
 The original survey datasets this protocol was designed around are not
 redistributable, so the module ships two deterministic synthetic
@@ -256,7 +256,10 @@ class _LevelCodes:
 
         Integer sums below 2**53 are exact in any order, so the Pearson
         means from the level counts equal numpy's means; the mid-ranks are
-        exact half-integers and centre on the exact (n + 1)/2.
+        exact half-integers and centre on the exact (n + 1)/2, so every
+        Spearman sum is exact in any order while n**3/4 < 2**53.  Both
+        stacks are gathered in the (table, row, col) layout in which
+        ``_correlation_core`` centres gathered values.
         """
         count, n, p = tables.shape
         width = self.levels.shape[1]
@@ -264,20 +267,18 @@ class _LevelCodes:
         counts = np.bincount(cells.ravel(), minlength=count * p * width)
         counts = counts.reshape(count, p, width)
         means = (counts * self.levels).sum(axis=-1, keepdims=True) / n
-        # Pearson centres the gathered (table, row, col) values, Spearman
-        # the contiguous (table, col, row) ranks
-        pearson = np.take(self.levels - means, cells).swapaxes(1, 2)
-        spearman = np.take(_mid_ranks(counts) - 0.5 * (n + 1), cells.swapaxes(1, 2))
-        return [_centered_correlation(pearson), _centered_correlation(spearman)]
+        centred = (self.levels - means, _mid_ranks(counts) - 0.5 * (n + 1))
+        return [_centered_correlation(np.take(t, cells).swapaxes(1, 2)) for t in centred]
 
 
 def _level_codes(values: np.ndarray, sample_size: int) -> _LevelCodes | None:
     """The table's level codes, or None unless every value is an integer,
     no value is -0.0, each column's largest value is less than
-    ``sample_size`` above its smallest and sample_size * max|value| < 2**53.
+    ``sample_size`` above its smallest, sample_size * max|value| < 2**53
+    and sample_size < 2**17 (the Spearman sums stay exact).
     """
-    if not np.array_equal(np.trunc(values[0]), values[0]):  # continuous data leaves here
-        return None
+    if sample_size >= 2 ** 17 or not np.array_equal(np.trunc(values[0]), values[0]):
+        return None  # continuous data leaves here
     low, high = values.min(axis=0), values.max(axis=0)
     if float(max(-low.min(), high.max())) * sample_size >= 2 ** 53:
         return None

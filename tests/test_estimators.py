@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from corrlab import estimators
 from corrlab.errors import DegenerateSampleError, InputError
-from corrlab.estimators import (_FEW_ROWS, _KENDALL_PAIRWISE_FEW_ROWS, _KENDALL_PAIRWISE_ROW,
-                                CoefficientEstimate, PairedSample,
+from corrlab.estimators import (CoefficientEstimate, PairedSample,
                                 _inversion_counts, _level_ranks, _pearson_rows, _varies,
                                 correlation_matrix,
                                 distinct_spearman_values, fractional_rank, kendall,
@@ -249,6 +248,10 @@ class TestRowKernelShapes:
         with pytest.raises(InputError, match="2-d arrays of one shape"):
             kernel(np.ones(shapes[0]), np.ones(shapes[1]))
 
+    @pytest.mark.parametrize("n", [2, 5, 30, 100])
+    def test_kendall_rows_of_no_rows(self, n):
+        assert kendall_rows(np.ones((0, n)), np.ones((0, n))).shape == (0,)
+
     @pytest.mark.parametrize("shape", [(5,), (2, 4, 5)])
     def test_rank_rows_rejects_other_dimensions(self, shape):
         with pytest.raises(InputError, match="2-d arrays of one shape"):
@@ -277,9 +280,9 @@ class TestShortRowExactness:
 
 class TestSignSums:
     """The int8 sign-sum kernels against the float-difference formulas they
-    replace, bit for bit: ranks and tie flags for n = 1..7, Spearman with
-    its NaN rows, and Kendall's pair loop up past its switch to the merge
-    counter."""
+    replace, bit for bit: ranks and tie flags for n = 1..7 and Spearman
+    with its NaN rows; and Kendall's exact pair counts on the same edge
+    values, from one base block to two."""
 
     @pytest.mark.parametrize("rows", [5, 4096])
     @pytest.mark.parametrize("n", range(1, 8))
@@ -306,7 +309,7 @@ class TestSignSums:
             np.testing.assert_array_equal(got, float_sign_spearman(x, y), err_msg=name)
             assert np.isnan(got[::4]).all() and np.isnan(got[1])
 
-    @pytest.mark.parametrize("n", range(2, _KENDALL_PAIRWISE_ROW + 6))
+    @pytest.mark.parametrize("n", range(2, 58))
     def test_kendall_edge_values(self, n):
         rng = np.random.default_rng(600 + n)
         xs, ys = sign_sum_cases(rng, n, 5), sign_sum_cases(rng, n, 5)
@@ -317,7 +320,7 @@ class TestSignSums:
                     float_sign_kendall(xs[name], ys[name], variant),
                     err_msg=f"{name}, tau-{variant}")
 
-    @pytest.mark.parametrize("n", [2, 7, 30, _KENDALL_PAIRWISE_ROW])
+    @pytest.mark.parametrize("n", [2, 7, 30, 52])
     def test_kendall_full_chunk(self, n):
         rng = np.random.default_rng(700 + n)
         xs, ys = sign_sum_cases(rng, n, 4096), sign_sum_cases(rng, n, 4096)
@@ -345,10 +348,11 @@ class TestVaries:
 
 
 class TestKendallSwitch:
-    """Arrays of at most _FEW_ROWS rows leave the pair loop after
-    _KENDALL_PAIRWISE_FEW_ROWS, larger ones after _KENDALL_PAIRWISE_ROW."""
+    """Every row length goes through the one (x, y) sort and merge counter:
+    short rows form one base block of width n, and neither the length nor
+    the row count selects a path."""
 
-    @pytest.mark.parametrize("n", range(2, _KENDALL_PAIRWISE_ROW + 5))
+    @pytest.mark.parametrize("n", range(2, 57))
     def test_both_paths_match_pair_oracle(self, n):
         rng = np.random.default_rng(200 + n)
         tied = rng.integers(0, 4, (2, 4, n)).astype(float)
@@ -360,20 +364,10 @@ class TestKendallSwitch:
                         kendall_rows(x, y, variant=variant),
                         [kendall_oracle(x[i], y[i], variant) for i in range(len(x))])
 
-    @pytest.mark.parametrize("rows", [_FEW_ROWS, _FEW_ROWS + 1])
-    def test_bound_follows_the_row_count(self, rows, monkeypatch):
-        pair_loop_rows = []
-        pair_loop = estimators._pair_sign_counts
-
-        def spy(x, y):
-            pair_loop_rows.append(x.shape[1])
-            return pair_loop(x, y)
-
-        monkeypatch.setattr(estimators, "_pair_sign_counts", spy)
-        bound = _KENDALL_PAIRWISE_ROW if rows > _FEW_ROWS else _KENDALL_PAIRWISE_FEW_ROWS
+    @pytest.mark.parametrize("rows", [1, 128, 129, 4096])
+    def test_every_row_count_matches_float_signs(self, rows):
         rng = np.random.default_rng(rows)
-        for n in (_KENDALL_PAIRWISE_FEW_ROWS, _KENDALL_PAIRWISE_FEW_ROWS + 1,
-                  _KENDALL_PAIRWISE_ROW, _KENDALL_PAIRWISE_ROW + 1):
+        for n in (23, 24, 25, 51, 52, 53, 63, 64):
             xs, ys = sign_sum_cases(rng, n, rows), sign_sum_cases(rng, n, rows)
             for name in ("untied", "integer ties", "edge values"):
                 for variant in ("a", "b"):
@@ -381,7 +375,6 @@ class TestKendallSwitch:
                         kendall_rows(xs[name], ys[name], variant=variant),
                         float_sign_kendall(xs[name], ys[name], variant),
                         err_msg=f"{name}, n = {n}, tau-{variant}")
-            assert (n in pair_loop_rows) == (n <= bound), n
 
 
 class TestPairedSample:
@@ -630,8 +623,8 @@ class TestFastPathsArePinned:
 
 def quadratic_inversions(codes):
     """Pairs i < j with codes[i] > codes[j] per row, one position at a time."""
-    return sum((codes[:, i:i + 1] > codes[:, i + 1:]).sum(axis=1)
-               for i in range(codes.shape[1] - 1))
+    return sum(((codes[:, i:i + 1] > codes[:, i + 1:]).sum(axis=1)
+                for i in range(codes.shape[1] - 1)), np.zeros(len(codes), dtype=int))
 
 
 def inversion_cases(rng, rows, n):
@@ -646,10 +639,10 @@ BLOCK_EDGES = [63 * 2 ** k + e for k in range(1, 5) for e in (0, 1)]
 
 class TestInversionCounts:
     @pytest.mark.parametrize("rows", [1, 1024])
-    @pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 1000])
+    @pytest.mark.parametrize("n", [*range(1, 18), 31, 32, 33, 1000])
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     def test_base_block_edges(self, tied, n, rows):
-        # n = 15 pads one 16-wide base block, 16, 17 and 31..33 fill one;
+        # n = 1..63 fill one base block of width n without pads;
         # n = 1000 pads 16 blocks of 63 with 8 pads
         rng = np.random.default_rng(n + rows)
         if tied:
@@ -660,8 +653,8 @@ class TestInversionCounts:
 
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     def test_matches_quadratic_count_for_every_padding(self, tied):
-        # n = 1..70: one base block padded to 16, one block of 16..63 without
-        # pads, then two blocks of 32..35 behind 0 or 1 pad
+        # n = 1..70: one base block of width n without pads up to 63, then
+        # two blocks of 32..35 behind 0 or 1 pad
         rng = np.random.default_rng(34)
         for n in range(1, 71):
             if tied:
@@ -681,7 +674,7 @@ class TestInversionCounts:
         for n in list(range(1, 131)) + BLOCK_EDGES:
             for name, codes in inversion_cases(rng, rows, n).items():
                 np.testing.assert_array_equal(_inversion_counts(codes),
-                                              quadratic_inversions(codes) + np.zeros(rows, int),
+                                              quadratic_inversions(codes),
                                               err_msg=f"{name}, n = {n}")
 
     @pytest.mark.parametrize("n", [2 ** 15 - 1, 2 ** 15])

@@ -446,6 +446,12 @@ class TestLevelCodes:
             self._force_float_path(monkeypatch)
             assert _replicate_bytes(dataset, sample_size) == counted
 
+    @pytest.mark.parametrize("sample_size, selected", [(2 ** 17 - 1, True), (2 ** 17, False)])
+    def test_sample_size_keeps_the_spearman_sums_exact(self, sample_size, selected):
+        # centred mid-rank sums reach about n**3/12 in steps of 1/4
+        values = np.column_stack([np.arange(20.0), np.arange(20.0) % 3])
+        assert (_level_codes(values, sample_size) is not None) == selected
+
     def test_redraw_cap_names_the_same_column_and_replication(self, monkeypatch):
         # 60 ones in 20,000 rows: most 2-row samples redraw, and replication
         # 38 of seed 0 exhausts its redraws
