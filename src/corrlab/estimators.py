@@ -52,15 +52,17 @@ def _row_arrays(*arrays):
     return out
 
 
-def _varies(a: np.ndarray, axis: int = 1) -> np.ndarray:
-    """Per line of 2-d a along ``axis``, whether it holds two different values."""
-    if axis == 1 and a.shape[1] > _SHORT_ROW:
-        return (a[:, 1:] != a[:, :1]).any(axis=1)
-    # short lines: one whole-array compare per entry, 3-4x faster than a row-wise reduce
-    entries = a if axis == 0 else a.T  # entries[j] is entry j of every line
-    out = np.zeros(entries.shape[1], dtype=bool)
-    for entry in entries[1:]:
-        out |= entry != entries[0]
+def _varies(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Per line of a along ``axis``, whether an entry differs from its first."""
+    order = list(range(a.ndim))
+    order.append(order.pop(axis))
+    a = a.transpose(order)  # the lines along the last axis, as np.moveaxis at a fifth of its cost
+    if a.shape[-1] > _SHORT_ROW:
+        return (a[..., 1:] != a[..., :1]).any(axis=-1)
+    # short lines: one whole-array compare per entry, 3-4x faster than a line-wise reduce
+    out = np.zeros(a.shape[:-1], dtype=bool)
+    for j in range(1, a.shape[-1]):
+        out |= a[..., j] != a[..., 0]
     return out
 
 
@@ -133,15 +135,10 @@ def _tie_run_flags(s: np.ndarray) -> np.ndarray:
     return first
 
 
-def _tie_run_start(first: np.ndarray) -> np.ndarray:
-    """Per sorted position, the position where its tie run begins.
-
-    ``first`` flags run beginnings (see :func:`_tie_run_flags`); the
-    start is the running maximum over the flagged positions.  int32
-    positions halve the memory traffic of this pass.
-    """
-    idx = np.arange(first.shape[1], dtype=np.int32)
-    return np.maximum.accumulate(np.where(first, idx, 0), axis=1)
+def _tie_runs(first: np.ndarray):
+    """Flat (row-major) start and length of each tie run; each row's position 0 begins one."""
+    starts = np.flatnonzero(first)
+    return starts, np.diff(starts, append=first.size)
 
 
 def _sign_sums(columns: np.ndarray) -> np.ndarray:
@@ -213,7 +210,8 @@ def rank_rows(a: np.ndarray):
     of the array is an integer and each row's largest value is less than
     n above its smallest (Likert items, counts); any other array is sorted.
     If no two sorted values are equal anywhere in the array (-0.0 ties 0.0),
-    1..n is scattered through the sort order and both tie passes are skipped.
+    1..n is scattered through the sort order; otherwise each tie run takes the
+    :func:`_mid_ranks` rank of its flat cumulative count, less n per earlier row.
     """
     (a,) = _row_arrays(a)
     n = a.shape[1]
@@ -230,13 +228,9 @@ def rank_rows(a: np.ndarray):
     if first.all():  # no tie anywhere: the ranks are 1..n scattered through the sort
         np.put_along_axis(ranks, order, np.arange(1.0, n + 1.0), axis=1)
         return ranks, np.zeros(len(a), dtype=bool)
-    # flag each run's last position (just before the next run's first);
-    # in the reversed row those positions begin the runs
-    last = np.ones(a.shape, dtype=bool)
-    last[:, :-1] = first[:, 1:]
-    end = n - 1 - _tie_run_start(last[:, ::-1])[:, ::-1]
-    rank_sorted = 0.5 * (_tie_run_start(first) + end) + 1.0
-    np.put_along_axis(ranks, order, rank_sorted, axis=1)
+    starts, lengths = _tie_runs(first)
+    run_ranks = _mid_ranks(lengths) - (starts - starts % n)
+    np.put_along_axis(ranks, order, np.repeat(run_ranks, lengths).reshape(a.shape), axis=1)
     return ranks, ~first.all(axis=1)
 
 
@@ -299,7 +293,8 @@ def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Longer rows, if neither array ties anywhere, centre their ranks 1..n on
     the exact (n+1)/2; the products sum exactly, and each side's sum of
     squares is c = n(n**2 - 1)/12 (82.5 at n = 10), so sum / sqrt(c*c) is
-    Pearson of the ranks bit for bit while 4c < 2**53; other arrays take pearson_rows.
+    Pearson of the ranks bit for bit while 4c < 2**53; other arrays take it
+    unchecked, as a constant row's ranks centre to exact zeros, giving NaN.
     """
     x, y = _row_arrays(x, y)
     n = x.shape[1]
@@ -310,7 +305,7 @@ def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             return _column_dots(sx, sy) / np.sqrt(den2)
     (rx, tied_x), (ry, tied_y) = rank_rows(x), rank_rows(y)
     if tied_x.any() or tied_y.any() or n * (n * n - 1) // 3 >= 2 ** 53:
-        return pearson_rows(rx, ry)
+        return _pearson_rows(rx, ry)
     c, mean = n * (n * n - 1) / 12, 0.5 * (n + 1)
     return np.clip(((rx - mean) * (ry - mean)).sum(axis=1) / np.sqrt(c * c), -1.0, 1.0)
 
@@ -374,8 +369,10 @@ def _block_inversions(blocks: np.ndarray) -> np.ndarray:
 
 
 def _tied_pair_counts(first: np.ndarray) -> np.ndarray:
-    """Sum of t*(t-1)/2 over tie runs, per row, from run-beginning flags."""
-    return (np.arange(first.shape[1]) - _tie_run_start(first)).sum(axis=1)
+    """Sum of t*(t-1)/2 over the tie runs of each row, from run-beginning flags."""
+    starts, lengths = _tie_runs(first)
+    row_firsts = np.searchsorted(starts, np.arange(0, first.size, first.shape[1]))
+    return np.add.reduceat(lengths * (lengths - 1) // 2, row_firsts)
 
 
 def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray:
@@ -408,9 +405,8 @@ def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray
     codes, ties_x, ties_y, ties_xy = by_x, 0, 0, 0  # no tie anywhere: y codes are 0..n-1
     if not (new_x.all() and new_y.all()):
         codes = np.take_along_axis(np.cumsum(new_y, axis=1) - 1, by_x, axis=1)
-        ties_x = _tied_pair_counts(new_x)
-        ties_y = _tied_pair_counts(new_y)
-        ties_xy = _tied_pair_counts(new_x | _tie_run_flags(codes))
+        ties_x, ties_y, ties_xy = map(_tied_pair_counts,
+                                      (new_x, new_y, new_x | _tie_run_flags(codes)))
     surplus = n0 - ties_x - ties_y + ties_xy - 2 * _inversion_counts(codes)
     den2 = np.asarray(n0 - ties_x, dtype=float) * (n0 - ties_y)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -424,10 +420,9 @@ def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def _check_not_constant(s: PairedSample):
-    if s.x.min() == s.x.max():
-        raise DegenerateSampleError("x is constant; coefficient undefined")
-    if s.y.min() == s.y.max():
-        raise DegenerateSampleError("y is constant; coefficient undefined")
+    for name, values in (("x", s.x), ("y", s.y)):
+        if not _varies(values):
+            raise DegenerateSampleError(f"{name} is constant; coefficient undefined")
 
 
 def pearson(s: PairedSample) -> CoefficientEstimate:
@@ -483,8 +478,7 @@ def correlation_matrix(data, kind: str = "pearson",
         raise InputError("need at least two rows")
     if not np.all(np.isfinite(values)):
         raise InputError("table contains non-finite entries")
-    spans = values.max(axis=0) - values.min(axis=0)
-    dead = np.flatnonzero(spans == 0.0)
+    dead = np.flatnonzero(~_varies(values, axis=0))
     if dead.size:
         raise DegenerateSampleError(
             f"column {names[dead[0]]!r} is constant; correlation matrix undefined")

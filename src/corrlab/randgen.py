@@ -21,8 +21,8 @@ interpolant of log g from a per-df table of 4,353 nodes over |z| <= 8.5
 (step 1/256, exact node values and slopes, relative error below 1e-12 for
 df 1 to 100).  Beyond the table, and for a df so large that no table
 can be built, the exact map inverts the lower tail below z = 0 and the
-upper tail above it.  The uniform and likert marginals go through their
-quantile of Phi(z).
+upper tail above it.  The uniform is u = Phi(z) and the likert counts
+its thresholds at or below u, so a u rounded to 0 or 1 maps too.
 """
 
 from __future__ import annotations
@@ -322,7 +322,7 @@ def _transform(marginal: MarginalSpec, z: np.ndarray) -> np.ndarray:
 
     The normal is the identity, the exponential and the chi-square are
     mapped without forming u = Phi(z) (which rounds to 1 from z of about
-    8.3), and the uniform and likert marginals go through their quantile.
+    8.3); the uniform is u, and the likert counts thresholds at or below u.
     """
     if marginal.is_standard_normal:
         return z
@@ -330,7 +330,10 @@ def _transform(marginal: MarginalSpec, z: np.ndarray) -> np.ndarray:
         return _exponential_from_normal(z)
     if marginal.family == "chi_square":
         return _chi_square_from_normal(marginal.df, z)
-    return marginal.quantile(special.ndtr(z))
+    u = special.ndtr(z)
+    if marginal.family == "uniform":
+        return u
+    return 1.0 + np.searchsorted(marginal.thresholds, u, side="right")
 
 
 def _pairs(spec: PopulationSpec, rng: np.random.Generator, rows: int, n: int):

@@ -4,9 +4,9 @@ A numeric table is treated as the population; samples of a fixed size
 are drawn from its rows with replacement, Pearson and Spearman
 correlation matrices are computed for every draw, and per-pair summary
 statistics are aggregated against the whole-table population matrices.
-Draws whose correlation matrix cannot be calculated (a constant column
-in the sample) are redrawn and counted.  Draws follow the chunk layout
-of :mod:`corrlab.randgen` and are reduced one block at a time.
+Draws with a constant column (by ``estimators._varies``, the one constant
+test) are redrawn and counted.  Draws follow the chunk layout of
+:mod:`corrlab.randgen` and are reduced one block at a time.
 
 A population whose values are all integers (Likert items, counts) is
 drawn as per-column level codes, value - column minimum, in the
@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateSampleError, InfeasibleError, InputError
-from .estimators import (_centered_correlation, _correlation_core, _mid_ranks,
+from .estimators import (_centered_correlation, _correlation_core, _mid_ranks, _varies,
                          correlation_matrix)
 from .randgen import (CHUNK_REPS, REDRAW_CAP_PER_SAMPLE, MarginalSpec, RngStream,
                       _couple)
@@ -102,8 +102,7 @@ class PopulationDataset:
             raise InputError(f"column name {repeated[0]!r} appears more than once")
         if not np.all(np.isfinite(values)):
             raise InputError("population table contains non-finite entries")
-        spans = values.max(axis=0) - values.min(axis=0)
-        dead = np.flatnonzero(spans == 0.0)
+        dead = np.flatnonzero(~_varies(values, axis=0))
         if dead.size:
             raise DegenerateSampleError(
                 f"column {self.column_names[dead[0]]!r} is constant")
@@ -238,11 +237,6 @@ class StudyResult:
     redraw_count: int
 
 
-def _constant_columns(tables: np.ndarray) -> np.ndarray:
-    """Per column of each (..., rows, cols) table, whether every row equals the first."""
-    return (tables[..., 1:, :] == tables[..., :1, :]).all(axis=-2)
-
-
 @dataclass(frozen=True)
 class _LevelCodes:
     """An integer table as per-column level codes value - column minimum."""
@@ -325,7 +319,7 @@ def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
             0, n_rows, (min(CHUNK_REPS, n_samples - start), sample_size))
         for lo in range(0, len(picks), block):
             tables = source[picks[lo:lo + block]]
-            dead = _constant_columns(tables)
+            dead = ~_varies(tables, axis=-2)
             redraws = 0
             for i in np.flatnonzero(dead.any(axis=1)):
                 degenerate += dead[i]
@@ -333,7 +327,7 @@ def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
                 for _ in range(REDRAW_CAP_PER_SAMPLE):
                     redraws += 1
                     table = source[rng.integers(0, n_rows, sample_size)]
-                    table_dead = _constant_columns(table)
+                    table_dead = ~_varies(table, axis=-2)
                     if not table_dead.any():
                         tables[i] = table
                         break

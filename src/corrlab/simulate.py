@@ -25,8 +25,6 @@ __all__ = ["SimulationPlan", "SummaryStats", "logspace_sizes", "replication_chun
            "run_cell", "run_plan", "SUMMARY_COLUMNS"]
 
 MAX_REDRAW_RATE = 0.5
-# replication_chunks redraws until every row varies, so Pearson skips that check
-_ROW_KERNELS = dict(zip(KINDS, (_pearson_rows, spearman_rows, kendall_rows)))
 
 SUMMARY_COLUMNS = ("condition", "kind", "n", "mean", "sd", "p5", "p95",
                    "bias", "rmse", "redraw_count")
@@ -134,7 +132,10 @@ def _cell_values(plan: SimulationPlan, n: int, cell_stream: RngStream,
     """Fill row k of ``out`` with the replications of ``plan.coefficients[k]``
     at sample size n; return the redraw count."""
     reps = plan.replications
-    kernels = [_ROW_KERNELS[kind] for kind in plan.coefficients]
+    # looked up on each call, so a kernel replaced on this module is the one run;
+    # replication_chunks redraws until every row varies, so Pearson skips that check
+    by_kind = dict(zip(KINDS, (_pearson_rows, spearman_rows, kendall_rows)))
+    kernels = [by_kind[kind] for kind in plan.coefficients]
     total_redraws = 0
     done = 0
     for x, y, redraws in replication_chunks(plan.population, n, reps, cell_stream):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from corrlab import estimators
 from corrlab.errors import DegenerateSampleError, InputError
 from corrlab.estimators import (CoefficientEstimate, PairedSample,
-                                _inversion_counts, _level_ranks, _pearson_rows, _varies,
+                                _inversion_counts, _level_ranks, _pearson_rows,
+                                _tie_run_flags, _tied_pair_counts, _varies,
                                 correlation_matrix,
                                 distinct_spearman_values, fractional_rank, kendall,
                                 kendall_rows, pearson, pearson_rows, rank_rows, spearman,
@@ -178,6 +179,22 @@ def untied_path_cases(rng, rows, n):
     mixed[::3] = rng.integers(0, 5, (len(mixed[::3]), n))
     return {"untied": (x, y), "one tie": (one_tie, y), "signed zeros": (x, zeros),
             "near +-1e308": (huge, -huge[::-1]), "tied rows mixed in": (mixed, y)}
+
+
+def row_boundary_cases(rng, rows, n):
+    """Tied rows x n arrays by case name, in half-point values and in
+    integers spanning at least n, so that rank_rows sorts them rather than
+    counting levels.  In "stacked [a, a, b, b]" the sorted row r ends on the
+    value that starts row r + 1.  Every row repeats row 0 up to a shift of
+    its values, so every row has row 0's ranks, tie counts and coefficients."""
+    halves = rng.permuted(np.arange(n) >= n // 2)
+    levels = {"identical rows": np.tile(rng.integers(0, 3, n), (rows, 1)),
+              "stacked [a, a, b, b]": np.arange(rows)[:, None] + halves}
+    cases = {"constant rows, half-point": np.full((rows, n), 0.5)}
+    for name, level in levels.items():
+        cases[f"{name}, half-point"] = level + 0.5
+        cases[f"{name}, integer"] = level * float(n)
+    return cases
 
 
 def checked_rows(rng, rows):
@@ -345,6 +362,22 @@ class TestVaries:
         expected = [len(set(row)) > 1 for row in rows]
         np.testing.assert_array_equal(_varies(rows), expected)
         np.testing.assert_array_equal(_varies(np.ascontiguousarray(rows.T), axis=0), expected)
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 40])
+    def test_every_axis_of_2d_and_3d_stacks(self, n):
+        # n = 2 and 7 take the entry loop, 8 and 40 the line-wise reduce
+        rng = np.random.default_rng(310 + n)
+        lines = rng.integers(0, 2, (3, 5, n)).astype(float)  # two levels: some lines constant
+        lines[0, ::2] = 0.5
+        lines[1, 1::2] = -0.0  # -0.0 equals 0.0
+        lines[1, 1::2, -1] = 0.0
+        oracle = np.array([[len(set(line)) > 1 for line in stack] for stack in lines.tolist()])
+        assert oracle.any() and not oracle.all()
+        for axis in (-1, 0, -2):
+            for stack, expected in ((lines[0], oracle[0]), (lines, oracle)):
+                a = np.ascontiguousarray(np.moveaxis(stack, -1, axis))  # lines along axis
+                got = _varies(a, axis=axis)
+                np.testing.assert_array_equal(got, expected, err_msg=f"axis {axis}, {a.shape}")
 
 
 class TestKendallSwitch:
@@ -584,6 +617,38 @@ class TestUntiedFastPaths:
                     err_msg=f"{name}, tau-{variant}")
 
 
+class TestTieRunsAcrossRows:
+    """Tie runs are taken over the flattened sorted rows, and position 0 of
+    every row begins a run: a run must not cross into the next row."""
+
+    @pytest.mark.parametrize("rows", [1, 100, 4096])
+    @pytest.mark.parametrize("n", [8, 23, 64, 213])
+    def test_ranks_and_tied_pair_counts(self, n, rows):
+        for name, a in row_boundary_cases(np.random.default_rng(n + rows), rows, n).items():
+            assert _level_ranks(a) is None, name
+            ranks, ties = rank_rows(a)
+            row = a[0].tolist()
+            np.testing.assert_array_equal(ranks, np.tile(rank_oracle(row), (rows, 1)),
+                                          err_msg=name)
+            assert ties.all(), name
+            pairs = sum(u == v for u, v in itertools.combinations(row, 2))
+            np.testing.assert_array_equal(_tied_pair_counts(_tie_run_flags(np.sort(a, axis=1))),
+                                          [pairs] * rows, err_msg=name)
+
+    @pytest.mark.parametrize("rows", [1, 100, 4096])
+    @pytest.mark.parametrize("n", [8, 23, 64, 213])
+    def test_kendall(self, n, rows):
+        rng = np.random.default_rng(1000 + n + rows)
+        xs, ys = row_boundary_cases(rng, rows, n), row_boundary_cases(rng, rows, n)
+        for name in xs:
+            x, y = xs[name], ys[name]
+            for variant in ("a", "b"):
+                expected = float_sign_kendall(x[:1], y[:1], variant)
+                np.testing.assert_array_equal(kendall_rows(x, y, variant=variant),
+                                              np.tile(expected, rows),
+                                              err_msg=f"{name}, tau-{variant}")
+
+
 class _TiePass(Exception):
     pass
 
@@ -596,7 +661,7 @@ class TestFastPathsArePinned:
     def tie_passes_raise(self, monkeypatch):
         def tie_pass(*args):
             raise _TiePass
-        monkeypatch.setattr(estimators, "_tie_run_start", tie_pass)
+        monkeypatch.setattr(estimators, "_tie_runs", tie_pass)
         monkeypatch.setattr(estimators, "_tied_pair_counts", tie_pass)
 
     @pytest.mark.parametrize("n", [8, 213])

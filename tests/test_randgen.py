@@ -183,6 +183,20 @@ class TestNormalMap:
         np.testing.assert_array_equal(_transform(marginal, z),
                                       marginal.quantile(special.ndtr(z)))
 
+    @pytest.mark.parametrize("marginal", [MarginalSpec.uniform(), MarginalSpec.likert()],
+                             ids=["uniform", "likert"])
+    def test_uniform_and_likert_at_extreme_z(self, marginal):
+        # ndtr rounds to 0 at -40 and to 1 at 8.5 and 40, where quantile refuses
+        z = np.array([-40.0, -38.0, -8.5, 0.0, 8.0, 8.5, 40.0])
+        u = special.ndtr(z)
+        assert u[0] == 0.0 and (u[-2:] == 1.0).all()
+        got = _transform(marginal, z)
+        inside = (u > 0.0) & (u < 1.0)
+        np.testing.assert_array_equal(got[inside], marginal.quantile(u[inside]))
+        low, high = (0.0, 1.0) if marginal.family == "uniform" else (1.0, 6.0)
+        np.testing.assert_array_equal(got[[0, -2, -1]], [low, high, high])
+        assert np.all(np.diff(got) >= 0)
+
 
 # float.hex() of (latent_rho, pop_pearson) of two cheap calibrations, per
 # CALIBRATION_VERSION: a change that moves calibrated values must raise the

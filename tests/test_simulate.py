@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from corrlab import simulate
 from corrlab.errors import InfeasibleError, InputError
 from corrlab.estimators import kendall_rows, pearson_rows, spearman_rows
 from corrlab.exact import kendall_from_pearson, spearman_from_pearson
@@ -103,6 +104,22 @@ class TestRunCell:
 
 
 class TestRunPlan:
+    def test_kernels_are_looked_up_on_each_call(self, monkeypatch):
+        # a kernel replaced on the module, as a tracer does, is the one run
+        calls = []
+
+        def spy(name, kernel):
+            def wrapped(x, y):
+                calls.append((name, x.shape))
+                return kernel(x, y)
+            return wrapped
+
+        monkeypatch.setattr(simulate, "kendall_rows", spy("kendall", kendall_rows))
+        monkeypatch.setattr(simulate, "spearman_rows", spy("spearman", spearman_rows))
+        run_plan(_plan(sizes=(10, 20), reps=200, kinds=("pearson", "spearman", "kendall")))
+        assert sorted(calls) == [(kind, (200, n)) for kind in ("kendall", "spearman")
+                                 for n in (10, 20)]
+
     def test_rows_cover_every_cell(self):
         plan = _plan(sizes=(10, 20), reps=200, kinds=("pearson", "spearman", "kendall"))
         rows = run_plan(plan)
