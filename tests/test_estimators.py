@@ -41,11 +41,13 @@ def rank_oracle(values):
 
 def kendall_oracle(x, y, variant="b"):
     """Quadratic pair enumeration, tau-b (default) or tau-a normalization."""
+    # Python floats compared per pair: the sign of x[i] - x[j], which is 0 only at x[i] == x[j]
+    x, y = np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()
     n = len(x)
     concordant = discordant = ties_x = ties_y = 0
     for i, j in itertools.combinations(range(n), 2):
-        dx = np.sign(x[i] - x[j])
-        dy = np.sign(y[i] - y[j])
+        dx = (x[i] > x[j]) - (x[i] < x[j])
+        dy = (y[i] > y[j]) - (y[i] < y[j])
         if dx == 0 and dy == 0:
             continue
         if dx == 0:
@@ -554,9 +556,9 @@ class TestKendall:
 
 class TestKendallLongRows:
     """The one-sort path at the base-block edges of the merge counter: one
-    block up to n = 63, two up to 126, four up to 252; 128 is past int8."""
+    block up to n = 127, two up to 254, four from 255; 128 is past int8."""
 
-    @pytest.mark.parametrize("n", [53, 63, 64, 65, 126, 127, 128, 129])
+    @pytest.mark.parametrize("n", [53, 63, 64, 127, 128, 254, 255])
     def test_matches_pair_oracle(self, n):
         rng = np.random.default_rng(300 + n)
         untied = rng.standard_normal((2, 3, n))
@@ -692,14 +694,27 @@ def quadratic_inversions(codes):
                 for i in range(codes.shape[1] - 1)), np.zeros(len(codes), dtype=int))
 
 
+def level_inversions(codes, levels):
+    """Pairs i < j with codes[i] > codes[j] per row of codes in [0, levels):
+    each position counts the earlier positions of every level above its own."""
+    total = np.zeros(len(codes), dtype=int)
+    for level in range(levels):
+        at = codes == level
+        total += ((np.cumsum(at, axis=1) - at) * (codes < level)).sum(axis=1)
+    return total
+
+
 def inversion_cases(rng, rows, n):
     """Untied (permutations) and tied (four levels) code arrays of rows x n."""
     return {"untied": np.argsort(rng.random((rows, n)), axis=1),
             "tied": rng.integers(0, 4, (rows, n))}
 
 
-# n = 63 * 2**k fills 2**k base blocks of 63; one more makes 2**(k+1) blocks of 32
-BLOCK_EDGES = [63 * 2 ** k + e for k in range(1, 5) for e in (0, 1)]
+# n = 127 * 2**k fills 2**k base blocks of 127; one more makes 2**(k+1) blocks
+# of 64 behind 2**k - 1 pads.  n = 63 * 2**k + (0, 1) fills 2**(k-1) blocks of
+# 126, then of 127 behind 2**(k-1) - 1 pads.
+BLOCK_EDGES = sorted({b * 2 ** k + e for b, ks in ((63, range(1, 5)), (127, range(4)))
+                      for k in ks for e in (0, 1)})
 
 
 class TestInversionCounts:
@@ -707,8 +722,8 @@ class TestInversionCounts:
     @pytest.mark.parametrize("n", [*range(1, 18), 31, 32, 33, 1000])
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     def test_base_block_edges(self, tied, n, rows):
-        # n = 1..63 fill one base block of width n without pads;
-        # n = 1000 pads 16 blocks of 63 with 8 pads
+        # n = 1..127 fill one base block of width n without pads;
+        # n = 1000 fills 8 blocks of 125 without pads
         rng = np.random.default_rng(n + rows)
         if tied:
             codes = rng.integers(0, 4, (rows, n))
@@ -718,10 +733,10 @@ class TestInversionCounts:
 
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     def test_matches_quadratic_count_for_every_padding(self, tied):
-        # n = 1..70: one base block of width n without pads up to 63, then
-        # two blocks of 32..35 behind 0 or 1 pad
+        # n = 1..70 and 126, 127: one base block of width n without pads;
+        # n = 128..131: two blocks of 64..66 behind 0 or 1 pad
         rng = np.random.default_rng(34)
-        for n in range(1, 71):
+        for n in [*range(1, 71), *range(126, 132)]:
             if tied:
                 v = rng.integers(0, 4, (6, n)).astype(float)
             else:
@@ -733,13 +748,14 @@ class TestInversionCounts:
 
     @pytest.mark.parametrize("rows", [1, 1024])
     def test_every_short_length_and_block_edge(self, rows):
-        # n = 1..130 crosses 1, 2 and 4 base blocks and the int8 -> int16 switch
-        # at 128; the edges double the block count up to 32 blocks of 32
+        # n = 1..130 crosses 1 and 2 base blocks and the int8 -> int16 switch
+        # at 128; the edges double the block count up to 16 blocks of 64
         rng = np.random.default_rng(rows)
-        for n in list(range(1, 131)) + BLOCK_EDGES:
+        for n in sorted(set(range(1, 131)) | set(BLOCK_EDGES)):
             for name, codes in inversion_cases(rng, rows, n).items():
-                np.testing.assert_array_equal(_inversion_counts(codes),
-                                              quadratic_inversions(codes),
+                expected = (level_inversions(codes, 4) if name == "tied"
+                            else quadratic_inversions(codes))
+                np.testing.assert_array_equal(_inversion_counts(codes), expected,
                                               err_msg=f"{name}, n = {n}")
 
     @pytest.mark.parametrize("n", [2 ** 15 - 1, 2 ** 15])
@@ -752,6 +768,29 @@ class TestInversionCounts:
             expected = quadratic_inversions(codes).tolist()
             assert _inversion_counts(codes).tolist() == expected, name
         assert expected == [n * (n - 1) // 2]
+
+
+class TestMergeKeyType:
+    """Merge keys of m rows of n codes lie below (n + 1) times the m * blocks / 2
+    block pairs of the first merge level; the helper is called directly, so
+    no key array is built at the int32 and int64 boundaries."""
+
+    @pytest.mark.parametrize("m,n,expected", [
+        (10 ** 6, 127, np.int16),  # one base block: nothing to merge
+        (64, 255, np.int16), (65, 255, np.int32),  # 4 blocks: keys below m * 2 * 256
+        (4, 1023, np.int16), (5, 1023, np.int32),  # 16 blocks: keys below m * 8 * 1024
+        (2 ** 22, 255, np.int32), (2 ** 22 + 1, 255, np.int64),
+        (2 ** 18, 1023, np.int32), (2 ** 18 + 1, 1023, np.int64)])
+    def test_boundaries(self, m, n, expected):
+        assert estimators._merge_key_type(m, n) is expected
+
+    def test_largest_int16_key_counts_exactly(self):
+        # the last of 64 rows of 255 ends in its largest code, which makes the
+        # first merge level's largest key 64 * 2 * 256 - 1 = 2**15 - 1
+        codes = np.argsort(np.random.default_rng(255).random((64, 255)), axis=1)
+        codes[-2], codes[-1] = np.arange(255)[::-1], np.arange(255)
+        assert estimators._merge_key_type(*codes.shape) is np.int16
+        np.testing.assert_array_equal(_inversion_counts(codes), quadratic_inversions(codes))
 
 
 class TestCorrelationMatrix:

@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate
 
 from corrlab import exact
-from corrlab.errors import InputError
+from corrlab.errors import InputError, NumericError
 from corrlab.estimators import pearson_rows
 from corrlab.exact import (_null_pearson_density, density_curve, expected_pearson,
                            expected_spearman, expected_spearman_from_mix,
@@ -63,6 +63,21 @@ class TestHypergeometricSeries:
         with mp.workdps(40):
             expected = float(mp.hyp2f1(0.5, 0.5, c, x))
         assert hyp2f1_half_half(c, x) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1.3, 2 + 1e-13, 3 - 1e-9])
+    def test_tail_bound_at_other_c(self, c):
+        # at c neither an integer nor a half-integer the series runs up to
+        # x = 1 and stops on a bound of its whole tail
+        xs = [0.5, 0.99, 0.995, 0.999, 1 - 1e-4]
+        with mp.workdps(40):
+            expected = [float(mp.hyp2f1(0.5, 0.5, c, x)) for x in xs]
+        np.testing.assert_allclose(hyp2f1_half_half(c, np.array(xs)), expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("c,x", [(1.3, 1 - 1e-5), (2 + 1e-13, 1 - 1e-8),
+                                     (3 - 1e-9, 1 - 1e-9)])
+    def test_unmet_tail_bound_raises(self, c, x):
+        with pytest.raises(NumericError):
+            hyp2f1_half_half(c, x)
 
     @pytest.mark.parametrize("c", [1.5, 2.0, 7.25])
     def test_series_kept_up_to_the_switch(self, c):
