@@ -317,61 +317,46 @@ def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _inversion_counts(codes: np.ndarray) -> np.ndarray:
     """Strict inversions per row: pairs i < j with codes[i] > codes[j].
 
-    ``codes`` are integers in [0, n).  Each row splits into
-    :func:`_base_blocks` base blocks, 2**k of them, k the least with
-    127 * 2**k >= n, each w = ceil(n / 2**k) wide; rows of n <= 127 are
-    one block of width n.  The row is padded at the front to w * 2**k with
-    a code below every real code, so a pad never exceeds a later value and
-    fewer than 2**k pads are counted.  The inversions inside each base
-    block are counted directly (see :func:`_block_inversions`) in the
-    narrowest integer type that holds n; the blocks are then sorted, and
-    bottom-up merge counting takes over from width w (Knight 1966), on
-    keys in the type :func:`_merge_key_type` picks.
+    ``codes`` are integers in [0, n).  Each row splits into 2**k base
+    blocks, k the least with 127 * 2**k >= n, each w = ceil(n / 2**k)
+    wide; rows of n <= 127 are one block of width n.  The row is padded at
+    the front to w * 2**k with a code below every real code, so a pad never
+    exceeds a later value and fewer than 2**k pads are counted.  The
+    inversions inside each base block are counted directly (see
+    :func:`_block_inversions`); the blocks are then sorted, and bottom-up
+    merge counting takes over from width w (Knight 1966), one sort per
+    level.  A merge key is 2v, plus 1 in the right block of each pair, so
+    a left value sorts before an equal right one.  Values are held in the
+    narrowest signed integer type that holds n, keys in the one that holds
+    2n + 1.
     """
     m, n = codes.shape
     total = np.zeros(m, dtype=np.int64)
     if m == 0 or n < 2:
         return total
-    blocks = _base_blocks(n)
+    blocks = 1 << (-(-n // _MAX_BASE_BLOCK) - 1).bit_length()
     w = -(-n // blocks)
     p = w * blocks
-    narrow = next(t for t in (np.int8, np.int16, np.int32) if n <= np.iinfo(t).max)
-    a = np.zeros((m, p), dtype=narrow)
+    # min_scalar_type(-v - 1) is the narrowest signed integer type that holds v
+    a = np.zeros((m, p), dtype=np.min_scalar_type(-n - 1))
     np.add(codes, 1, out=a[:, p - n:], casting="unsafe")
     total += _block_inversions(a.reshape(-1, w)).reshape(m, -1).sum(axis=1)
     if w == p:
         return total
     a.reshape(-1, w).sort(axis=1)
-    key = _merge_key_type(m, n)
-    a = a.astype(key)
+    a = np.left_shift(a, 1, dtype=np.min_scalar_type(-2 * n - 2))
     while w < p:
         b = a.reshape(-1, 2 * w)
-        nb = b.shape[0]
-        offset = np.arange(0, nb * (n + 1), n + 1, dtype=key)[:, None]
-        pos = np.searchsorted((b[:, :w] + offset).ravel(), (b[:, w:] + offset).ravel(),
-                              side="right")
-        # pos less its block's start i * w counts the left values <= a right
-        # value, so block i holds w * w * (i + 1) - (its sum of pos) inversions
-        total += w * w * np.arange(1, nb + 1).reshape(m, -1).sum(axis=1)
-        total -= pos.reshape(m, -1).sum(axis=1)
+        b[:, w:] |= 1
         b.sort(axis=1)
+        # right value j of pair i lands at i * 2w + j + (left values <= it), so pair i holds
+        # w * w + w * (w - 1) / 2 + 2 * w * w * i inversions less the sum of those positions
+        pairs = np.arange(len(b))
+        total += (w * w + w * (w - 1) // 2 + 2 * w * w * pairs).reshape(m, -1).sum(axis=1)
+        total -= np.flatnonzero(b & 1).reshape(m, -1).sum(axis=1)
+        b &= -2
         w *= 2
     return total
-
-
-def _base_blocks(n: int) -> int:
-    """Base blocks per row of n codes: the least power of two 2**k with
-    ``_MAX_BASE_BLOCK`` * 2**k >= n."""
-    return 1 << (-(-n // _MAX_BASE_BLOCK) - 1).bit_length()
-
-
-def _merge_key_type(m: int, n: int):
-    """The narrowest signed integer type that holds every merge key of m rows
-    of n codes.  Values lie in [0, n], and a merge level offsets block pair
-    i by i * (n + 1), so its keys lie below (n + 1) times its block pairs;
-    the first level has the most, m * blocks / 2."""
-    keys = m * (_base_blocks(n) // 2) * (n + 1)
-    return next(t for t in (np.int16, np.int32, np.int64) if keys - 1 <= np.iinfo(t).max)
 
 
 def _block_inversions(blocks: np.ndarray) -> np.ndarray:

@@ -758,8 +758,9 @@ class TestInversionCounts:
                 np.testing.assert_array_equal(_inversion_counts(codes), expected,
                                               err_msg=f"{name}, n = {n}")
 
-    @pytest.mark.parametrize("n", [2 ** 15 - 1, 2 ** 15])
+    @pytest.mark.parametrize("n", [2 ** 14 - 1, 2 ** 14, 2 ** 15 - 1, 2 ** 15])
     def test_int16_to_int32_switch(self, n):
+        # the largest merge key 2n + 1 fits int16 at 2**14 - 1 and not at 2**14;
         # the largest code + 1 is n: it fits int16 at 2**15 - 1 and not at 2**15
         rng = np.random.default_rng(n)
         cases = inversion_cases(rng, 1, n)
@@ -768,29 +769,6 @@ class TestInversionCounts:
             expected = quadratic_inversions(codes).tolist()
             assert _inversion_counts(codes).tolist() == expected, name
         assert expected == [n * (n - 1) // 2]
-
-
-class TestMergeKeyType:
-    """Merge keys of m rows of n codes lie below (n + 1) times the m * blocks / 2
-    block pairs of the first merge level; the helper is called directly, so
-    no key array is built at the int32 and int64 boundaries."""
-
-    @pytest.mark.parametrize("m,n,expected", [
-        (10 ** 6, 127, np.int16),  # one base block: nothing to merge
-        (64, 255, np.int16), (65, 255, np.int32),  # 4 blocks: keys below m * 2 * 256
-        (4, 1023, np.int16), (5, 1023, np.int32),  # 16 blocks: keys below m * 8 * 1024
-        (2 ** 22, 255, np.int32), (2 ** 22 + 1, 255, np.int64),
-        (2 ** 18, 1023, np.int32), (2 ** 18 + 1, 1023, np.int64)])
-    def test_boundaries(self, m, n, expected):
-        assert estimators._merge_key_type(m, n) is expected
-
-    def test_largest_int16_key_counts_exactly(self):
-        # the last of 64 rows of 255 ends in its largest code, which makes the
-        # first merge level's largest key 64 * 2 * 256 - 1 = 2**15 - 1
-        codes = np.argsort(np.random.default_rng(255).random((64, 255)), axis=1)
-        codes[-2], codes[-1] = np.arange(255)[::-1], np.arange(255)
-        assert estimators._merge_key_type(*codes.shape) is np.int16
-        np.testing.assert_array_equal(_inversion_counts(codes), quadratic_inversions(codes))
 
 
 class TestCorrelationMatrix:
