@@ -54,6 +54,14 @@ def _list_of(conv):
 _ints, _floats, _strs = _list_of(int), _list_of(float), _list_of(str.strip)
 
 
+def _distinct_labels(key: str, values, labels: list) -> None:
+    """Refuse list values that share a label, hence a file or condition name."""
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise UsageError(f"conflicting values for {key!r}: {values[labels.index(label)]!r} "
+                             f"and {values[i]!r} are both labelled {label!r}")
+
+
 def _char(text):
     if len(text) != 1:
         raise ValueError("must be exactly one character")
@@ -482,15 +490,19 @@ def _run_convert(cfg: RunConfig):
 
 def _run_density(cfg: RunConfig):
     params = cfg.params
+    labels = [f"rp{rho:g}" for rho in params["pearson"]]
+    _distinct_labels("pearson", params["pearson"], labels)
+    if params["mc-reps"] < 0:
+        raise InputError(f"--mc-reps must be at least 0, got {params['mc-reps']}")
     artifacts = {}
     lines = []
     summary = []
     grid_chunks = None  # every curve shares one r grid: render it once
-    for rho in params["pearson"]:
+    for rho, label in zip(params["pearson"], labels):
         for n in params["n"]:
             curve = exact.density_curve(rho, n, points=params["points"])
             area = float(np.trapezoid(curve.density, curve.grid))
-            stem = f"rp{rho:g}_n{n}"
+            stem = f"{label}_n{n}"
             grid_chunks = grid_chunks or list(_float_rows(curve.grid))
             artifacts[f"density_{stem}.csv"] = (("r", "density"),
                                                 _float_rows(grid_chunks, curve.density))
@@ -564,8 +576,11 @@ def _run_simulate(cfg: RunConfig):
     # every condition is validated before the first calibration writes its cache,
     # and the calibration size for every marginal, though the normal needs none
     marginals = [_marginal_for(params["marginal"], df) for df in dfs]
+    _distinct_labels("df", dfs, [m.describe() for m in marginals])
     if params["calibration-n"] < MIN_CALIBRATION_N:
         raise InputError(f"calibration sample must have at least {MIN_CALIBRATION_N} pairs")
+    if params["emit-sample"] < 0 or params["emit-sample"] == 1:
+        raise InputError(f"--emit-sample must be 0 or at least 2, got {params['emit-sample']}")
 
     artifacts = {}
     lines = []

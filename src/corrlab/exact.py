@@ -42,13 +42,10 @@ __all__ = [
 
 SERIES_RELATIVE_TOL = 1e-15
 SERIES_MAX_TERMS = 10 ** 6
-_SERIES_BLOCK = 250  # terms per step of the tail-bounded series; divides SERIES_MAX_TERMS
 # Above NEAR_ONE_X the power series at small c needs up to millions of terms
 # (tens of millions at c = 2, x = 1 - 1e-12); the connection formula toward
 # 1 - x converges in a few dozen.  From NEAR_ONE_MAX_C on the series
-# converges within about 40 terms even at x = 1 - 2**-52.  The formula is
-# taken only where 2c is an integer: as c nears an integer without reaching
-# it, its two terms grow without bound and cancel.
+# converges within about 40 terms even at x = 1 - 2**-52.
 NEAR_ONE_X = 0.99
 NEAR_ONE_MAX_C = 50.0
 
@@ -78,23 +75,20 @@ class DensityCurve:
 
 
 def hyp2f1_half_half(c: float, x) -> float | np.ndarray:
-    """Gauss hypergeometric function 2F1(1/2, 1/2; c; x) for c > 1, 0 <= x < 1.
+    """Gauss hypergeometric function 2F1(1/2, 1/2; c; x) for 0 <= x < 1 and
+    c > 1 an integer or half-integer, the c = n - 1/2 of the Pearson density
+    and c = (n + 1)/2 of its mean; any other c is a domain error.
 
-    Power series summed with the term-ratio recurrence, capped at 1e6
-    terms.  At an integer or half-integer c it stops once a term falls
-    below 1e-15 of the sum, and for x > ``NEAR_ONE_X`` at such c <
-    ``NEAR_ONE_MAX_C`` the connection formula toward 1 - x (`_toward_one`)
-    runs instead.  At any other c the series runs up to x = 1 and stops
-    once a bound of its whole tail falls below 1e-15 of the sum
-    (`_tail_bounded_series`); where the cap cannot meet that bound it
-    raises `NumericError`.
+    Power series until a term falls below 1e-15 of the sum, capped at 1e6
+    terms; above ``NEAR_ONE_X`` at c < ``NEAR_ONE_MAX_C`` the connection
+    formula toward 1 - x (`_toward_one`) instead.
     """
-    if not c > 1.0:
-        raise InputError(f"series parameter c must exceed 1, got {c}")
+    if not (c > 1.0 and float(2.0 * c).is_integer()):
+        raise InputError(f"series parameter c must be an integer or half-integer above 1, got {c}")
     x_arr = np.asarray(x, dtype=float)
     if np.any((x_arr < 0.0) | (x_arr >= 1.0)):
         raise InputError("series argument must lie in [0, 1)")
-    near = (x_arr > NEAR_ONE_X) & (c < NEAR_ONE_MAX_C) & (2.0 * c == math.floor(2.0 * c))
+    near = (x_arr > NEAR_ONE_X) & (c < NEAR_ONE_MAX_C)
     out = np.empty_like(x_arr)
     if not np.all(near):
         out[~near] = _power_series(c, x_arr[~near])
@@ -104,8 +98,6 @@ def hyp2f1_half_half(c: float, x) -> float | np.ndarray:
 
 
 def _power_series(c: float, x: np.ndarray) -> np.ndarray:
-    if 2.0 * c != math.floor(2.0 * c):
-        return _tail_bounded_series(c, x)
     term = np.ones_like(x)
     total = np.ones_like(x)
     for i in range(SERIES_MAX_TERMS):
@@ -114,31 +106,6 @@ def _power_series(c: float, x: np.ndarray) -> np.ndarray:
         if np.all(term <= SERIES_RELATIVE_TOL * total):
             return total
     raise NumericError("hypergeometric series did not converge within 1e6 terms")
-
-
-def _tail_bounded_series(c: float, x: np.ndarray) -> np.ndarray:
-    """The power series at c that is neither an integer nor a half-integer,
-    summed ``_SERIES_BLOCK`` terms at a time until a bound of the whole tail
-    is below 1e-15 of the sum.
-
-    For c > 1 every term ratio (1/2 + i)**2 x / ((c + i)(i + 1)) is below
-    x, so the terms after one of size t sum to less than t x / (1 - x).
-    Near x = 1 one small term says little about the tail: stopping on it
-    is off by 9e-13 at c = 1.3, x = 0.999.  Integer and half-integer c keep
-    that rule, so the density artifacts keep their bytes; they leave the
-    series above ``NEAR_ONE_X`` for `_toward_one` at c < ``NEAR_ONE_MAX_C``.
-    """
-    tail = x / (1.0 - x)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for start in range(0, SERIES_MAX_TERMS, _SERIES_BLOCK):
-        i = np.arange(start, start + _SERIES_BLOCK, dtype=float).reshape((-1,) + (1,) * x.ndim)
-        terms = term * np.cumprod((0.5 + i) ** 2 / ((c + i) * (i + 1.0)) * x, axis=0)
-        total = total + terms.sum(axis=0)
-        term = terms[-1]
-        if np.all(term * tail <= SERIES_RELATIVE_TOL * total):
-            return total
-    raise NumericError("hypergeometric series tail bound not met within 1e6 terms")
 
 
 def _toward_one(c: float, y: np.ndarray) -> np.ndarray:

@@ -318,7 +318,7 @@ def _exponential_from_normal(z: np.ndarray) -> np.ndarray:
 def _transform(marginal: MarginalSpec, z: np.ndarray) -> np.ndarray:
     """The marginal's value at latent standard normals z, the map
     g = F^-1(Phi(z)) of the latent-normal coupling; the only such map in
-    simulation and calibration.
+    simulation, calibration and the dbq-like population.
 
     The normal is the identity, the exponential and the chi-square are
     mapped without forming u = Phi(z) (which rounds to 1 from z of about

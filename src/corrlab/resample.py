@@ -39,13 +39,12 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DegenerateSampleError, InfeasibleError, InputError
 from .estimators import (_centered_correlation, _correlation_core, _mid_ranks, _varies,
                          correlation_matrix)
 from .randgen import (CHUNK_REPS, REDRAW_CAP_PER_SAMPLE, MarginalSpec, RngStream,
-                      _couple)
+                      _couple, _transform)
 
 __all__ = [
     "PopulationDataset",
@@ -467,11 +466,10 @@ def dbq_like_population(n_rows: int = 9000, n_cols: int = 34,
                        kind="stable")
     floor_mass = floor_mass[order]
 
-    uniforms = ndtr(latent)
-    columns = np.empty_like(uniforms)
+    columns = np.empty_like(latent)
     for j in range(n_cols):
         marginal = MarginalSpec.likert(_survey_thresholds(floor_mass[j]))
-        columns[:, j] = marginal.quantile(uniforms[:, j])
+        columns[:, j] = _transform(marginal, latent[:, j])
     names = tuple(f"item{i + 1:02d}" for i in range(n_cols))
     return PopulationDataset(column_names=names, values=columns)
 

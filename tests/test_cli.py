@@ -596,6 +596,36 @@ class TestExitCodes:
         assert err.startswith(f"error: bad value for {key!r}") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,label,argv", [
+        ("pearson", "rp0.2", ["density", "--pearson", "0.2,0.2000001", "--n", "5"]),
+        ("df", "chi_square(df=1)", ["simulate", "--marginal", "chi2", "--df", "1,1.0000001",
+                                    "--pearson", "0.4", "--calibration-n", "1000",
+                                    "--sizes", "5", "--reps", "2"])],
+        ids=["density-pearson", "simulate-df"])
+    def test_values_with_one_label_are_usage_error(self, tmp_path, capsys, key, label, argv):
+        # they would overwrite one file, or share a condition label and its cache
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: conflicting values for {key!r}")
+        assert repr(label) in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,argv", [
+        ("emit-sample", ["simulate", "--marginal", "exponential", "--emit-sample", "1"]),
+        ("emit-sample", ["simulate", "--marginal", "exponential", "--emit-sample", "-1"]),
+        ("mc-reps", ["density", "--n", "5", "--mc-reps", "-1"])],
+        ids=["emit-sample-1", "emit-sample-negative", "mc-reps-negative"])
+    def test_unusable_count_flag_is_three(self, tmp_path, capsys, flag, argv):
+        # refused before any calibration, so no cache file is left behind
+        if argv[0] == "simulate":
+            argv = [*argv, "--calibration-n", "1000", "--sizes", "5", "--reps", "2"]
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{flag} must be") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("step", ["1e-4", "1e-300"])
     def test_oversized_influence_grid_is_input_error(self, tmp_path, capsys, step):
         # rejected while parsing the axis, before the grid is allocated
