@@ -21,7 +21,7 @@ from .exact import (DensityCurve, NormalTheoryParams, density_curve,
                     spearman_from_pearson, spearman_interval)
 from .randgen import (MarginalSpec, PopulationSpec, RngStream, calibrate_copula,
                       sample_bivariate_normal, sample_population)
-from .simulate import SimulationPlan, SummaryStats, logspace_sizes, run_cell, run_plan
+from .simulate import SimulationPlan, SummaryStats, logspace_sizes, run_plan
 from .influence import (AxisSpec, InfluenceGrid, delta_width, exceedance_fraction,
                         scan_double, scan_single)
 from .resample import (MomentProfile, PairSummary, PopulationDataset, StudyResult,
@@ -42,7 +42,7 @@ __all__ = [
     "spearman_from_kendall", "spearman_from_pearson", "spearman_interval",
     "MarginalSpec", "PopulationSpec", "RngStream", "calibrate_copula",
     "sample_bivariate_normal", "sample_population",
-    "SimulationPlan", "SummaryStats", "logspace_sizes", "run_cell", "run_plan",
+    "SimulationPlan", "SummaryStats", "logspace_sizes", "run_plan",
     "AxisSpec", "InfluenceGrid", "delta_width", "exceedance_fraction",
     "scan_double", "scan_single",
     "MomentProfile", "PairSummary", "PopulationDataset", "StudyResult",

@@ -451,12 +451,12 @@ def _population_for(marginal: MarginalSpec, target: float, calibration_n: int,
     return spec
 
 
-def _dataset_for(params: dict, default_population: str = "dbq-like"):
+def _dataset_for(params: dict):
     if params.get("input") and params.get("population"):
         raise UsageError("give either --input or --population, not both")
     if params.get("input"):
         return resample.ingest_csv(params["input"], delimiter=params["delimiter"])
-    name = params.get("population") or default_population
+    name = params.get("population") or "dbq-like"
     if name == "asvab-like":
         return resample.asvab_like_population()
     if name == "dbq-like":
@@ -542,7 +542,7 @@ def _exact_bin_fractions(rho: float, n: int, edges: np.ndarray) -> np.ndarray:
 
 
 def _run_moments(cfg: RunConfig):
-    dataset = _dataset_for(cfg.params, default_population="dbq-like")
+    dataset = _dataset_for(cfg.params)
     profile = resample.moment_profile(dataset)
     rows = [(name, profile.mean[i], profile.sd[i], profile.skewness[i],
              profile.kurtosis[i])
@@ -573,14 +573,16 @@ def _run_simulate(cfg: RunConfig):
         raise UsageError(f"unknown coefficient kind {unknown[0]!r} "
                          f"(use {', '.join(KINDS)})")
 
-    # every condition is validated before the first calibration writes its cache,
-    # and the calibration size for every marginal, though the normal needs none
+    # every condition and count is validated before the first calibration writes its
+    # cache, and the calibration size for every marginal, though the normal needs none
     marginals = [_marginal_for(params["marginal"], df) for df in dfs]
     _distinct_labels("df", dfs, [m.describe() for m in marginals])
     if params["calibration-n"] < MIN_CALIBRATION_N:
         raise InputError(f"calibration sample must have at least {MIN_CALIBRATION_N} pairs")
     if params["emit-sample"] < 0 or params["emit-sample"] == 1:
         raise InputError(f"--emit-sample must be 0 or at least 2, got {params['emit-sample']}")
+    plan = simulate.SimulationPlan(sample_sizes=sizes, replications=params["reps"],
+                                   coefficients=params["kinds"])
 
     artifacts = {}
     lines = []
@@ -588,10 +590,7 @@ def _run_simulate(cfg: RunConfig):
     for cond_index, marginal in enumerate(marginals):
         population = _population_for(marginal, params["pearson"],
                                      params["calibration-n"], cfg.out_dir)
-        plan = simulate.SimulationPlan(population=population, sample_sizes=sizes,
-                                       replications=params["reps"],
-                                       coefficients=params["kinds"])
-        rows = simulate.run_plan(plan, threads=cfg.threads,
+        rows = simulate.run_plan(plan, population, threads=cfg.threads,
                                  stream=RngStream(cfg.seed).child(cond_index))
         all_rows.extend(rows)
         lines.append(f"condition {population.label}: {len(rows)} summary rows")

@@ -213,8 +213,7 @@ def expected_pearson(rho: float, n: int) -> float:
     """
     if n < 2:
         raise InputError(f"sample size must be >= 2, got {n}")
-    if not -1.0 <= rho <= 1.0:
-        raise InputError(f"rho must lie in [-1, 1], got {rho}")
+    _check_unit_interval(rho, "rho")
     if abs(rho) == 1.0:
         return float(rho)  # point mass at +-1
     log_pref = 2.0 * (special.gammaln(0.5 * n) - special.gammaln(0.5 * (n - 1.0)))
@@ -226,8 +225,7 @@ def expected_spearman(rho: float, n: int) -> float:
     """Expected value of the sample Spearman coefficient at size n."""
     if n < 2:
         raise InputError(f"sample size must be >= 2, got {n}")
-    if not -1.0 <= rho <= 1.0:
-        raise InputError(f"rho must lie in [-1, 1], got {rho}")
+    _check_unit_interval(rho, "rho")
     return (6.0 / (math.pi * (n + 1.0))
             * (math.asin(rho) + (n - 2.0) * math.asin(0.5 * rho)))
 

@@ -1,13 +1,14 @@
 """Monte Carlo sweeps over sample sizes: draw, estimate, summarize.
 
-A :class:`SimulationPlan` names a population, a list of sample sizes,
-the coefficients to estimate, and a replication count.  Each (size,
-coefficient) cell yields a :class:`SummaryStats` row.  Cell c draws
-through the chunk layout of :mod:`corrlab.randgen` under path (c,), so
-results do not depend on how cells are scheduled.  A sweep keeps every
-replication in one (coefficient, cell, replication) array and takes each
-statistic once per coefficient over all cells; a cell's row has the same
-bits as :func:`run_cell` gives for that cell alone.
+A :class:`SimulationPlan` names a list of sample sizes, the
+coefficients to estimate, and a replication count; :func:`run_plan` runs
+it against one population.  Each (size, coefficient) cell yields a
+:class:`SummaryStats` row.  Cell c draws through the chunk layout of
+:mod:`corrlab.randgen` under path (c,), so results do not depend on how
+cells are scheduled.  A sweep keeps every replication in one
+(coefficient, cell, replication) array and takes each statistic once per
+coefficient over all cells; a cell's row has the same bits as the cell
+summarised alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .estimators import KINDS, _pearson_rows, _varies, kendall_rows, spearman_ro
 from .randgen import CHUNK_REPS, REDRAW_CAP_PER_SAMPLE, PopulationSpec, RngStream, _pairs
 
 __all__ = ["SimulationPlan", "SummaryStats", "logspace_sizes", "replication_chunks",
-           "run_cell", "run_plan", "SUMMARY_COLUMNS"]
+           "run_plan", "SUMMARY_COLUMNS"]
 
 MAX_REDRAW_RATE = 0.5
 
@@ -56,7 +57,6 @@ def logspace_sizes(lo: int, hi: int, k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SimulationPlan:
-    population: PopulationSpec
     sample_sizes: tuple[int, ...]
     replications: int = 20000
     coefficients: tuple[str, ...] = ("pearson", "spearman")
@@ -72,10 +72,6 @@ class SimulationPlan:
         if not kinds or any(c not in KINDS for c in kinds):
             raise InputError(f"coefficients must be drawn from {KINDS}")
         object.__setattr__(self, "coefficients", kinds)
-
-    @property
-    def condition(self) -> str:
-        return self.population.label
 
 
 @dataclass(frozen=True)
@@ -127,8 +123,8 @@ def replication_chunks(population: PopulationSpec, n: int, reps: int,
         yield x, y, redraws
 
 
-def _cell_values(plan: SimulationPlan, n: int, cell_stream: RngStream,
-                 out: np.ndarray) -> int:
+def _cell_values(plan: SimulationPlan, population: PopulationSpec, n: int,
+                 cell_stream: RngStream, out: np.ndarray) -> int:
     """Fill row k of ``out`` with the replications of ``plan.coefficients[k]``
     at sample size n; return the redraw count."""
     reps = plan.replications
@@ -138,7 +134,7 @@ def _cell_values(plan: SimulationPlan, n: int, cell_stream: RngStream,
     kernels = [by_kind[kind] for kind in plan.coefficients]
     total_redraws = 0
     done = 0
-    for x, y, redraws in replication_chunks(plan.population, n, reps, cell_stream):
+    for x, y, redraws in replication_chunks(population, n, reps, cell_stream):
         total_redraws += redraws
         for kernel, values in zip(kernels, out):
             values[done:done + len(x)] = kernel(x, y)
@@ -150,7 +146,7 @@ def _cell_values(plan: SimulationPlan, n: int, cell_stream: RngStream,
     return total_redraws
 
 
-def _summarize(plan: SimulationPlan, sizes, values: np.ndarray,
+def _summarize(plan: SimulationPlan, population: PopulationSpec, values: np.ndarray,
                redraws) -> list[SummaryStats]:
     """One row per (coefficient, size), coefficient-major, from ``values[kind, cell, rep]``.
 
@@ -160,47 +156,43 @@ def _summarize(plan: SimulationPlan, sizes, values: np.ndarray,
     """
     rows = []
     for kind, v in zip(plan.coefficients, values):
-        population_value = plan.population.population_value(kind)
+        population_value = population.population_value(kind)
         mean = v.mean(axis=1).tolist()
-        sd = v.std(axis=1, ddof=1).tolist() if v.shape[1] > 1 else [None] * len(sizes)
+        sd = v.std(axis=1, ddof=1).tolist() if v.shape[1] > 1 else [None] * len(v)
         p5, p95 = np.percentile(v, [5.0, 95.0], axis=1).tolist()  # type-7 linear interpolation
         rmse = np.sqrt(np.mean((v - population_value) ** 2, axis=1)).tolist()
-        rows += [SummaryStats(condition=plan.condition, kind=kind, n=n, mean=mean[c], sd=sd[c],
+        rows += [SummaryStats(condition=population.label, kind=kind, n=n, mean=mean[c], sd=sd[c],
                               p5=p5[c], p95=p95[c], bias=mean[c] - population_value,
                               rmse=rmse[c], population_value=population_value,
                               redraw_count=redraws[c])
-                 for c, n in enumerate(sizes)]
+                 for c, n in enumerate(plan.sample_sizes)]
     return rows
 
 
-def run_cell(plan: SimulationPlan, n: int, cell_stream: RngStream) -> list[SummaryStats]:
-    """All requested coefficient summaries for one sample size."""
-    values = np.empty((len(plan.coefficients), 1, plan.replications))
-    redraws = _cell_values(plan, n, cell_stream, values[:, 0])
-    return _summarize(plan, [n], values, [redraws])
-
-
-def run_plan(plan: SimulationPlan, threads: int = 1,
+def run_plan(plan: SimulationPlan, population: PopulationSpec, threads: int = 1,
              stream: RngStream = RngStream(0)) -> list[SummaryStats]:
-    """Run every cell of the plan; one row per (size, coefficient).
+    """Run every cell of the plan against ``population``; one row per
+    (size, coefficient), its condition the population's label.
 
     Cells are independent streams, so the result is identical for any
     thread count; rows come back sorted by (n, kind).  Cell i draws under
-    ``stream.child(i)``, so a caller running several conditions gives each
-    its own root stream.  Every cell fills its slice of one (kind, cell,
-    replication) array, and the summaries are taken over all cells at once.
+    ``stream.child(i)``, so a caller running one plan against several
+    populations gives each its own root stream.  Every cell fills its slice
+    of one (kind, cell, replication) array, and the summaries are taken over
+    all cells at once.
     """
     sizes = plan.sample_sizes
     values = np.empty((len(plan.coefficients), len(sizes), plan.replications))
 
     def one(index):
-        return _cell_values(plan, sizes[index], stream.child(index), values[:, index])
+        return _cell_values(plan, population, sizes[index], stream.child(index),
+                            values[:, index])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             redraws = list(pool.map(one, range(len(sizes))))
     else:
         redraws = [one(i) for i in range(len(sizes))]
-    rows = _summarize(plan, sizes, values, redraws)
+    rows = _summarize(plan, population, values, redraws)
     rows.sort(key=lambda r: (r.n, r.kind))
     return rows

@@ -22,7 +22,7 @@ from corrlab.randgen import (MarginalSpec, PopulationSpec, RngStream,
                              calibrate_copula, sample_bivariate_normal)
 from corrlab.resample import (asvab_like_population, dbq_like_population,
                               moment_profile, run_study)
-from corrlab.simulate import SimulationPlan, run_cell
+from corrlab.simulate import SimulationPlan, run_plan
 
 SEED = 20210
 REPS = 20000
@@ -37,11 +37,14 @@ def finish(number, name, checks):
     assert not failed, f"criterion {number} failed: {failed}"
 
 
-def run_normal_cell(rho, n, kinds, cond, cell):
-    plan = SimulationPlan(PopulationSpec.bivariate_normal(rho), (n,),
-                          replications=REPS, coefficients=kinds)
-    rows = run_cell(plan, n, RngStream(SEED).child(cond, cell))
-    return {row.kind: row for row in rows}
+def run_condition(population, target, sizes, kinds, stream):
+    """Every cell of one condition, keyed (target, n); cell i draws from
+    ``stream.child(i)``."""
+    plan = SimulationPlan(sizes, replications=REPS, coefficients=kinds)
+    cells = {}
+    for row in run_plan(plan, population, threads=2, stream=stream):
+        cells.setdefault((target, row.n), {})[row.kind] = row
+    return cells
 
 
 @pytest.fixture(scope="session")
@@ -51,8 +54,8 @@ def normal_cells():
             (0.2, (50, 100, 200, 1000), ("pearson", "spearman", "kendall")),
             (0.4, (50, 200), ("pearson", "spearman")),
             (0.8, (50, 200), ("pearson", "spearman"))]):
-        for cell, n in enumerate(sizes):
-            cells[(rho, n)] = run_normal_cell(rho, n, kinds, cond, cell)
+        cells.update(run_condition(PopulationSpec.bivariate_normal(rho), rho, sizes, kinds,
+                                   RngStream(SEED).child(cond)))
     return cells
 
 
@@ -64,11 +67,8 @@ def exponential_cells():
                                             (0.8, (1000,))]):
         spec = calibrate_copula(marginal, target, calibration_n=10 ** 6,
                                 stream=RngStream(SEED).child(90 + cond))
-        plan = SimulationPlan(spec, sizes, replications=REPS,
-                              coefficients=("pearson", "spearman"))
-        for cell, n in enumerate(sizes):
-            rows = run_cell(plan, n, RngStream(SEED).child(10 + cond, cell))
-            cells[(target, n)] = {row.kind: row for row in rows}
+        cells.update(run_condition(spec, target, sizes, ("pearson", "spearman"),
+                                   RngStream(SEED).child(10 + cond)))
     return cells
 
 

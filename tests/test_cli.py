@@ -611,19 +611,24 @@ class TestExitCodes:
         assert repr(label) in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag,argv", [
-        ("emit-sample", ["simulate", "--marginal", "exponential", "--emit-sample", "1"]),
-        ("emit-sample", ["simulate", "--marginal", "exponential", "--emit-sample", "-1"]),
-        ("mc-reps", ["density", "--n", "5", "--mc-reps", "-1"])],
-        ids=["emit-sample-1", "emit-sample-negative", "mc-reps-negative"])
-    def test_unusable_count_flag_is_three(self, tmp_path, capsys, flag, argv):
+    @pytest.mark.parametrize("message,argv", [
+        ("--emit-sample must be", ["simulate", "--marginal", "exponential",
+                                   "--emit-sample", "1"]),
+        ("--emit-sample must be", ["simulate", "--marginal", "exponential",
+                                   "--emit-sample", "-1"]),
+        ("need at least one replication", ["simulate", "--marginal", "exponential",
+                                           "--reps", "0"]),
+        ("sample sizes must be", ["simulate", "--marginal", "exponential", "--sizes", "1"]),
+        ("--mc-reps must be", ["density", "--n", "5", "--mc-reps", "-1"])],
+        ids=["emit-sample-1", "emit-sample-negative", "reps-0", "sizes-1", "mc-reps-negative"])
+    def test_unusable_count_flag_is_three(self, tmp_path, capsys, message, argv):
         # refused before any calibration, so no cache file is left behind
-        if argv[0] == "simulate":
-            argv = [*argv, "--calibration-n", "1000", "--sizes", "5", "--reps", "2"]
+        if argv[0] == "simulate":  # the case's own flags follow these, so they win
+            argv = [argv[0], "--calibration-n", "1000", "--sizes", "5", "--reps", "2", *argv[1:]]
         out = tmp_path / "out"
         assert cli.main([*argv, "--out-dir", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: --{flag} must be") and "Traceback" not in err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("step", ["1e-4", "1e-300"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from corrlab.estimators import kendall_rows, pearson_rows, spearman_rows
 from corrlab.exact import kendall_from_pearson, spearman_from_pearson
 from corrlab.randgen import MarginalSpec, PopulationSpec, RngStream
 from corrlab.simulate import (CHUNK_REPS, SimulationPlan, SummaryStats, logspace_sizes,
-                              replication_chunks, run_cell, run_plan)
+                              replication_chunks, run_plan)
 
 
 class TestLogspaceSizes:
@@ -39,9 +40,12 @@ class TestLogspaceSizes:
         assert sizes == tuple(range(2, 13))
 
 
-def _plan(rho=0.2, sizes=(20,), reps=2000, kinds=("pearson", "spearman")):
-    return SimulationPlan(PopulationSpec.bivariate_normal(rho), sizes,
-                          replications=reps, coefficients=kinds)
+def _plan(sizes=(20,), reps=2000, kinds=("pearson", "spearman")):
+    return SimulationPlan(sizes, replications=reps, coefficients=kinds)
+
+
+def _normal(rho=0.2):
+    return PopulationSpec.bivariate_normal(rho)
 
 
 def _two_category_population():
@@ -51,29 +55,31 @@ def _two_category_population():
 
 
 class TestRunCell:
+    """One-size plans: cell 0 of ``RngStream(k)`` draws from ``RngStream(k).child(0)``."""
+
     def test_zero_condition_is_unbiased(self):
-        plan = _plan(rho=0.0, sizes=(50,), reps=20000)
-        rows = run_cell(plan, 50, RngStream(1).child(0))
+        plan = _plan(sizes=(50,), reps=20000)
+        rows = run_plan(plan, _normal(0.0), stream=RngStream(1))
         by_kind = {r.kind: r for r in rows}
         assert by_kind["pearson"].mean == pytest.approx(0.0, abs=0.005)
         assert by_kind["spearman"].mean == pytest.approx(0.0, abs=0.005)
 
     def test_small_sample_bias_matches_theory(self):
-        plan = _plan(rho=0.2, sizes=(5,), reps=20000)
-        rows = run_cell(plan, 5, RngStream(2).child(0))
+        plan = _plan(sizes=(5,), reps=20000)
+        rows = run_plan(plan, _normal(0.2), stream=RngStream(2))
         by_kind = {r.kind: r for r in rows}
         assert by_kind["pearson"].mean == pytest.approx(0.177, abs=0.01)
         assert by_kind["spearman"].mean == pytest.approx(0.160, abs=0.01)
 
     def test_single_replication_has_no_sd(self):
         plan = _plan(reps=1)
-        rows = run_cell(plan, 20, RngStream(0).child(0))
+        rows = run_plan(plan, _normal(), stream=RngStream(0))
         assert rows[0].sd is None
         assert rows[0].p5 == rows[0].p95 == rows[0].mean
 
     def test_rmse_identity(self):
         plan = _plan(reps=3000)
-        for row in run_cell(plan, 20, RngStream(3).child(0)):
+        for row in run_plan(plan, _normal(), stream=RngStream(3)):
             reps = plan.replications
             lhs = row.rmse ** 2
             rhs = row.sd ** 2 * (reps - 1) / reps + row.bias ** 2
@@ -81,14 +87,13 @@ class TestRunCell:
 
     def test_percentiles_bracket_mean(self):
         plan = _plan(reps=2000)
-        for row in run_cell(plan, 20, RngStream(4).child(0)):
+        for row in run_plan(plan, _normal(), stream=RngStream(4)):
             assert row.p5 <= row.mean <= row.p95
 
     def test_degenerate_draws_are_redrawn_and_counted(self):
         # two-category marginal at n=4: a constant draw is common
-        plan = SimulationPlan(_two_category_population(), (4,), replications=500,
-                              coefficients=("pearson",))
-        rows = run_cell(plan, 4, RngStream(5).child(0))
+        plan = SimulationPlan((4,), replications=500, coefficients=("pearson",))
+        rows = run_plan(plan, _two_category_population(), stream=RngStream(5))
         assert rows[0].redraw_count > 0
 
     def test_hopeless_condition_is_infeasible(self):
@@ -97,10 +102,9 @@ class TestRunCell:
         population = PopulationSpec(marginal, target_pearson=0.0,
                                     latent_rho=0.0, pop_pearson=0.0,
                                     pop_spearman=0.0)
-        plan = SimulationPlan(population, (3,), replications=50,
-                              coefficients=("pearson",))
+        plan = SimulationPlan((3,), replications=50, coefficients=("pearson",))
         with pytest.raises(InfeasibleError):
-            run_cell(plan, 3, RngStream(6).child(0))
+            run_plan(plan, population, stream=RngStream(6))
 
 
 class TestRunPlan:
@@ -116,26 +120,27 @@ class TestRunPlan:
 
         monkeypatch.setattr(simulate, "kendall_rows", spy("kendall", kendall_rows))
         monkeypatch.setattr(simulate, "spearman_rows", spy("spearman", spearman_rows))
-        run_plan(_plan(sizes=(10, 20), reps=200, kinds=("pearson", "spearman", "kendall")))
+        run_plan(_plan(sizes=(10, 20), reps=200, kinds=("pearson", "spearman", "kendall")),
+                 _normal())
         assert sorted(calls) == [(kind, (200, n)) for kind in ("kendall", "spearman")
                                  for n in (10, 20)]
 
     def test_rows_cover_every_cell(self):
         plan = _plan(sizes=(10, 20), reps=200, kinds=("pearson", "spearman", "kendall"))
-        rows = run_plan(plan)
+        rows = run_plan(plan, _normal())
         assert {(r.n, r.kind) for r in rows} == {
             (n, k) for n in (10, 20) for k in ("pearson", "spearman", "kendall")}
 
     def test_seed_determinism_and_thread_independence(self):
         plan = _plan(sizes=(10, 30), reps=500)
-        rows_a = run_plan(plan, stream=RngStream(7))
-        rows_b = run_plan(plan, stream=RngStream(7))
-        rows_c = run_plan(plan, threads=4, stream=RngStream(7))
+        rows_a = run_plan(plan, _normal(), stream=RngStream(7))
+        rows_b = run_plan(plan, _normal(), stream=RngStream(7))
+        rows_c = run_plan(plan, _normal(), threads=4, stream=RngStream(7))
         assert rows_a == rows_b == rows_c
 
     def test_different_seeds_differ(self):
-        rows_a = run_plan(_plan(reps=200), stream=RngStream(1))
-        rows_b = run_plan(_plan(reps=200), stream=RngStream(2))
+        rows_a = run_plan(_plan(reps=200), _normal(), stream=RngStream(1))
+        rows_b = run_plan(_plan(reps=200), _normal(), stream=RngStream(2))
         assert rows_a != rows_b
 
     @staticmethod
@@ -162,19 +167,19 @@ class TestRunPlan:
 
     def test_sd_shrinks_with_sample_size(self):
         plan = _plan(sizes=(10, 40, 160), reps=4000)
-        rows = [r for r in run_plan(plan, stream=RngStream(9)) if r.kind == "pearson"]
+        rows = [r for r in run_plan(plan, _normal(), stream=RngStream(9)) if r.kind == "pearson"]
         sds = [r.sd for r in rows]
         assert sds[0] > sds[1] > sds[2]
 
     def test_kendall_mean_tracks_population_conversion(self):
         plan = _plan(sizes=(100,), reps=4000, kinds=("kendall",))
-        row = run_plan(plan, stream=RngStream(10))[0]
+        row = run_plan(plan, _normal(), stream=RngStream(10))[0]
         assert row.mean == pytest.approx(kendall_from_pearson(0.2), abs=0.01)
         assert row.population_value == pytest.approx(kendall_from_pearson(0.2))
 
     def test_population_values_recorded_per_kind(self):
         plan = _plan(sizes=(12,), reps=50, kinds=("pearson", "spearman"))
-        by_kind = {r.kind: r for r in run_plan(plan, stream=RngStream(11))}
+        by_kind = {r.kind: r for r in run_plan(plan, _normal(), stream=RngStream(11))}
         assert by_kind["pearson"].population_value == 0.2
         assert by_kind["spearman"].population_value == pytest.approx(
             spearman_from_pearson(0.2))
@@ -196,20 +201,20 @@ def float_bits(rows):
                   for v in dataclasses.astuple(row)) for row in rows]
 
 
-def one_cell_reference(plan, n, cell_stream):
+def one_cell_reference(plan, population, n, cell_stream):
     """A cell's rows from its replications alone: 1-d numpy statistics of
     the public row kernels' values, the summary before sweeps were batched."""
-    chunks = list(replication_chunks(plan.population, n, plan.replications, cell_stream))
+    chunks = list(replication_chunks(population, n, plan.replications, cell_stream))
     kernels = {"pearson": pearson_rows, "spearman": spearman_rows, "kendall": kendall_rows}
     redraws = sum(chunk[2] for chunk in chunks)
     rows = []
     for kind in plan.coefficients:
         values = np.concatenate([kernels[kind](x, y) for x, y, _ in chunks])
-        pop = plan.population.population_value(kind)
+        pop = population.population_value(kind)
         mean = float(values.mean())
         p5, p95 = np.percentile(values, [5.0, 95.0])
         rows.append(SummaryStats(
-            condition=plan.condition, kind=kind, n=n, mean=mean,
+            condition=population.label, kind=kind, n=n, mean=mean,
             sd=float(values.std(ddof=1)) if values.size > 1 else None,
             p5=float(p5), p95=float(p95), bias=mean - pop,
             rmse=float(np.sqrt(np.mean((values - pop) ** 2))), population_value=pop,
@@ -225,26 +230,40 @@ class TestBatchedSummaries:
     @pytest.mark.parametrize("reps", [1, 2, 100, CHUNK_REPS + 1])
     def test_plan_rows_equal_cell_rows(self, reps, threads):
         sizes = (5, 8, 30, 60) if reps < CHUNK_REPS else (5, 60)
-        plan = _plan(rho=0.3, sizes=sizes, reps=reps,
-                     kinds=("kendall", "pearson", "spearman"))
+        plan = _plan(sizes=sizes, reps=reps, kinds=("kendall", "pearson", "spearman"))
+        population = _normal(0.3)
         stream = RngStream(12)
-        rows = run_plan(plan, threads=threads, stream=stream)
-        cells = [run_cell(plan, n, stream.child(i)) for i, n in enumerate(sizes)]
+        rows = run_plan(plan, population, threads=threads, stream=stream)
+        cells = [one_cell_reference(plan, population, n, stream.child(i))
+                 for i, n in enumerate(sizes)]
         by_cell = sorted((row for cell in cells for row in cell), key=lambda r: (r.n, r.kind))
         assert float_bits(rows) == float_bits(by_cell)
         assert all((row.sd is None) == (reps == 1) for row in rows)
 
     @pytest.mark.parametrize("reps", [1, 2, 100, CHUNK_REPS + 1])
     def test_cell_rows_equal_one_dimensional_statistics(self, reps):
-        plan = _plan(rho=0.3, sizes=(30,), reps=reps, kinds=("kendall", "pearson", "spearman"))
-        stream = RngStream(13).child(0)
-        assert float_bits(run_cell(plan, 30, stream)) == float_bits(
-            one_cell_reference(plan, 30, stream))
+        plan = _plan(sizes=(30,), reps=reps, kinds=("kendall", "pearson", "spearman"))
+        population = _normal(0.3)
+        rows = run_plan(plan, population, stream=RngStream(13))
+        reference = one_cell_reference(plan, population, 30, RngStream(13).child(0))
+        assert float_bits(rows) == float_bits(sorted(reference, key=lambda r: (r.n, r.kind)))
 
     def test_redraw_counts_stay_with_their_cells(self):
-        plan = SimulationPlan(_two_category_population(), (4, 5, 30), replications=100)
-        rows = run_plan(plan, threads=2, stream=RngStream(14))
+        plan = SimulationPlan((4, 5, 30), replications=100)
+        population = _two_category_population()
+        rows = run_plan(plan, population, threads=2, stream=RngStream(14))
         reference = [row for i, n in enumerate(plan.sample_sizes)
-                     for row in one_cell_reference(plan, n, RngStream(14).child(i))]
+                     for row in one_cell_reference(plan, population, n, RngStream(14).child(i))]
         assert float_bits(rows) == float_bits(sorted(reference, key=lambda r: (r.n, r.kind)))
         assert rows[0].redraw_count > rows[-1].redraw_count
+
+
+def test_readme_library_use_runs_as_written():
+    # README's example is the documented library entry point; run it verbatim
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["population"].label == "exponential_rp0.4"
+    assert {row.condition for row in namespace["rows"]} == {"exponential_rp0.4"}
