@@ -11,14 +11,12 @@ artifacts as deterministic CSV/JSON files.
 
 from .errors import (CorrlabError, DegenerateSampleError, InfeasibleError,
                      InputError, NumericError, UsageError)
-from .estimators import (CoefficientEstimate, PairedSample, RankVector,
-                         correlation_matrix, distinct_spearman_values,
-                         fractional_rank, kendall, pearson, spearman)
-from .exact import (DensityCurve, NormalTheoryParams, density_curve,
-                    expected_pearson, expected_spearman, fisher_interval,
-                    fisher_z, fisher_z_inverse, hyp2f1_half_half,
-                    kendall_from_pearson, pearson_density, spearman_from_kendall,
-                    spearman_from_pearson, spearman_interval)
+from .estimators import (CoefficientEstimate, PairedSample, correlation_matrix,
+                         distinct_spearman_values, kendall, pearson, spearman)
+from .exact import (DensityCurve, density_curve, expected_pearson, expected_spearman,
+                    fisher_interval, fisher_z, hyp2f1_half_half, kendall_from_pearson,
+                    pearson_density, spearman_from_kendall, spearman_from_pearson,
+                    spearman_interval)
 from .randgen import (MarginalSpec, PopulationSpec, RngStream, calibrate_copula,
                       sample_bivariate_normal, sample_population)
 from .simulate import SimulationPlan, SummaryStats, logspace_sizes, run_plan
@@ -34,11 +32,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CorrlabError", "DegenerateSampleError", "InfeasibleError", "InputError",
     "NumericError", "UsageError",
-    "CoefficientEstimate", "PairedSample", "RankVector", "correlation_matrix",
-    "distinct_spearman_values", "fractional_rank", "kendall", "pearson", "spearman",
-    "DensityCurve", "NormalTheoryParams", "density_curve", "expected_pearson",
-    "expected_spearman", "fisher_interval", "fisher_z", "fisher_z_inverse",
-    "hyp2f1_half_half", "kendall_from_pearson", "pearson_density",
+    "CoefficientEstimate", "PairedSample", "correlation_matrix",
+    "distinct_spearman_values", "kendall", "pearson", "spearman",
+    "DensityCurve", "density_curve", "expected_pearson", "expected_spearman",
+    "fisher_interval", "fisher_z", "hyp2f1_half_half", "kendall_from_pearson",
+    "pearson_density",
     "spearman_from_kendall", "spearman_from_pearson", "spearman_interval",
     "MarginalSpec", "PopulationSpec", "RngStream", "calibrate_copula",
     "sample_bivariate_normal", "sample_population",

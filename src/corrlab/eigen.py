@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimators import correlation_matrix
-from .resample import _MATRIX_KINDS, PopulationDataset, _MeanSD, _replicate
+from .estimators import _MATRIX_KINDS, correlation_matrix
+from .resample import PopulationDataset, _MeanSD, _replicate
 
 __all__ = ["symmetric_eigenvalues", "EigenSummary", "eigen_study"]
 
@@ -26,7 +26,7 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InputError("matrix contains non-finite entries")
-    if np.max(np.abs(m - m.T)) > 1e-10:
+    if np.abs(m - m.T).max(initial=0.0) > 1e-10:
         raise InputError("matrix is not symmetric within 1e-10")
     return np.linalg.eigvalsh(m)[::-1]
 

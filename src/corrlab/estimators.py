@@ -20,9 +20,7 @@ from .errors import DegenerateSampleError, InputError
 
 __all__ = [
     "PairedSample",
-    "RankVector",
     "CoefficientEstimate",
-    "fractional_rank",
     "pearson",
     "spearman",
     "kendall",
@@ -35,7 +33,8 @@ __all__ = [
 ]
 
 KINDS = ("pearson", "spearman", "kendall")
-_KENDALL_BLOCK_VALUES = 2 ** 18  # column pairs x rows per kendall_rows call
+# the kinds of correlation_matrix, in the sampling studies' matrix order
+_MATRIX_KINDS = ("pearson", "spearman")
 _SHORT_ROW = 7  # rows this short reduce column-wise, bit for bit: numpy sums < 8 terms in order
 assert _SHORT_ROW * (_SHORT_ROW ** 2 - 1) // 3 <= 127, "short-row sign sums are reduced in int8"
 # the merge counter counts inside base blocks at most this wide by direct compares
@@ -101,14 +100,6 @@ class PairedSample:
     def append(self, px: float, py: float) -> "PairedSample":
         """New sample with one extra point appended."""
         return PairedSample(np.append(self.x, px), np.append(self.y, py))
-
-
-@dataclass(frozen=True)
-class RankVector:
-    """Fractional ranks of one vector; ties share the mean of their rank span."""
-
-    ranks: np.ndarray
-    had_ties: bool
 
 
 @dataclass(frozen=True)
@@ -232,13 +223,6 @@ def rank_rows(a: np.ndarray):
     run_ranks = _mid_ranks(lengths) - (starts - starts % n)
     np.put_along_axis(ranks, order, np.repeat(run_ranks, lengths).reshape(a.shape), axis=1)
     return ranks, ~first.all(axis=1)
-
-
-def fractional_rank(values) -> RankVector:
-    """Fractional ranks of one vector (mean rank assigned to ties)."""
-    v = _as_finite_1d(values, "values")
-    ranks, ties = rank_rows(v[None, :])
-    return RankVector(ranks=ranks[0], had_ties=bool(ties[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -464,19 +448,19 @@ def _table_and_names(data):
     return values, names
 
 
-def correlation_matrix(data, kind: str = "pearson",
-                       kendall_variant: str = "b") -> np.ndarray:
-    """Symmetric correlation matrix of a table's columns.
+def correlation_matrix(data, kind: str = "pearson") -> np.ndarray:
+    """Symmetric Pearson or Spearman correlation matrix of a table's columns.
 
     ``data`` is a (rows x columns) array or any object exposing
     ``values``/``column_names``.  Any constant column raises
     :class:`DegenerateSampleError` naming the column, which is what the
-    resampling retry rule keys on.
+    resampling retry rule keys on.  Kendall coefficients come from
+    :func:`kendall` and :func:`kendall_rows`.
     """
-    if kind not in KINDS:
-        raise InputError(f"unknown coefficient kind {kind!r}")
+    if kind not in _MATRIX_KINDS:
+        raise InputError(f"correlation matrices are pearson or spearman, got {kind!r}")
     values, names = _table_and_names(data)
-    n, p = values.shape
+    n = len(values)
     if n < 2:
         raise InputError("need at least two rows")
     if not np.all(np.isfinite(values)):
@@ -485,18 +469,6 @@ def correlation_matrix(data, kind: str = "pearson",
     if dead.size:
         raise DegenerateSampleError(
             f"column {names[dead[0]]!r} is constant; correlation matrix undefined")
-
-    if kind == "kendall":
-        # column pairs go through kendall_rows in blocks that bound its
-        # temporaries
-        iu, ju = np.triu_indices(p, k=1)
-        step = max(1, _KENDALL_BLOCK_VALUES // n)
-        mat = np.eye(p)
-        for lo in range(0, iu.size, step):
-            i, j = iu[lo:lo + step], ju[lo:lo + step]
-            mat[i, j] = mat[j, i] = kendall_rows(values[:, i].T, values[:, j].T,
-                                                 variant=kendall_variant)
-        return mat
     return _correlation_core(values, kind)
 
 

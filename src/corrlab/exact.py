@@ -23,19 +23,16 @@ from scipy import special
 from .errors import InputError, NumericError
 
 __all__ = [
-    "NormalTheoryParams",
     "DensityCurve",
     "hyp2f1_half_half",
     "pearson_density",
     "density_curve",
     "expected_pearson",
     "expected_spearman",
-    "expected_spearman_from_mix",
     "spearman_from_pearson",
     "kendall_from_pearson",
     "spearman_from_kendall",
     "fisher_z",
-    "fisher_z_inverse",
     "fisher_interval",
     "spearman_interval",
 ]
@@ -48,20 +45,6 @@ SERIES_MAX_TERMS = 10 ** 6
 # converges within about 40 terms even at x = 1 - 2**-52.
 NEAR_ONE_X = 0.99
 NEAR_ONE_MAX_C = 50.0
-
-
-@dataclass(frozen=True)
-class NormalTheoryParams:
-    """Population coefficient and sample size for the normal-theory formulas."""
-
-    rho: float
-    n: int
-
-    def __post_init__(self):
-        if not -1.0 < self.rho < 1.0:
-            raise InputError(f"rho must lie strictly inside (-1, 1), got {self.rho}")
-        if self.n < 2:
-            raise InputError(f"sample size must be >= 2, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -175,21 +158,15 @@ def pearson_density(r, rho: float, n: int):
     Requires n >= 4 and |rho| < 1; |r| >= 1 is a domain error.  The
     closed-form constant makes it integrate to one over (-1, 1).
     """
-    params = NormalTheoryParams(rho, n)
-    if params.n < 4:
+    if not -1.0 < rho < 1.0:
+        raise InputError(f"rho must lie strictly inside (-1, 1), got {rho}")
+    if n < 4:
         raise InputError("density requires a sample size of at least 4")
     r_arr = np.asarray(r, dtype=float)
     if np.any(np.abs(r_arr) >= 1.0):
         raise InputError("density argument must lie strictly inside (-1, 1)")
     out = np.exp(_log_density_shape(r_arr, rho, n) + _log_norm_constant(n))
     return out if np.ndim(r) else float(out)
-
-
-def _null_pearson_density(r, n: int):
-    """Closed beta-function form of the density at rho = 0 (cross-check)."""
-    r_arr = np.asarray(r, dtype=float)
-    log_b = special.betaln(0.5, 0.5 * (n - 2.0))
-    return np.exp(0.5 * (n - 4.0) * np.log1p(-r_arr * r_arr) - log_b)
 
 
 def density_curve(rho: float, n: int, points: int = 4001,
@@ -228,13 +205,6 @@ def expected_spearman(rho: float, n: int) -> float:
     _check_unit_interval(rho, "rho")
     return (6.0 / (math.pi * (n + 1.0))
             * (math.asin(rho) + (n - 2.0) * math.asin(0.5 * rho)))
-
-
-def expected_spearman_from_mix(rho: float, n: int) -> float:
-    """Same expectation written as a population Spearman/Kendall mixture."""
-    rs = spearman_from_pearson(rho)
-    rt = kendall_from_pearson(rho)
-    return ((n - 2.0) * rs + 3.0 * rt) / (n + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +250,6 @@ def fisher_z(r: float) -> float:
     if not -1.0 < r < 1.0:
         raise InputError(f"fisher_z requires |r| < 1, got {r}")
     return math.atanh(r)
-
-
-def fisher_z_inverse(z: float) -> float:
-    return math.tanh(z)
 
 
 def _z_interval(r: float, n: int, level: float, variance_scale: float):

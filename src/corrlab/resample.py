@@ -41,8 +41,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateSampleError, InfeasibleError, InputError
-from .estimators import (_centered_correlation, _correlation_core, _mid_ranks, _varies,
-                         correlation_matrix)
+from .estimators import (_MATRIX_KINDS, _centered_correlation, _correlation_core,
+                         _mid_ranks, _varies, correlation_matrix)
 from .randgen import (CHUNK_REPS, REDRAW_CAP_PER_SAMPLE, MarginalSpec, RngStream,
                       _couple, _transform)
 
@@ -60,8 +60,6 @@ __all__ = [
     "TABLE_STATISTICS",
 ]
 
-# the matrix kinds of the sampling studies, in _replicate's matrix order
-_MATRIX_KINDS = ("pearson", "spearman")
 # table values gathered per block of replications (2**18 took more memory and time)
 _BLOCK_VALUES = 2 ** 16
 

@@ -1,10 +1,12 @@
 """Tests for the command-line layer: config resolution, artifacts, exit codes."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrlab
 from corrlab import cli, exact
 from corrlab.errors import NumericError, UsageError
 from corrlab.randgen import CALIBRATION_VERSION, MarginalSpec
@@ -800,6 +803,17 @@ class TestImportFootprint:
                              capture_output=True, text=True).stdout.split()
         public = {name for name in out if not name.startswith("_")}
         assert public <= {"special", "version"}
+
+
+class TestPublicNames:
+    def test_every_all_entry_resolves_once(self):
+        # a stale string in __all__ breaks only `from ... import *`, which nothing else runs
+        modules = [corrlab] + [importlib.import_module(f"corrlab.{info.name}")
+                               for info in pkgutil.iter_modules(corrlab.__path__)]
+        for module in modules:
+            names = getattr(module, "__all__", [])
+            assert len(set(names)) == len(names), module.__name__
+            assert [n for n in names if not hasattr(module, n)] == [], module.__name__
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux procfs")

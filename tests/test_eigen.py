@@ -81,8 +81,9 @@ class TestSymmetricEigenvalues:
             symmetric_eigenvalues(np.ones((2, 3)))
 
     def test_already_diagonal(self):
-        np.testing.assert_allclose(symmetric_eigenvalues(np.diag([3.0, 1.0, 2.0])),
-                                   [3.0, 2.0, 1.0])
+        for diagonal in ([3.0, 1.0, 2.0], []):  # np.diag([]) is 0 x 0, which eigvalsh takes
+            np.testing.assert_allclose(symmetric_eigenvalues(np.diag(diagonal)),
+                                       sorted(diagonal, reverse=True))
 
 
 @pytest.fixture(scope="module")

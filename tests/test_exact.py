@@ -10,17 +10,30 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from corrlab import exact
 from corrlab.errors import InputError
 from corrlab.estimators import pearson_rows
-from corrlab.exact import (_null_pearson_density, density_curve, expected_pearson,
-                           expected_spearman, expected_spearman_from_mix,
-                           fisher_interval, fisher_z, fisher_z_inverse,
-                           hyp2f1_half_half, kendall_from_pearson, pearson_density,
+from corrlab.exact import (density_curve, expected_pearson, expected_spearman,
+                           fisher_interval, fisher_z, hyp2f1_half_half,
+                           kendall_from_pearson, pearson_density,
                            spearman_from_kendall, spearman_from_pearson,
                            spearman_interval)
+
+
+def _null_pearson_density(r, n: int):
+    """Closed beta-function form of the density at rho = 0 (cross-check)."""
+    r_arr = np.asarray(r, dtype=float)
+    log_b = special.betaln(0.5, 0.5 * (n - 2.0))
+    return np.exp(0.5 * (n - 4.0) * np.log1p(-r_arr * r_arr) - log_b)
+
+
+def expected_spearman_from_mix(rho: float, n: int) -> float:
+    """Same expectation written as a population Spearman/Kendall mixture."""
+    rs = spearman_from_pearson(rho)
+    rt = kendall_from_pearson(rho)
+    return ((n - 2.0) * rs + 3.0 * rt) / (n + 1.0)
 
 
 def series_oracle(c, x, terms=2000):
@@ -134,8 +147,11 @@ class TestPearsonDensity:
     def test_domain_errors(self):
         with pytest.raises(InputError):
             pearson_density(1.0, 0.2, 10)
-        with pytest.raises(InputError):
-            pearson_density(0.5, 0.2, 3)
+        with pytest.raises(InputError, match=r"rho must lie strictly inside \(-1, 1\), got 1.0"):
+            pearson_density(0.5, 1.0, 10)
+        for n in (0, 1, 3):
+            with pytest.raises(InputError, match="sample size of at least 4"):
+                pearson_density(0.5, 0.2, n)
 
 
 class TestExpectedValues:
@@ -236,7 +252,7 @@ class TestFisher:
     def test_inverse_identity(self):
         assert fisher_z(math.tanh(1.0)) == pytest.approx(1.0, abs=1e-12)
         for r in np.linspace(-0.99, 0.99, 21):
-            assert fisher_z_inverse(fisher_z(r)) == pytest.approx(r, abs=1e-12)
+            assert math.tanh(fisher_z(r)) == pytest.approx(r, abs=1e-12)
 
     def test_odd(self):
         for r in np.linspace(0, 0.99, 15):

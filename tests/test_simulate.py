@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo sweep engine."""
 
 import dataclasses
+import operator
 import struct
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from corrlab import simulate
 from corrlab.errors import InfeasibleError, InputError
-from corrlab.estimators import kendall_rows, pearson_rows, spearman_rows
+from corrlab.estimators import KINDS, kendall_rows, pearson_rows, spearman_rows
 from corrlab.exact import kendall_from_pearson, spearman_from_pearson
 from corrlab.randgen import MarginalSpec, PopulationSpec, RngStream
 from corrlab.simulate import (CHUNK_REPS, SimulationPlan, SummaryStats, logspace_sizes,
@@ -256,6 +257,31 @@ class TestBatchedSummaries:
                      for row in one_cell_reference(plan, population, n, RngStream(14).child(i))]
         assert float_bits(rows) == float_bits(sorted(reference, key=lambda r: (r.n, r.kind)))
         assert rows[0].redraw_count > rows[-1].redraw_count
+
+
+class TestRankInvariance:
+    """Every continuous marginal map is strictly increasing where draws land,
+    so its images rank as the latent normals do: at one stream, the Spearman
+    and Kendall replications equal the normal population's at the latent rho."""
+
+    LATENT = 0.4462904  # the exponential's latent rho at target Pearson .4
+    SIZES = (5, 7, 8, 213, 1000)  # short-row (n <= 7) and long-row kernels
+
+    @pytest.mark.parametrize("seed", [7, 29])
+    @pytest.mark.parametrize("marginal", [MarginalSpec.exponential()] + [
+        MarginalSpec.chi_square(df) for df in (1, 2, 32)], ids=lambda m: m.describe())
+    def test_rank_rows_equal_the_normal_populations(self, marginal, seed):
+        plan = SimulationPlan(self.SIZES, replications=300, coefficients=KINDS)
+        population = PopulationSpec(marginal, 0.4, self.LATENT, 0.4, 0.0)
+        rows = run_plan(plan, population, stream=RngStream(seed))
+        normal = run_plan(plan, _normal(self.LATENT), stream=RngStream(seed))
+        assert [(r.n, r.kind) for r in rows] == [(r.n, r.kind) for r in normal]
+        stats = operator.attrgetter("mean", "sd", "p5", "p95")
+        for row, ref in zip(rows, normal):
+            if row.kind == "pearson":  # the marginal did reshape the draws
+                assert row.mean != ref.mean, row.n
+            else:
+                assert stats(row) == stats(ref), (row.n, row.kind)
 
 
 def test_readme_library_use_runs_as_written():
