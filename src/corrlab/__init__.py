@@ -15,8 +15,8 @@ from .estimators import (CoefficientEstimate, PairedSample, correlation_matrix,
                          distinct_spearman_values, kendall, pearson, spearman)
 from .exact import (DensityCurve, density_curve, expected_pearson, expected_spearman,
                     fisher_interval, fisher_z, hyp2f1_half_half, kendall_from_pearson,
-                    pearson_density, spearman_from_kendall, spearman_from_pearson,
-                    spearman_interval)
+                    pearson_density, pearson_from_kendall, spearman_from_kendall,
+                    spearman_from_pearson, spearman_interval)
 from .randgen import (MarginalSpec, PopulationSpec, RngStream, calibrate_copula,
                       sample_bivariate_normal, sample_population)
 from .simulate import SimulationPlan, SummaryStats, logspace_sizes, run_plan
@@ -36,7 +36,7 @@ __all__ = [
     "distinct_spearman_values", "kendall", "pearson", "spearman",
     "DensityCurve", "density_curve", "expected_pearson", "expected_spearman",
     "fisher_interval", "fisher_z", "hyp2f1_half_half", "kendall_from_pearson",
-    "pearson_density",
+    "pearson_density", "pearson_from_kendall",
     "spearman_from_kendall", "spearman_from_pearson", "spearman_interval",
     "MarginalSpec", "PopulationSpec", "RngStream", "calibrate_copula",
     "sample_bivariate_normal", "sample_population",

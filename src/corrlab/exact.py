@@ -31,6 +31,7 @@ __all__ = [
     "expected_spearman",
     "spearman_from_pearson",
     "kendall_from_pearson",
+    "pearson_from_kendall",
     "spearman_from_kendall",
     "fisher_z",
     "fisher_interval",

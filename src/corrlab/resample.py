@@ -5,8 +5,8 @@ are drawn from its rows with replacement, Pearson and Spearman
 correlation matrices are computed for every draw, and per-pair summary
 statistics are aggregated against the whole-table population matrices.
 Draws with a constant column (by ``estimators._varies``, the one constant
-test) are redrawn and counted.  Draws follow the chunk layout of
-:mod:`corrlab.randgen` and are reduced one block at a time.
+test) are redrawn and counted.  Each block of draws from the one replication
+driver, ``randgen._replication_blocks``, is reduced in turn.
 
 A population whose values are all integers (Likert items, counts) is
 drawn as per-column level codes, value - column minimum, in the
@@ -40,11 +40,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateSampleError, InfeasibleError, InputError
+from .errors import DegenerateSampleError, InputError
 from .estimators import (_MATRIX_KINDS, _centered_correlation, _correlation_core,
                          _mid_ranks, _varies, correlation_matrix)
-from .randgen import (CHUNK_REPS, REDRAW_CAP_PER_SAMPLE, MarginalSpec, RngStream,
-                      _couple, _transform)
+from .randgen import MarginalSpec, RngStream, _couple, _replication_blocks, _transform
 
 __all__ = [
     "PopulationDataset",
@@ -291,10 +290,10 @@ def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
                master_seed: int):
     """Yield (matrices, redraws) for successive blocks of replications.
 
-    Draws follow the chunk layout of :mod:`corrlab.randgen`: chunk k draws
-    its row picks from path (k,), and a replication i of it with a constant
-    column is redrawn from (k, i).  ``matrices[r, a]`` is replication r's
-    matrix of kind ``_MATRIX_KINDS[a]``; ``redraws`` counts failed draws.
+    Draws come from ``randgen._replication_blocks``: chunk k draws its row
+    picks block by block from path (k,), and a replication i of it with a
+    constant column is redrawn from (k, i).  ``matrices[r, a]`` is replication
+    r's matrix of kind ``_MATRIX_KINDS[a]``; ``redraws`` counts failed draws.
     A replication over the redraw cap makes the condition infeasible, and
     the error names the column that degenerated most often.  Tables of an
     integer population are drawn as level codes (see :func:`_level_codes`).
@@ -308,38 +307,16 @@ def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
     levels = _level_codes(values, sample_size)
     source = values if levels is None else levels.codes
     block = max(1, _BLOCK_VALUES // (sample_size * p))
-    degenerate = np.zeros(p, dtype=np.int64)
-    stream = RngStream(master_seed)
-    for k, start in enumerate(range(0, n_samples, CHUNK_REPS)):
-        chunk = stream.child(k)
-        picks = chunk.generator().integers(
-            0, n_rows, (min(CHUNK_REPS, n_samples - start), sample_size))
-        for lo in range(0, len(picks), block):
-            tables = source[picks[lo:lo + block]]
-            dead = ~_varies(tables, axis=-2)
-            redraws = 0
-            for i in np.flatnonzero(dead.any(axis=1)):
-                degenerate += dead[i]
-                rng = chunk.child(lo + i).generator()
-                for _ in range(REDRAW_CAP_PER_SAMPLE):
-                    redraws += 1
-                    table = source[rng.integers(0, n_rows, sample_size)]
-                    table_dead = ~_varies(table, axis=-2)
-                    if not table_dead.any():
-                        tables[i] = table
-                        break
-                    degenerate += table_dead
-                else:
-                    worst = dataset.column_names[int(np.argmax(degenerate))]
-                    raise InfeasibleError(
-                        f"replication {start + lo + i} exceeded {REDRAW_CAP_PER_SAMPLE} "
-                        f"redraws at sample size {sample_size}; column {worst!r} "
-                        "keeps degenerating")
-            if levels is None:
-                matrices = [_correlation_core(tables, kind) for kind in _MATRIX_KINDS]
-            else:
-                matrices = levels.matrices(tables)
-            yield np.stack(matrices, axis=1), redraws
+    for tables, redraws in _replication_blocks(
+            RngStream(master_seed), n_samples,
+            lambda rng, rows: source[rng.integers(0, n_rows, (rows, sample_size))],
+            lambda tables: ~_varies(tables, axis=-2), dataset.column_names,
+            f"at sample size {sample_size}", block):
+        if levels is None:
+            matrices = [_correlation_core(tables, kind) for kind in _MATRIX_KINDS]
+        else:
+            matrices = levels.matrices(tables)
+        yield np.stack(matrices, axis=1), redraws
 
 
 class _MeanSD:

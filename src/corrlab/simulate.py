@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InfeasibleError, InputError
 from .estimators import KINDS, _pearson_rows, _varies, kendall_rows, spearman_rows
-from .randgen import CHUNK_REPS, REDRAW_CAP_PER_SAMPLE, PopulationSpec, RngStream, _pairs
+from .randgen import PopulationSpec, RngStream, _pairs, _replication_blocks
 
 __all__ = ["SimulationPlan", "SummaryStats", "logspace_sizes", "replication_chunks",
            "run_plan", "SUMMARY_COLUMNS"]
@@ -98,29 +98,13 @@ class SummaryStats:
 
 def replication_chunks(population: PopulationSpec, n: int, reps: int,
                        stream: RngStream):
-    """Yield (x, y, redraws) for successive chunks of ``CHUNK_REPS`` rows.
-
-    Draws follow the chunk layout of :mod:`corrlab.randgen` under
-    ``stream``: a row with a constant x or y is redrawn, and ``redraws``
-    counts the failed draws.
-    """
-    for k, start in enumerate(range(0, reps, CHUNK_REPS)):
-        chunk = stream.child(k)
-        x, y = _pairs(population, chunk.generator(), min(CHUNK_REPS, reps - start), n)
-        bad = np.flatnonzero(~(_varies(x) & _varies(y)))
-        redraws = bad.size
-        for row in bad:
-            rng = chunk.child(row).generator()
-            for _ in range(REDRAW_CAP_PER_SAMPLE):
-                xr, yr = _pairs(population, rng, 1, n)
-                if _varies(xr)[0] and _varies(yr)[0]:
-                    x[row], y[row] = xr[0], yr[0]
-                    break
-                redraws += 1
-            else:
-                raise InfeasibleError(f"replication {start + row} at n={n} exceeded "
-                                      f"{REDRAW_CAP_PER_SAMPLE} redraws")
-        yield x, y, redraws
+    """Yield (x, y, redraws) for successive chunks of ``CHUNK_REPS`` rows, drawn
+    under ``stream`` by :mod:`corrlab.randgen`'s replication driver: a row with
+    a constant x or y is redrawn, and ``redraws`` counts the failed draws."""
+    for pairs, redraws in _replication_blocks(
+            stream, reps, lambda rng, rows: _pairs(population, rng, rows, n),
+            lambda pairs: ~_varies(pairs), ("x", "y"), f"at n={n}"):
+        yield pairs[:, 0], pairs[:, 1], redraws
 
 
 def _cell_values(plan: SimulationPlan, population: PopulationSpec, n: int,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+import corrlab
 from corrlab import exact
 from corrlab.errors import InputError
 from corrlab.estimators import pearson_rows
@@ -243,6 +244,10 @@ class TestConversions:
     def test_domain_errors(self):
         with pytest.raises(InputError):
             spearman_from_pearson(1.5)
+
+    def test_pearson_from_kendall_is_exported(self):
+        assert corrlab.pearson_from_kendall is exact.pearson_from_kendall
+        assert "pearson_from_kendall" in corrlab.__all__ and "pearson_from_kendall" in exact.__all__
 
 
 class TestFisher:

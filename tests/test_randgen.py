@@ -8,11 +8,11 @@ from scipy import special
 
 from corrlab import cli
 from corrlab.errors import InfeasibleError, InputError, NumericError
-from corrlab.estimators import PairedSample, pearson, spearman
-from corrlab.randgen import (CALIBRATION_VERSION, MarginalSpec, PopulationSpec,
-                             RngStream, _chi_square_exact, _chi_square_table,
-                             _transform, calibrate_copula, sample_bivariate_normal,
-                             sample_population)
+from corrlab.estimators import PairedSample, _varies, pearson, spearman
+from corrlab.randgen import (CALIBRATION_VERSION, CHUNK_REPS, MarginalSpec, PopulationSpec,
+                             RngStream, _chi_square_exact, _chi_square_table, _pairs,
+                             _replication_blocks, _transform, calibrate_copula,
+                             sample_bivariate_normal, sample_population)
 
 
 def sample_moments(v):
@@ -43,6 +43,51 @@ class TestRngStream:
         assert abs(v.mean()) < 4.0 / math.sqrt(10 ** 6)
         _, kurt = sample_moments(v)
         assert kurt == pytest.approx(3.0, abs=0.05)
+
+
+def _normal_pairs(rng, rows):
+    return _pairs(PopulationSpec.bivariate_normal(0.3), rng, rows, 6)
+
+
+def _level_picks(rng, rows):
+    # three levels at n = 4: a variable is constant in one draw of 27
+    return rng.integers(0, 3, (rows, 2, 4))
+
+
+def _constant(sample):
+    return ~_varies(sample)
+
+
+class TestReplicationBlocks:
+    REPS = CHUNK_REPS + 300
+
+    def _run(self, draw, block, seed=3):
+        blocks = list(_replication_blocks(RngStream(seed), self.REPS, draw, _constant,
+                                          ("x", "y"), "here", block))
+        return (np.concatenate([sample for sample, _ in blocks]),
+                sum(failed for _, failed in blocks), max(len(sample) for sample, _ in blocks))
+
+    @pytest.mark.parametrize("draw", [_normal_pairs, _level_picks])
+    def test_block_size_moves_no_value(self, draw):
+        whole, failed, _ = self._run(draw, CHUNK_REPS)
+        assert (failed > 0) == (draw is _level_picks)
+        for block in (1, 7, 275):
+            sample, block_failed, largest = self._run(draw, block)
+            assert largest == block
+            assert sample.tobytes() == whole.tobytes() and block_failed == failed
+
+    def test_a_redrawn_replication_comes_from_its_path_in_the_chunk(self):
+        sample, _, _ = self._run(_level_picks, 275, seed=5)
+        first = _level_picks(RngStream(5).child(1).generator(), 300)
+        flagged = _constant(first).any(axis=1)
+        assert flagged.any()
+        np.testing.assert_array_equal(sample[CHUNK_REPS:][~flagged], first[~flagged])
+        for i in np.flatnonzero(flagged):
+            rng = RngStream(5).child(1, i).generator()
+            redrawn = _level_picks(rng, 1)
+            while _constant(redrawn).any():
+                redrawn = _level_picks(rng, 1)
+            np.testing.assert_array_equal(sample[CHUNK_REPS + i], redrawn[0])
 
 
 class TestBivariateNormal:

@@ -12,9 +12,9 @@ from corrlab import simulate
 from corrlab.errors import InfeasibleError, InputError
 from corrlab.estimators import KINDS, kendall_rows, pearson_rows, spearman_rows
 from corrlab.exact import kendall_from_pearson, spearman_from_pearson
-from corrlab.randgen import MarginalSpec, PopulationSpec, RngStream
-from corrlab.simulate import (CHUNK_REPS, SimulationPlan, SummaryStats, logspace_sizes,
-                              replication_chunks, run_plan)
+from corrlab.randgen import CHUNK_REPS, MarginalSpec, PopulationSpec, RngStream
+from corrlab.simulate import (SimulationPlan, SummaryStats, logspace_sizes, replication_chunks,
+                              run_plan)
 
 
 class TestLogspaceSizes:
@@ -104,7 +104,8 @@ class TestRunCell:
                                     latent_rho=0.0, pop_pearson=0.0,
                                     pop_spearman=0.0)
         plan = SimulationPlan((3,), replications=50, coefficients=("pearson",))
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError, match=r"replication \d+ exceeded 1000 redraws "
+                                                  r"at n=3; column '[xy]' keeps degenerating"):
             run_plan(plan, population, stream=RngStream(6))
 
 
