@@ -30,6 +30,7 @@ MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
 THREADS = {29: 1, 41: 2}
 SURVEY = "survey.csv"
 HALF_POINTS = "half_points.csv"
+SCALES = "scales.json"
 
 _CALIBRATION = ("--calibration-n", "10000")
 INVOCATIONS = {
@@ -71,6 +72,12 @@ INVOCATIONS = {
                           "--reps", "200"),
     # the near-one branch of the 2F1 series
     "density-near-one": ("density", "--pearson", "0.99,0.999", "--n", "4,5,60,101"),
+    # one run of every other CSV and JSON writer
+    "s10-depiction": ("simulate", "--preset", "s10", *_CALIBRATION),
+    "dbq-groups": ("resample", "--preset", "table3-dbq", "--groups", SCALES, "--reps", "300"),
+    "moments-asvab": ("moments", "--population", "asvab-like"),
+    "convert-pearson": ("convert", "--pearson", "0.2"),
+    "convert-kendall": ("convert", "--kendall", "0.3"),
 }
 
 
@@ -81,7 +88,8 @@ def environment() -> dict:
 
 def write_inputs(directory: Path) -> None:
     """The survey table, 9,000 rows of 34 six-point items with most mass on
-    the lowest point, from a fixed seed; and its half-point image."""
+    the lowest point, from a fixed seed; its half-point image; and four
+    scales over the dbq-like items 1-9, 10-18, 19-26 and 27-34."""
     rng = np.random.default_rng([29, 7301])
     rows, items = 9000, 34
     loadings = rng.uniform(0.4, 0.8, items)
@@ -97,6 +105,10 @@ def write_inputs(directory: Path) -> None:
     np.savetxt(directory / SURVEY, table, fmt="%d", delimiter=",", header=header, comments="")
     np.savetxt(directory / HALF_POINTS, 0.5 * table[:2000], fmt="%.1f", delimiter=",",
                header=header, comments="")
+    bounds = ((1, 9), (10, 18), (19, 26), (27, 34))
+    scales = {f"scale{i + 1}": [f"item{j:02d}" for j in range(lo, hi + 1)]
+              for i, (lo, hi) in enumerate(bounds)}
+    (directory / SCALES).write_text(json.dumps(scales))
 
 
 def artifact_digests(label: str, seed: int) -> dict:
