@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
-from itertools import islice
 from operator import attrgetter
 
 import numpy as np
@@ -84,6 +83,15 @@ def _scale(text):
 # key -> (converter, default, help); None defaults mean "optional" or
 # "filled from the scale preset" (see _SCALE_DEFAULTS).  Every value given
 # by a flag, a config file or a preset reaches its converter as text.
+_TABLE_INPUT = {  # the table studies' population
+    "input": (str, None, "CSV population file with header"),
+    "population": (str, None, "shipped population: asvab-like or dbq-like (default dbq-like)"),
+    "delimiter": (_char, ",", "field delimiter of the input file"),
+}
+_TABLE_DRAWS = {
+    "sample-size": (int, 200, "rows per resampled table"),
+    "reps": (int, None, "number of resampled tables (default from scale preset)"),
+}
 SCHEMA = {
     "simulate": {
         "marginal": (str, "normal", "marginal family: normal, exponential, uniform, likert, chi2"),
@@ -102,11 +110,7 @@ SCHEMA = {
         "points": (int, 4001, "grid points per curve"),
         "mc-reps": (int, 0, "if > 0, also write a Monte Carlo histogram of this many draws"),
     },
-    "moments": {
-        "input": (str, None, "CSV file with header to profile"),
-        "population": (str, None, "shipped population: asvab-like or dbq-like"),
-        "delimiter": (_char, ",", "field delimiter of the input file"),
-    },
+    "moments": _TABLE_INPUT,
     "influence": {
         "pearson": (float, 0.2, "population coefficient of the random base sample"),
         "n": (int, 200, "base sample size"),
@@ -117,19 +121,11 @@ SCHEMA = {
         "outlier-y": (float, None, "y of a fixed first outlier"),
     },
     "resample": {
-        "input": (str, None, "CSV population file with header"),
-        "population": (str, None, "shipped population: asvab-like or dbq-like (default dbq-like)"),
-        "delimiter": (_char, ",", "field delimiter of the input file"),
-        "sample-size": (int, 200, "rows per resampled table"),
-        "reps": (int, None, "number of resampled tables (default from scale preset)"),
+        **_TABLE_INPUT, **_TABLE_DRAWS,
         "groups": (str, None, "JSON file mapping scale names to column lists; sums before the study"),
     },
     "eigen": {
-        "input": (str, None, "CSV population file with header"),
-        "population": (str, None, "shipped population: asvab-like or dbq-like (default dbq-like)"),
-        "delimiter": (_char, ",", "field delimiter of the input file"),
-        "sample-size": (int, 200, "rows per resampled table"),
-        "reps": (int, None, "number of resampled tables (default from scale preset)"),
+        **_TABLE_INPUT, **_TABLE_DRAWS,
         "top": (int, 6, "how many leading eigenvalues to track"),
     },
     "convert": {
@@ -301,37 +297,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _csv_text(columns, chunks, cfg_hash: str):
-    """The texts of one CSV artifact in write order: its header, then its chunks."""
-    yield f"# config {cfg_hash}\n{','.join(columns)}\n"
-    yield from chunks
+def _csv_text(header, columns, cfg_hash: str):
+    """The texts of one CSV artifact in write order: the config line and the
+    header, then the rows, ``_RENDER_ROWS`` at a time.
 
-
-def _value_rows(rows):
-    """CSV text of rows of values, one ``_RENDER_ROWS`` chunk at a time.
-
-    str of a Python or numpy float is its shortest round-trip repr.
+    A column is a float array, written as the shortest round-trip repr of
+    each value; a function from an array of row indices to those rows'
+    float values; or any other sequence, written with ``str`` per value
+    (text, ints and Python floats, whose str is their repr).  At least one
+    column is not a function.
     """
-    rows = iter(rows)
-    while chunk := list(islice(rows, _RENDER_ROWS)):
-        yield "".join([",".join(map(str, row)) + "\n" for row in chunk])
-
-
-def _float_rows(*columns):
-    """CSV text of float columns, one ``_RENDER_ROWS`` chunk of rows at a time.
-
-    A column is an array, a function from an array of row indices to
-    those rows' values, or the list of chunk texts that ``_float_rows``
-    yielded for it alone (a column that several tables share, rendered
-    once).  At least one column is an array.  Each value is written as
-    its shortest round-trip repr, the same text as ``repr(float(value))``.
-    """
-    size = len(next(c for c in columns if isinstance(c, np.ndarray)))
+    yield f"# config {cfg_hash}\n{','.join(header)}\n"
+    size = len(next(c for c in columns if not callable(c)))
     for lo in range(0, size, _RENDER_ROWS):
         hi = min(lo + _RENDER_ROWS, size)
-        index = np.arange(lo, hi)
-        texts = [c[lo // _RENDER_ROWS].splitlines() if isinstance(c, list) else
-                 _reprs(np.asarray(c(index) if callable(c) else c[lo:hi], dtype=float))
+        texts = [_reprs(np.asarray(c(np.arange(lo, hi)), dtype=float)) if callable(c) else
+                 _reprs(c[lo:hi]) if isinstance(c, np.ndarray) else map(str, c[lo:hi])
                  for c in columns]
         yield "\n".join(map(",".join, zip(*texts))) + "\n"
 
@@ -405,49 +386,35 @@ def _marginal_for(name: str, df: float | None) -> MarginalSpec:
     return _MARGINALS[name]()
 
 
-def _calibration_cache_path(out_dir: str, marginal: MarginalSpec, target: float,
-                            calibration_n: int) -> str:
-    tag = marginal.describe().replace("(", "_").replace(")", "").replace("=", "")
-    name = f"calibration_{tag}_rp{target:g}_n{calibration_n}.json"
-    return os.path.join(out_dir, "calibrations", name)
-
-
 _CALIBRATED = ("latent_rho", "pop_pearson", "pop_spearman")  # cached beside the key
-
-
-def _load_calibration(path: str, marginal: MarginalSpec, key: dict) -> PopulationSpec | None:
-    """The cached population at ``path``, or None on a cache miss.
-
-    A file is a hit only when it matches every entry of ``key``; a
-    missing, unreadable or malformed file is a miss.
-    """
-    try:
-        with open(path) as handle:
-            cached = json.load(handle)
-        if any(cached[name] != value for name, value in key.items()):
-            return None
-        return PopulationSpec(marginal, key["target_pearson"],
-                              *(float(cached[name]) for name in _CALIBRATED))
-    except (OSError, ValueError, KeyError, TypeError, CorrlabError):
-        return None
 
 
 def _population_for(marginal: MarginalSpec, target: float, calibration_n: int,
                     out_dir: str) -> PopulationSpec:
     """The population of one condition; a non-normal one is calibrated once
-    and cached in ``out_dir``, keyed by everything the calibration reads."""
+    and cached in ``out_dir``, keyed by everything the calibration reads.
+
+    A cache file is a hit only when it matches every entry of the key; a
+    missing, unreadable or malformed file is a miss.
+    """
     if marginal.is_standard_normal:
         return PopulationSpec.bivariate_normal(target)
     key = {"marginal": marginal.to_dict(), "target_pearson": target,
            "calibration_n": calibration_n, "calibration_seed": CALIBRATION_SEED,
            "tolerance": CALIBRATION_TOL, "algorithm": CALIBRATION_VERSION}
-    cache = _calibration_cache_path(out_dir, marginal, target, calibration_n)
-    spec = _load_calibration(cache, marginal, key)
-    if spec is None:
-        spec = calibrate_copula(marginal, target, calibration_n, RngStream(CALIBRATION_SEED))
-        record = dict(key, **{name: getattr(spec, name) for name in _CALIBRATED})
-        _commit_artifacts(os.path.dirname(cache), {
-            os.path.basename(cache): [json.dumps(record, indent=2, sort_keys=True)]})
+    tag = marginal.describe().replace("(", "_").replace(")", "").replace("=", "")
+    name = f"calibration_{tag}_rp{target:g}_n{calibration_n}.json"
+    cache_dir = os.path.join(out_dir, "calibrations")
+    try:
+        with open(os.path.join(cache_dir, name)) as handle:
+            cached = json.load(handle)
+        if not any(cached[entry] != value for entry, value in key.items()):
+            return PopulationSpec(marginal, target, *(float(cached[v]) for v in _CALIBRATED))
+    except (OSError, ValueError, KeyError, TypeError, CorrlabError):
+        pass
+    spec = calibrate_copula(marginal, target, calibration_n, RngStream(CALIBRATION_SEED))
+    record = dict(key, **{entry: getattr(spec, entry) for entry in _CALIBRATED})
+    _commit_artifacts(cache_dir, {name: [json.dumps(record, indent=2, sort_keys=True)]})
     return spec
 
 
@@ -466,7 +433,7 @@ def _dataset_for(params: dict):
 
 # ---------------------------------------------------------------------------
 # Subcommand runners: each returns its artifacts plus stdout lines; a .csv
-# artifact is (columns, chunk texts), a .json artifact is its payload
+# artifact is (header, columns) for _csv_text, a .json artifact is its payload
 # ---------------------------------------------------------------------------
 
 def _run_convert(cfg: RunConfig):
@@ -497,15 +464,14 @@ def _run_density(cfg: RunConfig):
     artifacts = {}
     lines = []
     summary = []
-    grid_chunks = None  # every curve shares one r grid: render it once
+    grid_texts = None  # every curve shares one r grid: render it once
     for rho, label in zip(params["pearson"], labels):
         for n in params["n"]:
             curve = exact.density_curve(rho, n, points=params["points"])
             area = float(np.trapezoid(curve.density, curve.grid))
             stem = f"{label}_n{n}"
-            grid_chunks = grid_chunks or list(_float_rows(curve.grid))
-            artifacts[f"density_{stem}.csv"] = (("r", "density"),
-                                                _float_rows(grid_chunks, curve.density))
+            grid_texts = grid_texts or _reprs(curve.grid)
+            artifacts[f"density_{stem}.csv"] = (("r", "density"), (grid_texts, curve.density))
             entry = {"pearson": rho, "n": n, "area": area}
             if params["mc-reps"] > 0:
                 artifacts[f"histogram_{stem}.csv"] = (
@@ -529,7 +495,7 @@ def _density_histogram(rho: float, n: int, reps: int, seed: int):
         counts[0] += np.histogram(_pearson_rows(x, y), bins=edges)[0]  # rows vary
         counts[1] += np.histogram(spearman_rows(x, y), bins=edges)[0]
     frac_p, frac_s = counts / reps
-    return _float_rows(centers, frac_p, frac_s, _exact_bin_fractions(rho, n, edges))
+    return centers, frac_p, frac_s, _exact_bin_fractions(rho, n, edges)
 
 
 def _exact_bin_fractions(rho: float, n: int, edges: np.ndarray) -> np.ndarray:
@@ -544,13 +510,11 @@ def _exact_bin_fractions(rho: float, n: int, edges: np.ndarray) -> np.ndarray:
 def _run_moments(cfg: RunConfig):
     dataset = _dataset_for(cfg.params)
     profile = resample.moment_profile(dataset)
-    rows = [(name, profile.mean[i], profile.sd[i], profile.skewness[i],
-             profile.kurtosis[i])
-            for i, name in enumerate(profile.column_names)]
+    columns = (profile.column_names, profile.mean, profile.sd, profile.skewness,
+               profile.kurtosis)
     lines = [f"profiled {dataset.n_cols} columns over {dataset.n_rows} rows "
              f"({dataset.dropped_rows} rows dropped)"]
-    return {"moments.csv": (("column", "mean", "sd", "skewness", "kurtosis"),
-                            _value_rows(rows))}, lines
+    return {"moments.csv": (("column", "mean", "sd", "skewness", "kurtosis"), columns)}, lines
 
 
 def _run_simulate(cfg: RunConfig):
@@ -597,9 +561,9 @@ def _run_simulate(cfg: RunConfig):
         if params["emit-sample"] > 0 and cond_index == 0:
             sample = sample_population(population, params["emit-sample"],
                                        RngStream(cfg.seed).child(cond_index, 2 ** 20))
-            artifacts["depiction_sample.csv"] = (("x", "y"), _float_rows(sample.x, sample.y))
+            artifacts["depiction_sample.csv"] = (("x", "y"), (sample.x, sample.y))
     artifacts["simulation_summary.csv"] = (simulate.SUMMARY_COLUMNS,
-                                           _value_rows(r.row() for r in all_rows))
+                                           tuple(zip(*(r.row() for r in all_rows))))
     return artifacts, lines
 
 
@@ -617,8 +581,8 @@ def _run_influence(cfg: RunConfig):
 
     k = grid.axis.size
     # row r is the cell (axis[r // k], axis[r % k]); no k*k-long x or y column is formed
-    rows = _float_rows(lambda r: grid.axis[r // k], lambda r: grid.axis[r % k],
-                       grid.delta_pearson.ravel(), grid.delta_spearman.ravel())
+    columns = (lambda r: grid.axis[r // k], lambda r: grid.axis[r % k],
+               grid.delta_pearson.ravel(), grid.delta_spearman.ravel())
     summary = {
         "base_pearson": grid.base_pearson,
         "base_spearman": grid.base_spearman,
@@ -634,7 +598,7 @@ def _run_influence(cfg: RunConfig):
     }
     lines = [f"influence grid {k}x{k}: base pearson {grid.base_pearson:+.4f}, "
              f"base spearman {grid.base_spearman:+.4f}"]
-    return {"influence_grid.csv": (("x", "y", "delta_pearson", "delta_spearman"), rows),
+    return {"influence_grid.csv": (("x", "y", "delta_pearson", "delta_spearman"), columns),
             "influence_summary.json": summary}, lines
 
 
@@ -656,14 +620,15 @@ def _run_resample(cfg: RunConfig):
         dataset = resample.scale_sums(dataset, _load_groups(params["groups"]))
     result = resample.run_study(dataset, params["sample-size"], params["reps"],
                                 master_seed=cfg.seed)
-    table_rows = [(stat, result.aggregates[stat]) for stat in resample.TABLE_STATISTICS]
     summary = {"sample_size": result.sample_size, "n_samples": result.n_samples,
                "redraw_count": result.redraw_count, "n_pairs": len(result.pairs)}
     lines = [f"{result.n_samples} samples of {result.sample_size} rows, "
              f"{len(result.pairs)} pairs, {result.redraw_count} redraws"]
     names = [f.name for f in fields(resample.PairSummary)]
-    return {"resample_pairs.csv": (names, _value_rows(map(attrgetter(*names), result.pairs))),
-            "resample_table.csv": (("statistic", "value"), _value_rows(table_rows)),
+    stats = resample.TABLE_STATISTICS
+    return {"resample_pairs.csv": (names, tuple(zip(*map(attrgetter(*names), result.pairs)))),
+            "resample_table.csv": (("statistic", "value"),
+                                   (stats, [result.aggregates[stat] for stat in stats])),
             "resample_summary.json": summary}, lines
 
 
@@ -672,15 +637,15 @@ def _run_eigen(cfg: RunConfig):
     dataset = _dataset_for(params)
     summary = eigenmod.eigen_study(dataset, params["sample-size"], params["reps"],
                                    k=params["top"], master_seed=cfg.seed)
-    columns = ("mean_pearson", "sd_pearson", "mean_spearman", "sd_spearman",
-               "population_pearson", "population_spearman")
-    rows = zip(range(1, summary.k + 1), *(getattr(summary, c) for c in columns))
+    names = ("mean_pearson", "sd_pearson", "mean_spearman", "sd_spearman",
+             "population_pearson", "population_spearman")
+    columns = (range(1, summary.k + 1), *(getattr(summary, name) for name in names))
     meta = {"sample_size": summary.sample_size, "n_samples": summary.n_samples,
             "redraw_count": summary.redraw_count,
             "max_trace_error": summary.max_trace_error}
     lines = [f"top {summary.k} eigenvalues over {summary.n_samples} samples "
              f"(max trace error {summary.max_trace_error:.2e})"]
-    return {"eigen_table.csv": (("eigenvalue",) + columns, _value_rows(rows)),
+    return {"eigen_table.csv": (("eigenvalue", *names), columns),
             "eigen_summary.json": meta}, lines
 
 

@@ -2,8 +2,8 @@
 
     python tests/golden/regenerate.py
 
-Run it only for a change that moves artifact bytes on purpose, and list
-every moved file in CHANGES.md.  The invocations, seeds and inputs are
+Run it only for a change that moves artifact bytes on purpose or adds
+invocations, and list every moved file and new case in CHANGES.md.  The invocations, seeds and inputs are
 those of ``tests/test_golden.py``; the manifest records this environment,
 and in any other the test skips.
 """

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import corrlab
 from corrlab import cli, exact
 from corrlab.errors import NumericError, UsageError
-from corrlab.randgen import CALIBRATION_VERSION, MarginalSpec
+from corrlab.randgen import CALIBRATION_VERSION
 
 
 def run_cli(args, capsys=None):
@@ -246,24 +246,45 @@ def _float_columns(draw):
     return columns
 
 
+def _rows_text(*columns):
+    """The rows that ``_csv_text`` writes for these columns, after its two header lines."""
+    header = [f"c{i}" for i in range(len(columns))]
+    texts = list(cli._csv_text(header, columns, "0123456789ab"))
+    assert texts[0] == f"# config 0123456789ab\n{','.join(header)}\n"
+    return "".join(texts[1:])
+
+
 class TestRendering:
     @settings(max_examples=60, deadline=None)
     @given(columns=_float_columns())
-    def test_float_rows_write_the_repr_of_every_value(self, columns):
+    def test_csv_text_writes_the_repr_of_every_value(self, columns):
         rows = list(zip(*(c.tolist() for c in columns)))
         expected = "".join(",".join(map(repr, row)) + "\n" for row in rows)
-        assert "".join(cli._float_rows(*columns)) == expected
-        assert "".join(cli._value_rows(rows)) == expected
-        shared = list(cli._float_rows(columns[0]))  # rendered once, as density shares its grid
-        assert "".join(cli._float_rows(shared, columns[1])) == expected
+        assert _rows_text(*columns) == expected
+        assert _rows_text(*(c.tolist() for c in columns)) == expected  # Python floats
+        shared = cli._reprs(columns[0])  # rendered once, as density shares its grid
+        assert _rows_text(shared, columns[1]) == expected
+
+    def test_mixed_columns(self):
+        columns = (("a", "b", "c"), range(1, 4), (7, 20, 300), ("", 0.5, ""),
+                   [0.1, -0.0, 1e16], np.array([np.nan, 5e-324, -1e-5]))
+        assert _rows_text(*columns) == ("a,1,7,,0.1,nan\n"
+                                        "b,2,20,0.5,-0.0,5e-324\n"
+                                        "c,3,300,,1e+16,-1e-05\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(), max_size=20))
+    def test_numpy_float_str_is_the_float_repr(self, values):
+        # so a table of numpy floats reads the same through str or _reprs
+        for value in _AWKWARD_FLOATS + values:
+            assert str(np.float64(value)) == repr(float(value))
 
     @pytest.mark.parametrize("k", [1, 3, 64, 65])
     def test_grid_columns_from_row_indices(self, k):
         # 65 * 65 rows cross a chunk boundary
         axis, cells = np.linspace(-1.0, 1.0, k), np.arange(k * k) / 7.0
-        by_index = cli._float_rows(lambda r: axis[r // k], lambda r: axis[r % k], cells)
-        assert "".join(by_index) == "".join(cli._float_rows(np.repeat(axis, k),
-                                                            np.tile(axis, k), cells))
+        by_index = _rows_text(lambda r: axis[r // k], lambda r: axis[r % k], cells)
+        assert by_index == _rows_text(np.repeat(axis, k), np.tile(axis, k), cells)
 
     def test_failure_while_streaming_leaves_no_file(self, tmp_path, monkeypatch):
         reprs, calls = cli._reprs, []
@@ -379,8 +400,8 @@ class TestCalibrationCache:
 
     @staticmethod
     def cache_path(out):
-        return cli._calibration_cache_path(str(out), MarginalSpec.exponential(),
-                                           0.2, 50000)
+        # calibration_<marginal>_rp<target>_n<calibration size>.json
+        return out / "calibrations" / "calibration_exponential_rp0.2_n50000.json"
 
     def run(self, out):
         assert cli.main(self.ARGS + ["--out-dir", str(out)]) == 0
@@ -391,6 +412,16 @@ class TestCalibrationCache:
         assert record["algorithm"] == CALIBRATION_VERSION
         assert record["calibration_seed"] == cli.CALIBRATION_SEED
         assert self.run(out) == self.run(tmp_path / "clean")
+
+    def test_matching_file_is_used(self, tmp_path):
+        out = tmp_path / "out"
+        self.run(out)
+        record = json.loads(self.cache_path(out).read_text())
+        record["latent_rho"] = 0.5  # every key entry still matches
+        text = json.dumps(record)
+        self.cache_path(out).write_text(text)
+        assert self.run(out) != self.run(tmp_path / "clean")
+        assert self.cache_path(out).read_text() == text
 
     @pytest.mark.parametrize("text", ["{not json", json.dumps({"target_pearson": 0.2})],
                              ids=["corrupt", "missing-keys"])
