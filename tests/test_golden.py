@@ -29,6 +29,7 @@ MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
 # the thread count never changes a result, so the second seed runs at two
 THREADS = {29: 1, 41: 2}
 SURVEY = "survey.csv"
+MIXED = "survey_mixed.csv"
 HALF_POINTS = "half_points.csv"
 SCALES = "scales.json"
 
@@ -70,6 +71,9 @@ INVOCATIONS = {
                              "--reps", "200"),
     "half-points-eigen": ("eigen", "--input", HALF_POINTS, "--sample-size", "25",
                           "--reps", "200"),
+    # a table that is not a plain numeric grid, read record by record
+    "moments-csv-mixed": ("moments", "--input", MIXED),
+    "resample-csv-mixed": ("resample", "--input", MIXED, "--reps", "300"),
     # the near-one branch of the 2F1 series
     "density-near-one": ("density", "--pearson", "0.99,0.999", "--n", "4,5,60,101"),
     # one run of every other CSV and JSON writer
@@ -88,8 +92,9 @@ def environment() -> dict:
 
 def write_inputs(directory: Path) -> None:
     """The survey table, 9,000 rows of 34 six-point items with most mass on
-    the lowest point, from a fixed seed; its half-point image; and four
-    scales over the dbq-like items 1-9, 10-18, 19-26 and 27-34."""
+    the lowest point, from a fixed seed; a copy with a blank line, a text
+    row and a row with a quoted cell appended; its half-point image; and
+    four scales over the dbq-like items 1-9, 10-18, 19-26 and 27-34."""
     rng = np.random.default_rng([29, 7301])
     rows, items = 9000, 34
     loadings = rng.uniform(0.4, 0.8, items)
@@ -103,6 +108,9 @@ def write_inputs(directory: Path) -> None:
         table[:, j] = 1 + np.searchsorted(cuts[:-1], ndtr(latent[:, j]), side="right")
     header = ",".join(f"q{j + 1:02d}" for j in range(items))
     np.savetxt(directory / SURVEY, table, fmt="%d", delimiter=",", header=header, comments="")
+    tail = ",".join(map(str, table[0, 1:]))
+    (directory / MIXED).write_text((directory / SURVEY).read_text()
+                                   + f"\nx,{tail}\n\"6\",{tail}\n")
     np.savetxt(directory / HALF_POINTS, 0.5 * table[:2000], fmt="%.1f", delimiter=",",
                header=header, comments="")
     bounds = ((1, 9), (10, 18), (19, 26), (27, 34))
