@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -130,24 +131,47 @@ def ingest_csv(path, delimiter: str = ",") -> PopulationDataset:
                 header = next(reader)
             except StopIteration:
                 raise InputError(f"{path}: file is empty") from None
-            records = list(reader)
+            names = tuple(name.strip() for name in header)
+            # lines split at \r, \n and \r\n, as csv splits records
+            values, total = _body_values(handle.readlines(), delimiter, len(names))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    names = tuple(name.strip() for name in header)
-    total = len(records)
-    records = [record for record in records if len(record) == len(names)]
-    try:  # numpy parses each cell as float() does, in one call
-        values = np.array(records, dtype=float)
-    except ValueError:  # some cell is not a number: its row turns NaN and drops below
-        values = np.array([_parsed_or_nan(record) for record in records], dtype=float)
-    values = values.reshape(len(records), len(names))
-    values = values[np.isfinite(values).all(axis=1)]
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():  # copy the table only when a row drops
+        values = values[finite]
     dropped = total - len(values)
     if not len(values):
         raise InputError(f"{path}: no usable numeric rows ({dropped} dropped)")
     if len(values) < 2:
         raise InputError(f"{path}: need at least two usable rows")
     return PopulationDataset(column_names=names, values=values, dropped_rows=dropped)
+
+
+def _body_values(lines, delimiter, width):
+    """The rows of ``width`` cells among the body lines as floats (a row
+    with a cell that is not a number is all NaN), and the count of records.
+
+    A body of which every line is one row of ``width`` numbers is parsed by
+    numpy's C reader, which accepts a subset of what ``float`` accepts and
+    gives the same values.  It skips empty lines, which csv reads as
+    records of no fields, so a skip shows in the row count; and a line
+    longer than the csv field limit may hold a field that csv refuses.
+    Any other body is split by csv and parsed cell by cell with ``float``.
+    """
+    # numpy refuses a newline as the delimiter
+    if delimiter not in "\r\n" and max(map(len, lines), default=0) <= csv.field_size_limit():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a body of empty lines "contained no data"
+                values = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+        except ValueError:  # a cell that is not a number, or rows of unequal width
+            pass
+        else:
+            if values.shape == (len(lines), width):
+                return values, len(lines)
+    records = list(csv.reader(lines, delimiter=delimiter))
+    rows = [_parsed_or_nan(record) for record in records if len(record) == width]
+    return np.array(rows, dtype=float).reshape(len(rows), width), len(records)
 
 
 def _parsed_or_nan(record):

@@ -904,6 +904,17 @@ class TestPeakMemory:
                 "run_study(d, 200, 50)")
         assert self.peak_mb(code) < 150
 
+    def test_numeric_csv_is_read_without_a_str_per_cell(self, tmp_path):
+        # 100,000 x 34 one-digit cells, a 27 MB float table: one str per
+        # cell took the read to 146 MB, the C reader's lines take it to 96 MB
+        path = tmp_path / "items.csv"
+        cells = np.random.default_rng(6).integers(1, 7, (100_000, 34))
+        np.savetxt(path, cells, fmt="%d", delimiter=",", comments="",
+                   header=",".join(f"q{j}" for j in range(34)))
+        code = ("from corrlab.resample import ingest_csv\n"
+                f"assert ingest_csv({str(path)!r}).n_rows == 100_000")
+        assert self.peak_mb(code) < 120
+
     def test_resample_reduces_one_block_at_a_time(self, tmp_path):
         # one full chunk and part of a second; gathering a whole chunk of
         # 200 x 34 tables would take 223 MB by itself

@@ -1,11 +1,17 @@
 """Tests for CSV ingestion, moments, scale sums, and the resampling study."""
 
+import csv
 import math
+import tempfile
+import warnings
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from corrlab import estimators, resample
@@ -38,6 +44,74 @@ def survey():
     codes = np.minimum((ndtr(latent) ** 4 * points).astype(int), points - 1)
     values = codes + np.array([1, 1, -3, 0, 1, -3])
     return PopulationDataset(tuple(f"q{j}" for j in range(6)), values.astype(float))
+
+
+def _ingest_by_cells(path, delimiter):
+    """ingest_csv's rules, read with csv.reader and float() cell by cell."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        records = list(csv.reader(handle, delimiter=delimiter))
+    if not records:
+        raise InputError(f"{path}: file is empty")
+    names = tuple(name.strip() for name in records[0])
+    kept = []
+    for record in records[1:]:
+        try:
+            parsed = [float(cell) for cell in record]
+        except ValueError:
+            continue
+        if len(parsed) == len(names) and all(math.isfinite(v) for v in parsed):
+            kept.append(parsed)
+    dropped = len(records) - 1 - len(kept)
+    if not kept:
+        raise InputError(f"{path}: no usable numeric rows ({dropped} dropped)")
+    if len(kept) < 2:
+        raise InputError(f"{path}: need at least two usable rows")
+    return PopulationDataset(names, np.array(kept), dropped_rows=dropped)
+
+
+def _outcome(read, path, delimiter):
+    """What a reader makes of a file: the names, the value bytes and the
+    dropped count, or the error's class and message; a warning is an error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = read(path, delimiter)
+    except (InputError, DegenerateSampleError) as exc:
+        return type(exc), str(exc)
+    return d.column_names, d.values.shape, d.values.tobytes(), d.dropped_rows
+
+
+# cells that both float() and numpy's C reader read, with padded cells and
+# the exotic separators that csv keeps inside a line; then cells that only
+# float() reads and cells that neither reads
+_NUMBERS = ["1", "2", "3", "-3.5", "0.25", "1e2", "-0", "+.5", "1e400", "nan", "inf",
+            " 4 ", "\t5", "6\x0b", "\x0c7", "8\x85", "\u20289"]
+_OTHER_CELLS = ["", "x", "#", "2#", "1_0", '"6"', "\u0661", "\uff11", "1\x00"]
+_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _delimited_files(draw):
+    """(text, delimiter): a header and up to eight lines, with mixed line
+    endings and with or without a final one, or a file with no text.  Half
+    the files are grids of numbers; the rest mix in other cells and
+    wrong-width, blank and whitespace-only lines."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
+    if draw(st.integers(0, 20)) == 0:
+        return "", delimiter
+    width = draw(st.integers(1, 3))
+    grid = draw(st.booleans())
+    cells = st.sampled_from(_NUMBERS if grid else _NUMBERS + _OTHER_CELLS)
+    lines = [delimiter.join(f"c{j}" for j in range(width)) + draw(_ENDINGS)]
+    for _ in range(draw(st.integers(0, 8))):
+        n = width if grid else draw(st.sampled_from([width] * 4 + [0, width - 1, width + 1]))
+        line = delimiter.join(draw(st.lists(cells, min_size=n, max_size=n)))
+        if n == 0:
+            line = draw(st.sampled_from(["", " ", "\t "]))
+        lines.append(line + draw(_ENDINGS))
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines), delimiter
 
 
 class TestIngestCsv:
@@ -92,17 +166,41 @@ class TestIngestCsv:
         records += [["4", "5"], ["4", "5", "6", "7"], ["1", "2", "3"], ["2", "1", "3.5"]]
         path = tmp_path / "cells.csv"
         path.write_text("a,b,c\n" + "".join(",".join(r) + "\n" for r in records))
-        kept = []
-        for record in records:
-            try:
-                parsed = [float(cell) for cell in record]
-            except ValueError:
-                continue
-            if len(parsed) == 3 and all(math.isfinite(v) for v in parsed):
-                kept.append(parsed)
+        # the value bytes: -0 keeps its sign
+        assert _outcome(ingest_csv, path, ",") == _outcome(_ingest_by_cells, path, ",")
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_delimited_files())
+    def test_matches_csv_reader_and_per_cell_float(self, case):
+        text, delimiter = case
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "cells.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            assert (_outcome(ingest_csv, path, delimiter)
+                    == _outcome(_ingest_by_cells, path, delimiter))
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_numeric_grid_skips_the_per_cell_parse(self, tmp_path, monkeypatch, ending):
+        def per_cell(record):
+            raise AssertionError("a numeric grid reached the per-cell parse")
+        monkeypatch.setattr(resample, "_parsed_or_nan", per_cell)
+        path = tmp_path / "grid.csv"
+        path.write_text(ending.join(["a,b", "1,-0", " 2,1e400", "3.5,nan", "4,5"]),
+                        newline="")
         d = ingest_csv(path)
-        assert d.values.tobytes() == np.array(kept).tobytes()  # -0 keeps its sign
-        assert d.dropped_rows == len(records) - len(kept)
+        assert d.values.tobytes() == np.array([[1.0, -0.0], [4.0, 5.0]]).tobytes()
+        assert d.dropped_rows == 2
+
+    @pytest.mark.parametrize("body,dropped", [("", 0), ("\n", 1), ("\n\r\n\r", 3),
+                                              (" \n\t\n", 2)],
+                             ids=["header-only", "empty-line", "empty-lines", "whitespace"])
+    def test_empty_body_is_an_input_error_without_warnings(self, tmp_path, body, dropped):
+        path = tmp_path / "empty.csv"
+        path.write_text("a,b\n" + body, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=rf"no usable numeric rows \({dropped} dropped"):
+                ingest_csv(path)
 
     def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
         path = tmp_path / "bom.csv"
