@@ -126,10 +126,11 @@ def _tie_run_flags(s: np.ndarray) -> np.ndarray:
     return first
 
 
-def _tie_runs(first: np.ndarray):
-    """Flat (row-major) start and length of each tie run; each row's position 0 begins one."""
-    starts = np.flatnonzero(first)
-    return starts, np.diff(starts, append=first.size)
+def _tied_runs(first: np.ndarray):
+    """Flat (row-major) first and last positions of the runs of two or more equal
+    values, from run-start flags in which each row's position 0 begins a run."""
+    edges = np.flatnonzero(np.diff(first.ravel(), append=True))  # flips after s and e of run s..e
+    return edges[0::2], edges[1::2]
 
 
 def _sign_sums(columns: np.ndarray) -> np.ndarray:
@@ -194,15 +195,15 @@ def rank_rows(a: np.ndarray):
     ``a`` and ``had_ties`` is a boolean per row.  Tied values receive the
     mean of the ranks they span, so each row sums to n(n+1)/2 exactly.
 
-    Four paths give the same bits.  Rows of n <= 7 are ranked as
+    Three paths give the same bits.  Rows of n <= 7 are ranked as
     (n+1)/2 + S/2 from their int8 sign sums S (see :func:`_sign_sums`),
     and tied where the sum of S**2 falls short of its untied n(n**2 - 1)/3.
     Longer rows are ranked by counting each row's levels when every value
     of the array is an integer and each row's largest value is less than
     n above its smallest (Likert items, counts); any other array is sorted.
-    If no two sorted values are equal anywhere in the array (-0.0 ties 0.0),
-    1..n is scattered through the sort order; otherwise each tie run takes the
-    :func:`_mid_ranks` rank of its flat cumulative count, less n per earlier row.
+    Sorted values and ranks move through flat row-major indices: sorted
+    positions take ranks 1..n, but a run of equal values (-0.0 ties 0.0) at
+    positions s < e of its row takes the exact mid-rank (s + e)/2 + 1.
     """
     (a,) = _row_arrays(a)
     n = a.shape[1]
@@ -214,15 +215,19 @@ def rank_rows(a: np.ndarray):
     if counted is not None:
         return counted
     order = np.argsort(a, axis=1)  # ties share one mid-rank: need no stable order
-    first = _tie_run_flags(np.take_along_axis(a, order, axis=1))
+    order += np.arange(0, a.size, n)[:, None]  # flat index of each sorted value
+    first = _tie_run_flags(a.ravel()[order])
+    had_ties = ~first.all(axis=1)
+    sorted_ranks = np.arange(1.0, n + 1.0)
+    if had_ties.any():
+        starts, ends = _tied_runs(first)
+        sorted_ranks = np.tile(sorted_ranks, (len(a), 1))
+        tied = ~first
+        tied.ravel()[starts] = True
+        sorted_ranks[tied] = np.repeat(starts % n + 0.5 * (ends - starts) + 1.0, ends - starts + 1)
     ranks = np.empty(a.shape, dtype=float)
-    if first.all():  # no tie anywhere: the ranks are 1..n scattered through the sort
-        np.put_along_axis(ranks, order, np.arange(1.0, n + 1.0), axis=1)
-        return ranks, np.zeros(len(a), dtype=bool)
-    starts, lengths = _tie_runs(first)
-    run_ranks = _mid_ranks(lengths) - (starts - starts % n)
-    np.put_along_axis(ranks, order, np.repeat(run_ranks, lengths).reshape(a.shape), axis=1)
-    return ranks, ~first.all(axis=1)
+    ranks.ravel()[order] = sorted_ranks
+    return ranks, had_ties
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +260,8 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray, check: bool = False) -> np.ndarr
     """:func:`pearson_rows`, trusting without ``check`` that every row of x
     and of y varies, as the rows of a simulation chunk do once redrawn."""
     x, y = _row_arrays(x, y)
+    if x.shape[1] == 0:  # no values: NaN per row, without numpy's empty-mean warning
+        return np.full(len(x), np.nan)
     axis = 1
     if x.shape[1] <= _SHORT_ROW:
         x, y, axis = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T), 0
@@ -356,10 +363,13 @@ def _block_inversions(blocks: np.ndarray) -> np.ndarray:
 
 
 def _tied_pair_counts(first: np.ndarray) -> np.ndarray:
-    """Sum of t*(t-1)/2 over the tie runs of each row, from run-beginning flags."""
-    starts, lengths = _tie_runs(first)
-    row_firsts = np.searchsorted(starts, np.arange(0, first.size, first.shape[1]))
-    return np.add.reduceat(lengths * (lengths - 1) // 2, row_firsts)
+    """Sum of t*(t-1)/2 over the tied runs of each row, from run-start flags,
+    exactly in int64; runs of one value add nothing and are never formed."""
+    starts, ends = _tied_runs(first)
+    t = ends - starts + 1
+    counts = np.zeros(len(first), dtype=np.int64)
+    np.add.at(counts, starts // first.shape[1], t * (t - 1) // 2)
+    return counts
 
 
 def kendall_rows(x: np.ndarray, y: np.ndarray, variant: str = "b") -> np.ndarray:

@@ -5,6 +5,7 @@ implemented inline and kept independent of the library code paths.
 """
 
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -653,6 +654,90 @@ class TestTieRunsAcrossRows:
                                               err_msg=f"{name}, tau-{variant}")
 
 
+def resampled_rows(rng, rows, n, pool=12_000):
+    """rows x n values drawn with replacement from ``pool`` continuous values,
+    as the psychometric resampling study draws its samples: most rows of 200
+    repeat a value, and each tie is a short run among many singletons."""
+    return rng.standard_normal(pool)[rng.integers(0, pool, (rows, n))]
+
+
+def crafted_tie_rows(rng, n):
+    """Continuous rows of length n, tied and untied side by side: two
+    adjacent tied runs; tied runs at sorted positions 0-1 and n-2..n-1; a
+    whole-row run; a signed-zero pair; untied rows between them."""
+    a = rng.standard_normal((7, n))
+    a[1, :4] = [0.5, 0.5, 0.75, 0.75]  # adjacent in sorted order: nothing lies between
+    a[1, 4:] = np.where(np.abs(a[1, 4:] - 0.625) < 0.2, a[1, 4:] + 1.0, a[1, 4:])
+    a[3, :4] = [-9.5, -9.5, 9.5, 9.5]
+    a[4] = 0.25
+    a[6, :2] = [0.0, -0.0]
+    return a
+
+
+class TestSparseTiesAtResamplingShape:
+    """Sparse ties in continuous rows, as resampling with replacement makes
+    them, and hand-placed runs at the ends and side by side: the sorted path
+    must give the oracle's ranks and tie counts bit for bit."""
+
+    @staticmethod
+    def check(x, y):
+        n = x.shape[1]
+        assert _level_ranks(x) is None
+        ranks, ties = rank_rows(x)
+        rx = np.array([rank_oracle(row) for row in x.tolist()])
+        ry = np.array([rank_oracle(row) for row in y.tolist()])
+        np.testing.assert_array_equal(ranks, rx)
+        np.testing.assert_array_equal(ties, [len(set(row)) < n for row in x.tolist()])
+        np.testing.assert_array_equal(spearman_rows(x, y), pearson_reference(rx, ry))
+        pairs = [sum(u == v for u, v in itertools.combinations(row, 2)) for row in x.tolist()]
+        counts = _tied_pair_counts(_tie_run_flags(np.sort(x, axis=1)))
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, pairs)
+
+    def test_resampled_rows(self):
+        rng = np.random.default_rng(30)
+        x, y = resampled_rows(rng, 320, 200), resampled_rows(rng, 320, 200)
+        ties = rank_rows(x)[1]
+        assert 0.5 < ties.mean() < 1.0  # the sparse-tie regime: most rows tie, a few do not
+        self.check(x, y)
+        for r in (np.argmax(ties), np.argmin(ties)):  # one tied and one untied row alone
+            self.check(x[r:r + 1], y[r:r + 1])
+
+    @pytest.mark.parametrize("n", [8, 9, 200])
+    def test_crafted_runs(self, n):
+        rng = np.random.default_rng(n)
+        x = crafted_tie_rows(rng, n)
+        self.check(x, rng.standard_normal(x.shape))
+        for r in range(len(x)):
+            self.check(x[r:r + 1], resampled_rows(rng, 1, n))
+
+    def test_no_rows(self):
+        x = np.empty((0, 200))
+        ranks, ties = rank_rows(x)
+        assert ranks.shape == (0, 200) and ties.shape == (0,)
+        assert spearman_rows(x, x).shape == (0,)
+        counts = _tied_pair_counts(np.ones((0, 200), dtype=bool))
+        assert counts.shape == (0,) and counts.dtype == np.int64
+
+
+class TestZeroWidthRows:
+    """Rows of no values give NaN per row (rank_rows: empty ranks, no ties),
+    and no kernel warns."""
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_quiet_nan(self, rows):
+        x = np.empty((rows, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ranks, ties = rank_rows(x)
+            coefficients = [pearson_rows(x, x), spearman_rows(x, x), kendall_rows(x, x),
+                            kendall_rows(x, x, variant="a")]
+        assert ranks.shape == (rows, 0)
+        np.testing.assert_array_equal(ties, np.zeros(rows, dtype=bool))
+        for r in coefficients:
+            assert r.shape == (rows,) and np.isnan(r).all()
+
+
 class _TiePass(Exception):
     pass
 
@@ -665,7 +750,7 @@ class TestFastPathsArePinned:
     def tie_passes_raise(self, monkeypatch):
         def tie_pass(*args):
             raise _TiePass
-        monkeypatch.setattr(estimators, "_tie_runs", tie_pass)
+        monkeypatch.setattr(estimators, "_tied_runs", tie_pass)
         monkeypatch.setattr(estimators, "_tied_pair_counts", tie_pass)
 
     @pytest.mark.parametrize("n", [8, 213])
