@@ -4,6 +4,9 @@ Every error carries an ``exit_code`` so the command-line layer can map
 failures to distinct process exit statuses without inspecting messages.
 """
 
+__all__ = ["CorrlabError", "UsageError", "InputError", "DegenerateSampleError",
+           "NumericError", "InfeasibleError"]
+
 
 class CorrlabError(Exception):
     """Base class for all toolkit errors."""

@@ -463,9 +463,8 @@ def correlation_matrix(data, kind: str = "pearson") -> np.ndarray:
 
     ``data`` is a (rows x columns) array or any object exposing
     ``values``/``column_names``.  Any constant column raises
-    :class:`DegenerateSampleError` naming the column, which is what the
-    resampling retry rule keys on.  Kendall coefficients come from
-    :func:`kendall` and :func:`kendall_rows`.
+    :class:`DegenerateSampleError` naming the column.  Kendall
+    coefficients come from :func:`kendall` and :func:`kendall_rows`.
     """
     if kind not in _MATRIX_KINDS:
         raise InputError(f"correlation matrices are pearson or spearman, got {kind!r}")

@@ -170,12 +170,11 @@ def pearson_density(r, rho: float, n: int):
     return out if np.ndim(r) else float(out)
 
 
-def density_curve(rho: float, n: int, points: int = 4001,
-                  eps: float = 1e-6) -> DensityCurve:
-    """Density evaluated on an even grid spanning (-1 + eps, 1 - eps)."""
+def density_curve(rho: float, n: int, points: int = 4001) -> DensityCurve:
+    """Density evaluated on an even grid spanning [-1 + 1e-6, 1 - 1e-6]."""
     if points < 3:
         raise InputError("need at least 3 grid points")
-    grid = np.linspace(-1.0 + eps, 1.0 - eps, points)
+    grid = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, points)
     return DensityCurve(grid=grid, density=pearson_density(grid, rho, n),
                         rho=rho, n=n)
 

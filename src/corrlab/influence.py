@@ -7,7 +7,8 @@ both coefficients from the base values (raw = base + delta).  Appending
 the cross-correlation block of the k augmented columns [x; axis_i] with
 the k augmented columns [y; axis_j] (their mid-ranks for Spearman).  No
 cell is degenerate: a constant base is rejected, appending cannot make a
-column constant, and the axis is finite.
+column constant, and every scanned value (base, fixed outlier and axis
+bounds) lies within +-1e150, so no column scale overflows.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ __all__ = ["AxisSpec", "InfluenceGrid", "scan_single", "scan_double",
 # 100x the fig5 axis; a scan this size holds a few (k x k) float matrices, peaking near
 # 144 MB, and the CLI run that streams its 273 MB grid CSV to disk peaks near 160 MB
 MAX_AXIS_POINTS = 2001
+# squares and products of values this size stay finite (1e300); at about 1.3e154 a
+# column's sum of squares overflows and every scanned coefficient reads 0 or NaN
+MAX_SCANNED_MAGNITUDE = 1e150
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,12 @@ def _scan(scanned: PairedSample, axis: np.ndarray):
 
 def _scan_grid(base: PairedSample, axis: AxisSpec,
                first_outlier: tuple[float, float] | None) -> InfluenceGrid:
+    scanned = base if first_outlier is None else base.append(*first_outlier)
+    if max(np.abs(scanned.x).max(), np.abs(scanned.y).max(),
+           abs(axis.lo), abs(axis.hi)) > MAX_SCANNED_MAGNITUDE:
+        raise InputError(f"scanned values must lie within +-{MAX_SCANNED_MAGNITUDE:g}")
     base_rp = pearson(base).value
     base_rs = spearman(base).value
-    scanned = base if first_outlier is None else base.append(*first_outlier)
     grid_axis = axis.values
     rp, rs = _scan(scanned, grid_axis)
     rp -= base_rp  # in place: at k = 2001 each surface is 32 MB

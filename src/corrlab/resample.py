@@ -423,16 +423,16 @@ ASVAB_LIKE_SEED = 914001
 DBQ_LIKE_SEED = 914002
 
 
-def asvab_like_population(n_rows: int = 12000, n_cols: int = 10,
-                          master_seed: int = ASVAB_LIKE_SEED) -> PopulationDataset:
-    """Symmetric, light-tailed, strongly intercorrelated test-score table.
+def asvab_like_population() -> PopulationDataset:
+    """Symmetric, light-tailed, strongly intercorrelated 12,000 x 10 test-score table.
 
     Columns are a common factor plus noise, both standardized uniform,
     with factor shares spaced over [.50, .85]; pairwise correlations are
     the geometric means of the shares (about .5 to .85) and column
     kurtosis sits near 2.1-2.4.
     """
-    rng = RngStream(master_seed).generator()
+    n_rows, n_cols = 12000, 10
+    rng = RngStream(ASVAB_LIKE_SEED).generator()
     shares = np.linspace(0.50, 0.85, n_cols)
     half_width = math.sqrt(3.0)  # standardized uniform on [-sqrt(3), sqrt(3)]
     factor = rng.uniform(-half_width, half_width, size=n_rows)
@@ -442,9 +442,8 @@ def asvab_like_population(n_rows: int = 12000, n_cols: int = 10,
     return PopulationDataset(column_names=names, values=table)
 
 
-def dbq_like_population(n_rows: int = 9000, n_cols: int = 34,
-                        master_seed: int = DBQ_LIKE_SEED) -> PopulationDataset:
-    """Heavily floor-concentrated six-point survey table.
+def dbq_like_population() -> PopulationDataset:
+    """Heavily floor-concentrated 9,000 x 34 six-point survey table.
 
     A single latent factor (loadings spread over [.45, .75]) is pushed
     through per-column category thresholds whose lowest-category mass
@@ -452,7 +451,8 @@ def dbq_like_population(n_rows: int = 9000, n_cols: int = 34,
     kurtosis about 5-50 (all leptokurtic), with weak-to-moderate positive
     correlations between columns.
     """
-    rng = RngStream(master_seed).generator()
+    n_rows, n_cols = 9000, 34
+    rng = RngStream(DBQ_LIKE_SEED).generator()
     loadings = np.linspace(0.45, 0.75, n_cols)
     factor = rng.standard_normal(n_rows)
     noise = rng.standard_normal((n_rows, n_cols))
@@ -473,9 +473,8 @@ def dbq_like_population(n_rows: int = 9000, n_cols: int = 34,
     return PopulationDataset(column_names=names, values=columns)
 
 
-def _survey_thresholds(floor_mass: float, decay: float = 0.45,
-                       categories: int = 6) -> tuple[float, ...]:
-    """Cumulative cut points: given mass on category 1, geometric decay above."""
-    rest = decay ** np.arange(1, categories)
+def _survey_thresholds(floor_mass: float) -> tuple[float, ...]:
+    """Cut points of six categories: given mass on category 1, geometric decay (0.45) above."""
+    rest = 0.45 ** np.arange(1, 6)
     probs = np.concatenate([[floor_mass], rest / rest.sum() * (1.0 - floor_mass)])
     return tuple(np.cumsum(probs)[:-1])

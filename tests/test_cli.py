@@ -2,6 +2,7 @@
 
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -845,6 +846,53 @@ class TestPublicNames:
             names = getattr(module, "__all__", [])
             assert len(set(names)) == len(names), module.__name__
             assert [n for n in names if not hasattr(module, n)] == [], module.__name__
+
+    LIBRARY_MODULES = ("errors", "estimators", "exact", "randgen", "simulate", "influence",
+                       "resample", "eigen")
+
+    @pytest.mark.parametrize("short", LIBRARY_MODULES)
+    def test_every_public_definition_is_declared(self, short):
+        # a public function or class missing from __all__ is missing from corrlab too
+        module = importlib.import_module(f"corrlab.{short}")
+        defined = {name for name, obj in vars(module).items()
+                   if not name.startswith("_")
+                   and (inspect.isfunction(obj) or inspect.isclass(obj))
+                   and obj.__module__ == module.__name__}
+        assert defined - set(getattr(module, "__all__", ())) == set()
+
+    def test_package_exports_what_its_modules_declare(self):
+        modules = [importlib.import_module(f"corrlab.{s}") for s in self.LIBRARY_MODULES]
+        assert corrlab.__all__ == [n for m in modules for n in m.__all__] + ["__version__"]
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(corrlab, name) is getattr(module, name), name
+        namespace = {}
+        exec("from corrlab import *", namespace)
+        assert set(corrlab.__all__) <= set(namespace)
+
+    def test_earlier_exports_are_kept(self):
+        earlier = [
+            "CorrlabError", "DegenerateSampleError", "InfeasibleError", "InputError",
+            "NumericError", "UsageError",
+            "CoefficientEstimate", "PairedSample", "correlation_matrix",
+            "distinct_spearman_values", "kendall", "pearson", "spearman",
+            "DensityCurve", "density_curve", "expected_pearson", "expected_spearman",
+            "fisher_interval", "fisher_z", "hyp2f1_half_half", "kendall_from_pearson",
+            "pearson_density", "pearson_from_kendall",
+            "spearman_from_kendall", "spearman_from_pearson", "spearman_interval",
+            "MarginalSpec", "PopulationSpec", "RngStream", "calibrate_copula",
+            "sample_bivariate_normal", "sample_population",
+            "SimulationPlan", "SummaryStats", "logspace_sizes", "run_plan",
+            "AxisSpec", "InfluenceGrid", "delta_width", "exceedance_fraction",
+            "scan_double", "scan_single",
+            "MomentProfile", "PairSummary", "PopulationDataset", "StudyResult",
+            "asvab_like_population", "dbq_like_population", "ingest_csv",
+            "moment_profile", "run_study", "scale_sums",
+            "EigenSummary", "eigen_study", "symmetric_eigenvalues",
+            "__version__",
+        ]
+        assert len(earlier) == 56
+        assert set(earlier) - set(corrlab.__all__) == set()
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux procfs")

@@ -327,8 +327,8 @@ class TestSyntheticPopulations:
         assert mat[iu].min() > 0.45
 
     def test_generation_is_deterministic(self):
-        a = dbq_like_population(n_rows=500)
-        b = dbq_like_population(n_rows=500)
+        a = dbq_like_population()
+        b = dbq_like_population()
         np.testing.assert_array_equal(a.values, b.values)
 
 
