@@ -76,6 +76,12 @@ INVOCATIONS = {
     "resample-csv-mixed": ("resample", "--input", MIXED, "--reps", "300"),
     # the near-one branch of the 2F1 series
     "density-near-one": ("density", "--pearson", "0.99,0.999", "--n", "4,5,60,101"),
+    # either side of the short-row kernels' n <= 7, each crossing a chunk: the
+    # histogram's Pearson and Spearman, and the chi-square table under all three kinds
+    "density-short-long": ("density", "--pearson", "0.5", "--n", "4,7,8", "--mc-reps", "5000"),
+    "chi2-short-long": ("simulate", "--marginal", "chi2", "--df", "1", *_CALIBRATION,
+                        "--sizes", "2,7,8", "--reps", "4200",
+                        "--kinds", "pearson,spearman,kendall"),
     # one run of every other CSV and JSON writer
     "s10-depiction": ("simulate", "--preset", "s10", *_CALIBRATION),
     "dbq-groups": ("resample", "--preset", "table3-dbq", "--groups", SCALES, "--reps", "300"),
