@@ -59,7 +59,7 @@ def _varies(a: np.ndarray, axis: int = -1) -> np.ndarray:
     if a.shape[-1] > _SHORT_ROW:
         return (a[..., 1:] != a[..., :1]).any(axis=-1)
     # short lines: one whole-array compare per entry, 3-4x faster than a line-wise reduce
-    out = np.zeros(a.shape[:-1], dtype=bool)
+    out = np.zeros_like(a[..., 0], dtype=bool)  # in a's memory order: compares whole planes
     for j in range(1, a.shape[-1]):
         out |= a[..., j] != a[..., 0]
     return out
@@ -265,6 +265,8 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray, check: bool = False) -> np.ndarr
     axis = 1
     if x.shape[1] <= _SHORT_ROW:
         x, y, axis = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T), 0
+    else:  # numpy sums a strided line in another order than a contiguous one
+        x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
     r = _pearson(x, y, axis)
     if check:
         r[~(_varies(x, axis) & _varies(y, axis))] = np.nan

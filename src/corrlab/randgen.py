@@ -34,7 +34,7 @@ import numpy as np
 from scipy import special
 
 from .errors import InfeasibleError, InputError, NumericError
-from .estimators import PairedSample, pearson_rows, spearman_rows
+from .estimators import _SHORT_ROW, PairedSample, pearson_rows, spearman_rows
 from .exact import kendall_from_pearson, spearman_from_pearson
 
 __all__ = [
@@ -257,8 +257,13 @@ class PopulationSpec:
 
 
 def _couple(rho: float, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Standard normals with correlation rho to z1, from independent z2."""
-    return rho * z1 + np.sqrt(1.0 - rho * rho) * z2
+    """Independent standard normals z2 turned in place into normals with
+    correlation rho to z1, and returned: sqrt(1 - rho**2) * z2 + rho * z1,
+    the same bits as rho * z1 + sqrt(1 - rho**2) * z2, as IEEE addition
+    commutes."""
+    z2 *= np.sqrt(1.0 - rho * rho)
+    z2 += rho * z1
+    return z2
 
 
 def sample_bivariate_normal(rho: float, n: int, stream: RngStream) -> PairedSample:
@@ -367,14 +372,22 @@ def _transform(marginal: MarginalSpec, z: np.ndarray) -> np.ndarray:
     u = special.ndtr(z)
     if marginal.family == "uniform":
         return u
-    return 1.0 + np.searchsorted(marginal.thresholds, u, side="right")
+    # searchsorted answers in C order; the sum lands in z's memory order
+    return np.add(1.0, np.searchsorted(marginal.thresholds, u, side="right"),
+                  out=np.empty_like(u))
 
 
 def _pairs(spec: PopulationSpec, rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
     """x and y stacked as (rows, 2, n), from one normal draw: row r is a
-    sample of n pairs made from its own 2n normals, whatever the number of rows."""
+    sample of n pairs made from its own 2n normals, whatever the number of rows.
+
+    Rows of n <= ``_SHORT_ROW`` are copied once into variable-major memory,
+    each variable one C-contiguous (n, rows) plane, the layout in which the
+    short-row kernels reduce; the shape and the values stay the same."""
     z = rng.standard_normal((rows, 2, n))
-    z[:, 1] = _couple(spec.latent_rho, z[:, 0], z[:, 1])
+    if n <= _SHORT_ROW:
+        z = np.ascontiguousarray(z.transpose(1, 2, 0)).transpose(2, 0, 1)
+    _couple(spec.latent_rho, z[:, 0], z[:, 1])
     return _transform(spec.marginal, z)
 
 
@@ -416,7 +429,7 @@ def calibrate_copula(marginal: MarginalSpec, target_pearson: float,
     x = _transform(marginal, z1)[None, :]
 
     def transformed_y(latent: float) -> np.ndarray:
-        return _transform(marginal, _couple(latent, z1, z0))[None, :]
+        return _transform(marginal, _couple(latent, z1, z0.copy()))[None, :]
 
     def achieved(latent: float) -> float:
         return float(pearson_rows(x, transformed_y(latent))[0])
