@@ -37,6 +37,9 @@ KINDS = ("pearson", "spearman", "kendall")
 _MATRIX_KINDS = ("pearson", "spearman")
 _SHORT_ROW = 7  # rows this short reduce column-wise, bit for bit: numpy sums < 8 terms in order
 assert _SHORT_ROW * (_SHORT_ROW ** 2 - 1) // 3 <= 127, "short-row sign sums are reduced in int8"
+# squares and products of values this size stay finite (1e300); at about 1.3e154 a
+# column's sum of squares overflows and a Pearson coefficient reads 0 or NaN
+MAX_SCANNED_MAGNITUDE = 1e150
 # the merge counter counts inside base blocks at most this wide by direct compares
 _MAX_BASE_BLOCK = 127
 assert _MAX_BASE_BLOCK <= 128, "_block_inversions counts in int8"
@@ -63,6 +66,13 @@ def _varies(a: np.ndarray, axis: int = -1) -> np.ndarray:
     for j in range(1, a.shape[-1]):
         out |= a[..., j] != a[..., 0]
     return out
+
+
+def _check_magnitude(bound: float, *arrays) -> None:
+    """InputError unless every value of the arrays lies within +-bound."""
+    if max(np.abs(a).max(initial=0.0) for a in arrays) > bound:
+        raise InputError(f"values must lie within +-{bound:g}: larger ones overflow "
+                         f"the moment sums")
 
 
 def _as_finite_1d(values, name):
@@ -425,8 +435,10 @@ def _check_not_constant(s: PairedSample):
 
 
 def pearson(s: PairedSample) -> CoefficientEstimate:
-    """Linear correlation: centered cross product over centered norms."""
+    """Linear correlation: centered cross product over centered norms.
+    Values beyond +-``MAX_SCANNED_MAGNITUDE`` raise :class:`InputError`."""
     _check_not_constant(s)
+    _check_magnitude(MAX_SCANNED_MAGNITUDE, s.x, s.y)
     r = pearson_rows(s.x[None, :], s.y[None, :])[0]
     return CoefficientEstimate("pearson", float(r), s.n)
 
@@ -465,8 +477,9 @@ def correlation_matrix(data, kind: str = "pearson") -> np.ndarray:
 
     ``data`` is a (rows x columns) array or any object exposing
     ``values``/``column_names``.  Any constant column raises
-    :class:`DegenerateSampleError` naming the column.  Kendall
-    coefficients come from :func:`kendall` and :func:`kendall_rows`.
+    :class:`DegenerateSampleError` naming the column, and a Pearson matrix
+    of values beyond +-``MAX_SCANNED_MAGNITUDE`` raises :class:`InputError`.
+    Kendall coefficients come from :func:`kendall` and :func:`kendall_rows`.
     """
     if kind not in _MATRIX_KINDS:
         raise InputError(f"correlation matrices are pearson or spearman, got {kind!r}")
@@ -476,6 +489,8 @@ def correlation_matrix(data, kind: str = "pearson") -> np.ndarray:
         raise InputError("need at least two rows")
     if not np.all(np.isfinite(values)):
         raise InputError("table contains non-finite entries")
+    if kind == "pearson":
+        _check_magnitude(MAX_SCANNED_MAGNITUDE, values)
     dead = np.flatnonzero(~_varies(values, axis=0))
     if dead.size:
         raise DegenerateSampleError(

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimators import PairedSample, _correlation_core, pearson, spearman
+from .estimators import (MAX_SCANNED_MAGNITUDE, PairedSample, _check_magnitude,
+                         _correlation_core, pearson, spearman)
 
 __all__ = ["AxisSpec", "InfluenceGrid", "scan_single", "scan_double",
            "exceedance_fraction", "delta_width", "MAX_AXIS_POINTS"]
@@ -26,9 +27,6 @@ __all__ = ["AxisSpec", "InfluenceGrid", "scan_single", "scan_double",
 # 100x the fig5 axis; a scan this size holds a few (k x k) float matrices, peaking near
 # 144 MB, and the CLI run that streams its 273 MB grid CSV to disk peaks near 160 MB
 MAX_AXIS_POINTS = 2001
-# squares and products of values this size stay finite (1e300); at about 1.3e154 a
-# column's sum of squares overflows and every scanned coefficient reads 0 or NaN
-MAX_SCANNED_MAGNITUDE = 1e150
 
 
 @dataclass(frozen=True)
@@ -98,9 +96,7 @@ def _scan(scanned: PairedSample, axis: np.ndarray):
 def _scan_grid(base: PairedSample, axis: AxisSpec,
                first_outlier: tuple[float, float] | None) -> InfluenceGrid:
     scanned = base if first_outlier is None else base.append(*first_outlier)
-    if max(np.abs(scanned.x).max(), np.abs(scanned.y).max(),
-           abs(axis.lo), abs(axis.hi)) > MAX_SCANNED_MAGNITUDE:
-        raise InputError(f"scanned values must lie within +-{MAX_SCANNED_MAGNITUDE:g}")
+    _check_magnitude(MAX_SCANNED_MAGNITUDE, scanned.x, scanned.y, [axis.lo, axis.hi])
     base_rp = pearson(base).value
     base_rs = spearman(base).value
     grid_axis = axis.values

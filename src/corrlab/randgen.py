@@ -8,6 +8,10 @@ study is reproducible and safely parallel however its work is blocked or
 scheduled.  Bit-level streams come from numpy's PCG64 keyed by a
 SeedSequence spawn key; normal variates use numpy's ziggurat sampler.
 Reproducibility holds per build, not across numpy major versions.
+A simulation chunk of n <= 7 (``estimators._SHORT_ROW``) is held
+variable-major, each variable one contiguous (n, rows) plane, the layout
+the short-row kernels read; every chunk is coupled in place.  No value
+depends on the memory layout.
 
 Correlated non-normal pairs are produced by pushing a correlated
 standard-normal pair through one monotone map g(z) = F^-1(Phi(z)) of one

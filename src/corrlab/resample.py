@@ -42,8 +42,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateSampleError, InputError
-from .estimators import (_MATRIX_KINDS, _centered_correlation, _correlation_core,
-                         _mid_ranks, _varies, correlation_matrix)
+from .estimators import (_MATRIX_KINDS, MAX_SCANNED_MAGNITUDE, _centered_correlation,
+                         _check_magnitude, _correlation_core, _mid_ranks, _varies,
+                         correlation_matrix)
 from .randgen import MarginalSpec, RngStream, _couple, _replication_blocks, _transform
 
 __all__ = [
@@ -193,7 +194,12 @@ class MomentProfile:
 
 
 def moment_profile(dataset: PopulationDataset) -> MomentProfile:
-    """Mean, SD, skewness (m3/sd^3), and kurtosis (m4/sd^4) per column."""
+    """Mean, SD, skewness (m3/sd^3), and kurtosis (m4/sd^4) per column.
+
+    Values beyond +-1e75, the square root of ``MAX_SCANNED_MAGNITUDE``,
+    raise :class:`InputError`: their fourth powers would overflow.
+    """
+    _check_magnitude(math.sqrt(MAX_SCANNED_MAGNITUDE), dataset.values)
     columns = np.ascontiguousarray(dataset.values.T)  # numpy sums along rows pairwise
     mean = columns.mean(axis=1)
     centered = columns - mean[:, None]

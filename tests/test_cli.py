@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrlab
-from corrlab import cli, exact
+from corrlab import cli, exact, resample
 from corrlab.errors import NumericError, UsageError
 from corrlab.randgen import CALIBRATION_VERSION
 
@@ -558,6 +558,26 @@ class TestExitCodes:
         data.write_text("\n".join([",".join(columns)]
                                   + [",".join(map(str, row)) for row in table]) + "\n")
         return data
+
+    @pytest.mark.parametrize("cell,argv", [
+        ("1e100", ["moments"]),
+        ("-1e200", ["resample", "--sample-size", "20", "--reps", "5"]),
+        ("1e151", ["eigen", "--sample-size", "20", "--reps", "5", "--top", "2"])])
+    def test_values_that_overflow_are_input_errors(self, tmp_path, capsys, monkeypatch,
+                                                   cell, argv):
+        def no_draws(*args):
+            raise AssertionError("drew replications from a refused table")
+
+        monkeypatch.setattr(resample, "_replication_blocks", no_draws)
+        data = self.survey(tmp_path)
+        data.write_text(data.read_text() + f"{cell},1,2,3\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--input", str(data), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: values must lie within") and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("members", [["a", ["b"]], "ab"], ids=["nested", "string"])
     def test_malformed_groups_member_is_input_error(self, tmp_path, capsys, members):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from corrlab import estimators
 from corrlab.errors import DegenerateSampleError, InputError
-from corrlab.estimators import (CoefficientEstimate, PairedSample,
+from corrlab.estimators import (MAX_SCANNED_MAGNITUDE, CoefficientEstimate, PairedSample,
                                 _inversion_counts, _level_ranks, _pearson_rows,
                                 _tie_run_flags, _tied_pair_counts, _varies,
                                 correlation_matrix,
@@ -383,6 +383,41 @@ class TestVaries:
                 a = np.ascontiguousarray(np.moveaxis(stack, -1, axis))  # lines along axis
                 got = _varies(a, axis=axis)
                 np.testing.assert_array_equal(got, expected, err_msg=f"axis {axis}, {a.shape}")
+
+
+def variable_major(pairs):
+    """The same (rows, 2, n) values, each variable one C-contiguous (n, rows) plane."""
+    return np.ascontiguousarray(pairs.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+class TestMemoryLayout:
+    """Every kernel gives the same bits on row-major and variable-major rows."""
+
+    KERNELS = {
+        "rank_rows": lambda x, y: rank_rows(x),
+        "pearson_rows": pearson_rows,
+        "unchecked pearson": _pearson_rows,
+        "spearman_rows": spearman_rows,
+        "kendall_rows": kendall_rows,
+        "kendall_rows a": lambda x, y: kendall_rows(x, y, variant="a"),
+    }
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_kernels_ignore_the_layout(self, n, tied):
+        rng = np.random.default_rng(1200 + n)
+        pairs = rng.standard_normal((500, 2, n))
+        if tied:
+            pairs = np.floor(1.5 * pairs)
+            pairs[::50, 0] = 2.0  # constant rows
+        swapped = variable_major(pairs)
+        assert swapped[:, 0].T.flags.c_contiguous and not swapped[:, 0].flags.c_contiguous
+        for name, kernel in self.KERNELS.items():
+            want = kernel(pairs[:, 0], pairs[:, 1])
+            got = kernel(swapped[:, 0], swapped[:, 1])
+            for w, g in zip(*((want, got) if name == "rank_rows" else ((want,), (got,)))):
+                assert g.tobytes() == w.tobytes(), name
+        assert _varies(swapped).tobytes() == _varies(pairs).tobytes()
 
 
 class TestKendallSwitch:
@@ -889,6 +924,39 @@ class TestCorrelationMatrix:
         table = np.random.default_rng(43).integers(0, 4, size=(30, 3)).astype(float)
         with pytest.raises(InputError, match="pearson or spearman"):
             correlation_matrix(table, "kendall")
+
+
+class TestMagnitudeBound:
+    """Pearson's moment sums overflow past about 1.3e154: larger values are refused."""
+
+    BIG = [1e200, 1.0, 2.0, 3.0]
+    OTHER = [0.0, 1.0, 2.0, 4.0]
+
+    def test_pearson_refuses_values_past_the_bound(self):
+        for x, y in ((self.BIG, self.OTHER), (self.OTHER, [-1e151, 1.0, 2.0, 3.0])):
+            with pytest.raises(InputError, match="within"):
+                pearson(PairedSample(x, y))
+
+    def test_pearson_matrix_refuses_values_past_the_bound(self):
+        with pytest.raises(InputError, match="within"):
+            correlation_matrix(np.column_stack([self.BIG, self.OTHER]))
+
+    def test_values_at_the_bound_are_correlated(self):
+        x = [MAX_SCANNED_MAGNITUDE, 1.0, 2.0, -MAX_SCANNED_MAGNITUDE]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = pearson(PairedSample(x, self.OTHER)).value
+            mat = correlation_matrix(np.column_stack([x, self.OTHER]))
+        scaled = np.corrcoef(np.divide(x, MAX_SCANNED_MAGNITUDE), self.OTHER)[0, 1]
+        assert r == pytest.approx(scaled, abs=1e-15)
+        assert mat[0, 1] == pytest.approx(scaled, abs=1e-15)
+
+    def test_rank_coefficients_take_any_finite_value(self):
+        sample = PairedSample(self.BIG, self.OTHER)
+        assert spearman(sample).value == pytest.approx(-0.2)
+        assert kendall(sample).value == pytest.approx(0.0)
+        mat = correlation_matrix(np.column_stack([self.BIG, self.OTHER]), "spearman")
+        assert mat[0, 1] == pytest.approx(-0.2)
 
 
 class TestDistinctSpearmanValues:

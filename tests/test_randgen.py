@@ -8,9 +8,10 @@ from scipy import special
 
 from corrlab import cli
 from corrlab.errors import InfeasibleError, InputError, NumericError
-from corrlab.estimators import PairedSample, _varies, pearson, spearman
+from corrlab.estimators import (_SHORT_ROW, PairedSample, _varies, pearson, pearson_rows,
+                                spearman)
 from corrlab.randgen import (CALIBRATION_VERSION, CHUNK_REPS, MarginalSpec, PopulationSpec,
-                             RngStream, _chi_square_exact, _chi_square_table, _pairs,
+                             RngStream, _chi_square_exact, _chi_square_table, _couple, _pairs,
                              _replication_blocks, _transform, calibrate_copula,
                              sample_bivariate_normal, sample_population)
 
@@ -314,6 +315,63 @@ class TestCalibration:
             zy = latent * z1 + math.sqrt(1 - latent * latent) * z0
             achieved.append(pearson_rows(_transform(m, z1)[None], _transform(m, zy)[None])[0])
         assert np.all(np.diff(achieved) > 0)
+
+
+FAMILIES = [MarginalSpec.standard_normal(), MarginalSpec.exponential(),
+            MarginalSpec.chi_square(1), MarginalSpec.uniform(), MarginalSpec.likert()]
+
+
+def _latent(marginal, rho=0.6):
+    return PopulationSpec(marginal, target_pearson=0.5, latent_rho=rho, pop_pearson=0.5,
+                          pop_spearman=0.5)
+
+
+class TestPairsLayout:
+    """Short-row chunks are held variable-major; no value depends on it."""
+
+    @pytest.mark.parametrize("marginal", FAMILIES, ids=lambda m: m.family)
+    @pytest.mark.parametrize("rows", [1, 5, 4096])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_pairs_equal_the_row_major_reference(self, n, rows, marginal):
+        spec = _latent(marginal, rho=-0.35)
+        z = RngStream(51, (n, rows)).generator().standard_normal((rows, 2, n))
+        rho = spec.latent_rho
+        z[:, 1] = rho * z[:, 0] + np.sqrt(1.0 - rho * rho) * z[:, 1]
+        want = _transform(marginal, z)
+        got = _pairs(spec, RngStream(51, (n, rows)).generator(), rows, n)
+        assert got.shape == (rows, 2, n) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("marginal", FAMILIES, ids=lambda m: m.family)
+    @pytest.mark.parametrize("n", [2, _SHORT_ROW, _SHORT_ROW + 1])
+    def test_short_rows_are_contiguous_planes(self, n, marginal):
+        pairs = _pairs(_latent(marginal), RngStream(52).generator(), 300, n)
+        short = n <= _SHORT_ROW
+        for v in (0, 1):
+            assert pairs[:, v].T.flags.c_contiguous == short
+        assert pairs.flags.c_contiguous == (not short)
+
+    def test_couple_writes_only_its_second_argument(self):
+        z1, z2 = RngStream(53).generator().standard_normal((2, 1000))
+        before = z1.copy()
+        want = 0.3 * z1 + np.sqrt(1.0 - 0.09) * z2
+        got = _couple(0.3, z1, z2)
+        assert got is z2 and got.tobytes() == want.tobytes()
+        assert z1.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("marginal", [MarginalSpec.exponential(), MarginalSpec.uniform()],
+                             ids=lambda m: m.family)
+    def test_calibration_keeps_its_common_random_numbers(self, marginal):
+        stream = RngStream(54)
+        spec = calibrate_copula(marginal, 0.4, calibration_n=5000, stream=stream)
+        assert calibrate_copula(marginal, 0.4, calibration_n=5000, stream=stream) == spec
+        # the recorded Pearson is that of the untouched normals at the final latent
+        rng = stream.generator()
+        z1 = rng.standard_normal(5000)
+        z0 = rng.standard_normal(5000)
+        rho = spec.latent_rho
+        y = _transform(marginal, rho * z1 + np.sqrt(1.0 - rho * rho) * z0)
+        assert pearson_rows(_transform(marginal, z1)[None], y[None])[0] == spec.pop_pearson
 
 
 class TestSamplePopulation:

@@ -239,6 +239,17 @@ class TestMomentProfile:
         assert prof.skewness[0] == pytest.approx(0.0, abs=1e-12)
         assert prof.kurtosis[0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_refuses_values_whose_fourth_powers_overflow(self):
+        values = np.column_stack([[1.0, 2.0, 3.0, 1e100], [1.0, 2.0, 4.0, 8.0]])
+        with pytest.raises(InputError, match="within"):
+            moment_profile(PopulationDataset(("a", "b"), values))
+        values[3, 0] = -1e75  # at the bound: every moment stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = moment_profile(PopulationDataset(("a", "b"), values))
+        assert np.isfinite([prof.sd, prof.skewness, prof.kurtosis]).all()
+        assert prof.kurtosis[0] == pytest.approx(7.0 / 3.0)  # a two-point 3:1 column
+
     def test_matches_exact_rational_moments(self):
         values = np.array([[0, 3, -2], [1, 3, 5], [1, 7, 1], [2, -4, 1], [5, 0, 0],
                            [9, 1, -6], [1, 2, 2]], dtype=float)
