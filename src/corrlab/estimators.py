@@ -275,7 +275,8 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray, check: bool = False) -> np.ndarr
     axis = 1
     if x.shape[1] <= _SHORT_ROW:
         x, y, axis = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T), 0
-    else:  # numpy sums a strided line in another order than a contiguous one
+    elif not x.strides[1] == y.strides[1] == x.itemsize:
+        # numpy sums a line in another order unless its entries are adjacent
         x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
     r = _pearson(x, y, axis)
     if check:
