@@ -69,7 +69,7 @@ def _varies(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _check_magnitude(bound: float, *arrays) -> None:
-    """InputError unless every value of the arrays lies within +-bound."""
+    """Raise InputError unless every value of the arrays lies within +-bound."""
     if max(np.abs(a).max(initial=0.0) for a in arrays) > bound:
         raise InputError(f"values must lie within +-{bound:g}: larger ones overflow "
                          f"the moment sums")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import platform
@@ -169,3 +170,15 @@ def test_artifacts_match_manifest(golden, monkeypatch, label, seed):
     digests, workdir = golden
     monkeypatch.chdir(workdir)
     assert artifact_digests(label, seed) == digests[str(seed)][label]
+
+
+def test_check_lists_every_moved_file():
+    spec = importlib.util.spec_from_file_location("regenerate",
+                                                  MANIFEST.parent / "regenerate.py")
+    regenerate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regenerate)
+    recorded = {"29": {"a": {"x.csv": "1", "y.csv": "2"}, "b": {"z.json": "3"}}}
+    digests = {"29": {"a": {"x.csv": "1", "y.csv": "9"}, "c": {"z.json": "3"}}}
+    assert regenerate.moved_files(recorded, digests) == [
+        ("a", "29", "y.csv"), ("b", "29", "z.json"), ("c", "29", "z.json")]
+    assert regenerate.moved_files(recorded, recorded) == []
