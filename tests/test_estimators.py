@@ -394,7 +394,8 @@ class TestMemoryLayout:
     """Every kernel gives the same bits on row-major and variable-major rows."""
 
     KERNELS = {
-        "rank_rows": lambda x, y: rank_rows(x),
+        "rank_rows ranks": lambda x, y: rank_rows(x)[0],
+        "rank_rows ties": lambda x, y: rank_rows(x)[1],
         "pearson_rows": pearson_rows,
         "unchecked pearson": _pearson_rows,
         "spearman_rows": spearman_rows,
@@ -414,9 +415,7 @@ class TestMemoryLayout:
         assert swapped[:, 0].T.flags.c_contiguous and not swapped[:, 0].flags.c_contiguous
         for name, kernel in self.KERNELS.items():
             want = kernel(pairs[:, 0], pairs[:, 1])
-            got = kernel(swapped[:, 0], swapped[:, 1])
-            for w, g in zip(*((want, got) if name == "rank_rows" else ((want,), (got,)))):
-                assert g.tobytes() == w.tobytes(), name
+            assert kernel(swapped[:, 0], swapped[:, 1]).tobytes() == want.tobytes(), name
         assert _varies(swapped).tobytes() == _varies(pairs).tobytes()
 
 
