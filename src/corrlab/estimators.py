@@ -6,6 +6,12 @@ row-vectorized kernels (`rank_rows`, `pearson_rows`, `spearman_rows`,
 `kendall_rows`) evaluate one coefficient per row of a 2-d array and are
 the workhorses of the simulation, influence, and resampling studies.
 
+Rank coefficients take any finite value.  Pearson coefficients and
+matrices are refused where a moment sum leaves float64's normal range
+[tiny, max]: a row kernel gives NaN, and `pearson` and
+`correlation_matrix` raise :class:`InputError`.  Below tiny a sum has
+lost bits, above max it is inf; every sum in range keeps its bits.
+
 All functions are pure; nothing here holds mutable state.
 """
 
@@ -37,9 +43,8 @@ KINDS = ("pearson", "spearman", "kendall")
 _MATRIX_KINDS = ("pearson", "spearman")
 _SHORT_ROW = 7  # rows this short reduce column-wise, bit for bit: numpy sums < 8 terms in order
 assert _SHORT_ROW * (_SHORT_ROW ** 2 - 1) // 3 <= 127, "short-row sign sums are reduced in int8"
-# squares and products of values this size stay finite (1e300); at about 1.3e154 a
-# column's sum of squares overflows and a Pearson coefficient reads 0 or NaN
-MAX_SCANNED_MAGNITUDE = 1e150
+# float64's normal range: a moment sum below it has lost bits, one above it is inf
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 # the merge counter counts inside base blocks at most this wide by direct compares
 _MAX_BASE_BLOCK = 127
 assert _MAX_BASE_BLOCK <= 128, "_block_inversions counts in int8"
@@ -66,13 +71,6 @@ def _varies(a: np.ndarray, axis: int = -1) -> np.ndarray:
     for j in range(1, a.shape[-1]):
         out |= a[..., j] != a[..., 0]
     return out
-
-
-def _check_magnitude(bound: float, *arrays) -> None:
-    """Raise InputError unless every value of the arrays lies within +-bound."""
-    if max(np.abs(a).max(initial=0.0) for a in arrays) > bound:
-        raise InputError(f"values must lie within +-{bound:g}: larger ones overflow "
-                         f"the moment sums")
 
 
 def _as_finite_1d(values, name):
@@ -245,13 +243,18 @@ def rank_rows(a: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _pearson(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    xc = x - x.mean(axis=axis, keepdims=True)
-    yc = y - y.mean(axis=axis, keepdims=True)
-    num = (xc * yc).sum(axis=axis)
-    den2 = (xc * xc).sum(axis=axis) * (yc * yc).sum(axis=axis)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    """Pearson along ``axis``; NaN unless Sxx, Syy and Sxx*Syy each lie in
+    float64's normal range (a constant line's are 0).  Sxx and Syy are
+    checked one by one: a subnormal Sxx times a huge Syy can be normal."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xc = x - x.mean(axis=axis, keepdims=True)
+        yc = y - y.mean(axis=axis, keepdims=True)
+        num = (xc * yc).sum(axis=axis)
+        sxx, syy = (xc * xc).sum(axis=axis), (yc * yc).sum(axis=axis)
+        den2 = sxx * syy
         r = num / np.sqrt(den2)
-    return np.clip(np.where(den2 > 0.0, r, np.nan), -1.0, 1.0)
+    normal = (sxx >= _TINY) & (syy >= _TINY) & (den2 >= _TINY) & (den2 <= _HUGE)
+    return np.clip(np.where(normal, r, np.nan), -1.0, 1.0)
 
 
 def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -260,8 +263,10 @@ def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Degenerate rows (either side constant) come back as NaN; callers
     decide whether that is an error or a retry.  They are found by
     comparison, since a constant whose mean rounds leaves tiny nonzero
-    centered values.  numpy's pairwise summation keeps the centered dot
-    products accurate for long rows.
+    centered values.  A row whose sum of squares on either side, or the
+    product of the two, leaves float64's normal range is NaN as well.
+    numpy's pairwise summation keeps the centered dot products accurate
+    for long rows.
     """
     return _pearson_rows(x, y, check=True)
 
@@ -437,10 +442,11 @@ def _check_not_constant(s: PairedSample):
 
 def pearson(s: PairedSample) -> CoefficientEstimate:
     """Linear correlation: centered cross product over centered norms.
-    Values beyond +-``MAX_SCANNED_MAGNITUDE`` raise :class:`InputError`."""
+    Moment sums outside float64's normal range raise :class:`InputError`."""
     _check_not_constant(s)
-    _check_magnitude(MAX_SCANNED_MAGNITUDE, s.x, s.y)
     r = pearson_rows(s.x[None, :], s.y[None, :])[0]
+    if np.isnan(r):  # the data vary, so only their sums can make it NaN
+        raise InputError("the Pearson moment sums leave float64's normal range")
     return CoefficientEstimate("pearson", float(r), s.n)
 
 
@@ -478,8 +484,8 @@ def correlation_matrix(data, kind: str = "pearson") -> np.ndarray:
 
     ``data`` is a (rows x columns) array or any object exposing
     ``values``/``column_names``.  Any constant column raises
-    :class:`DegenerateSampleError` naming the column, and a Pearson matrix
-    of values beyond +-``MAX_SCANNED_MAGNITUDE`` raises :class:`InputError`.
+    :class:`DegenerateSampleError` naming the column, and a column whose
+    sum of squares leaves float64's normal range raises :class:`InputError`.
     Kendall coefficients come from :func:`kendall` and :func:`kendall_rows`.
     """
     if kind not in _MATRIX_KINDS:
@@ -490,8 +496,6 @@ def correlation_matrix(data, kind: str = "pearson") -> np.ndarray:
         raise InputError("need at least two rows")
     if not np.all(np.isfinite(values)):
         raise InputError("table contains non-finite entries")
-    if kind == "pearson":
-        _check_magnitude(MAX_SCANNED_MAGNITUDE, values)
     dead = np.flatnonzero(~_varies(values, axis=0))
     if dead.size:
         raise DegenerateSampleError(
@@ -513,7 +517,9 @@ def _correlation_core(table: np.ndarray, kind: str = "pearson",
     if kind == "spearman":
         columns = [rank_rows(c.reshape(-1, c.shape[-1]))[0].reshape(c.shape)
                    for c in columns]
-    return _centered_correlation(*[c - c.mean(axis=-1, keepdims=True) for c in columns])
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf mean fails the sums' check
+        centered = [c - c.mean(axis=-1, keepdims=True) for c in columns]
+    return _centered_correlation(*centered)
 
 
 def _centered_correlation(*centered: np.ndarray) -> np.ndarray:
@@ -523,9 +529,14 @@ def _centered_correlation(*centered: np.ndarray) -> np.ndarray:
 
     The einsum and matmul reduce in an order set by the memory layout, so
     a caller that centres its own columns lays them out as
-    :func:`_correlation_core` does to get the same bits.
+    :func:`_correlation_core` does to get the same bits.  A column whose
+    sum of squares leaves float64's normal range raises :class:`InputError`.
     """
-    scales = [np.sqrt(np.einsum("...ij,...ij->...i", c, c)) for c in centered]
+    sums = [np.einsum("...ij,...ij->...i", c, c) for c in centered]  # einsum never warns
+    if not all(_TINY <= s.min(initial=_HUGE) and s.max(initial=_TINY) <= _HUGE
+               for s in sums):  # NaN fails too
+        raise InputError("a column's sum of squares leaves float64's normal range")
+    scales = [np.sqrt(s) for s in sums]
     mat = centered[0] @ np.swapaxes(centered[-1], -1, -2)
     mat /= scales[0][..., :, None]  # one scale vector at a time: no outer product
     mat /= scales[-1][..., None, :]

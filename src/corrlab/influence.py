@@ -6,9 +6,11 @@ both coefficients from the base values (raw = base + delta).  Appending
 (a, b) moves x only through a and y only through b, so each surface is
 the cross-correlation block of the k augmented columns [x; axis_i] with
 the k augmented columns [y; axis_j] (their mid-ranks for Spearman).  No
-cell is degenerate: a constant base is rejected, appending cannot make a
-column constant, and every scanned value (base, fixed outlier and axis
-bounds) lies within +-1e150, so no column scale overflows.
+cell is degenerate: a constant base is rejected, and appending cannot
+make a column constant.  A scan in which a column's sum of squares
+leaves float64's normal range is refused whole by the matrix core, as is
+a base whose Pearson sums do, so any finite outlier or axis gives either
+every cell or an :class:`InputError`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimators import (MAX_SCANNED_MAGNITUDE, PairedSample, _check_magnitude,
-                         _correlation_core, pearson, spearman)
+from .estimators import PairedSample, _correlation_core, pearson, spearman
 
 __all__ = ["AxisSpec", "InfluenceGrid", "scan_single", "scan_double",
            "exceedance_fraction", "delta_width", "MAX_AXIS_POINTS"]
@@ -96,7 +97,6 @@ def _scan(scanned: PairedSample, axis: np.ndarray):
 def _scan_grid(base: PairedSample, axis: AxisSpec,
                first_outlier: tuple[float, float] | None) -> InfluenceGrid:
     scanned = base if first_outlier is None else base.append(*first_outlier)
-    _check_magnitude(MAX_SCANNED_MAGNITUDE, scanned.x, scanned.y, [axis.lo, axis.hi])
     base_rp = pearson(base).value
     base_rs = spearman(base).value
     grid_axis = axis.values

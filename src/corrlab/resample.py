@@ -6,7 +6,12 @@ correlation matrices are computed for every draw, and per-pair summary
 statistics are aggregated against the whole-table population matrices.
 Draws with a constant column (by ``estimators._varies``, the one constant
 test) are redrawn and counted.  Each block of draws from the one replication
-driver, ``randgen._replication_blocks``, is reduced in turn.
+driver, ``randgen._replication_blocks``, is reduced in turn.  Every matrix
+passes the matrix core's range check, so a population or a sample with a
+column whose sum of squares leaves float64's normal range raises
+:class:`InputError`: a sample can underflow where its population does not.
+``moment_profile`` refuses a column whose m4 overflows or whose m2^2
+underflows.
 
 A population whose values are all integers (Likert items, counts) is
 drawn as per-column level codes, value - column minimum, in the
@@ -42,9 +47,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateSampleError, InputError
-from .estimators import (_MATRIX_KINDS, MAX_SCANNED_MAGNITUDE, _centered_correlation,
-                         _check_magnitude, _correlation_core, _mid_ranks, _varies,
-                         correlation_matrix)
+from .estimators import (_HUGE, _MATRIX_KINDS, _TINY, _centered_correlation,
+                         _correlation_core, _mid_ranks, _varies, correlation_matrix)
 from .randgen import MarginalSpec, RngStream, _couple, _replication_blocks, _transform
 
 __all__ = [
@@ -194,20 +198,26 @@ class MomentProfile:
 
 
 def moment_profile(dataset: PopulationDataset) -> MomentProfile:
-    """Mean, SD, skewness (m3/sd^3), and kurtosis (m4/sd^4) per column.
+    """Mean, SD, skewness (m3/sd^3), and kurtosis (m4/m2^2) per column.
 
-    Values beyond +-1e75, the square root of ``MAX_SCANNED_MAGNITUDE``,
-    raise :class:`InputError`: their fourth powers would overflow.
+    A column whose m4 is not finite or whose m2^2 is below float64's
+    normal range raises :class:`InputError`: its kurtosis would be inf,
+    NaN or short of bits.  Every other column's moments are unchanged.
     """
-    _check_magnitude(math.sqrt(MAX_SCANNED_MAGNITUDE), dataset.values)
     columns = np.ascontiguousarray(dataset.values.T)  # numpy sums along rows pairwise
-    mean = columns.mean(axis=1)
-    centered = columns - mean[:, None]
-    squared = centered * centered  # products, not pow: ** 3 and ** 4 call pow per entry
-    m2 = squared.mean(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows fails the check
+        mean = columns.mean(axis=1)
+        centered = columns - mean[:, None]
+        squared = centered * centered  # products, not pow: ** 3 and ** 4 call pow per entry
+        m2 = squared.mean(axis=1)
+        m4, m2_squared = (squared * squared).mean(axis=1), m2 ** 2
+    refused = ~((m4 <= _HUGE) & (m2_squared >= _TINY))  # NaN is refused too
+    if refused.any():
+        raise InputError(f"column {dataset.column_names[refused.argmax()]!r}: its moment "
+                         f"sums leave float64's normal range")
     sd = np.sqrt(m2)
     skew = (squared * centered).mean(axis=1) / sd ** 3
-    kurt = (squared * squared).mean(axis=1) / m2 ** 2
+    kurt = m4 / m2_squared
     return MomentProfile(column_names=dataset.column_names, mean=mean, sd=sd,
                          skewness=skew, kurtosis=kurt)
 

@@ -559,10 +559,12 @@ class TestExitCodes:
                                   + [",".join(map(str, row)) for row in table]) + "\n")
         return data
 
+    # each cell takes its column's sum of squares (moments: of fourth powers)
+    # past 1.8e308
     @pytest.mark.parametrize("cell,argv", [
         ("1e100", ["moments"]),
         ("-1e200", ["resample", "--sample-size", "20", "--reps", "5"]),
-        ("1e151", ["eigen", "--sample-size", "20", "--reps", "5", "--top", "2"])])
+        ("1e160", ["eigen", "--sample-size", "20", "--reps", "5", "--top", "2"])])
     def test_values_that_overflow_are_input_errors(self, tmp_path, capsys, monkeypatch,
                                                    cell, argv):
         def no_draws(*args):
@@ -576,8 +578,39 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert cli.main([*argv, "--input", str(data), "--out-dir", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: values must lie within") and "Traceback" not in err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "float64's normal range" in err
         assert not out.exists()
+
+    # refused by the +-1e150 and +-1e75 bounds that preceded the sums' own check
+    @pytest.mark.parametrize("cell,argv,artifact", [
+        ("2e75", ["moments"], "moments.csv"),
+        ("1e151", ["eigen", "--sample-size", "20", "--reps", "5", "--top", "2"],
+         "eigen_table.csv")])
+    def test_large_values_whose_sums_stay_finite_complete(self, tmp_path, cell, argv,
+                                                          artifact):
+        # the same run with the cell's column times 2**-500 (the cell near 1)
+        # gives the same CSV body: column a's mean and SD scale by 2**-500,
+        # and no other value moves, as no sum of either run leaves the range
+        data = self.survey(tmp_path)
+        data.write_text(data.read_text() + f"{cell},1,2,3\n")
+        header, *body = data.read_text().splitlines()
+        scaled = tmp_path / "scaled.csv"
+        scaled.write_text("\n".join([header] + [f"{float(a) * 2.0 ** -500!r},{rest}"
+                                                for a, rest in (line.split(",", 1)
+                                                                for line in body)]) + "\n")
+        bodies = []
+        for i, table in enumerate((data, scaled)):
+            out = tmp_path / f"out{i}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main([*argv, "--input", str(table), "--out-dir", str(out)]) == 0
+            bodies.append([line.split(",") for line in (out / artifact).read_text().splitlines()
+                           if not line.startswith("#")])  # the config hash names the input
+        if artifact == "moments.csv":
+            assert bodies[0][1][0] == "a"  # column,mean,sd,skewness,kurtosis
+            bodies[0][1][1:3] = [repr(float(v) * 2.0 ** -500) for v in bodies[0][1][1:3]]
+        assert bodies[0] == bodies[1]
 
     @pytest.mark.parametrize("members", [["a", ["b"]], "ab"], ids=["nested", "string"])
     def test_malformed_groups_member_is_input_error(self, tmp_path, capsys, members):

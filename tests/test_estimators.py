@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 from corrlab import estimators
 from corrlab.errors import DegenerateSampleError, InputError
-from corrlab.estimators import (MAX_SCANNED_MAGNITUDE, CoefficientEstimate, PairedSample,
-                                _inversion_counts, _level_ranks, _pearson_rows,
+from corrlab.estimators import (CoefficientEstimate, PairedSample, _inversion_counts, _level_ranks, _pearson_rows,
                                 _tie_run_flags, _tied_pair_counts, _varies,
                                 correlation_matrix,
                                 distinct_spearman_values, kendall,
                                 kendall_rows, pearson, pearson_rows, rank_rows, spearman,
                                 spearman_rows)
+from corrlab.influence import AxisSpec, scan_double, scan_single
+from corrlab.resample import PopulationDataset, moment_profile
 
 
 def rank_oracle(values):
@@ -926,29 +927,37 @@ class TestCorrelationMatrix:
 
 
 class TestMagnitudeBound:
-    """Pearson's moment sums overflow past about 1.3e154: larger values are refused."""
+    """Pearson refuses exactly the moment sums outside float64's normal range:
+    [1e200, 1, 2, 3] squares past 1.8e308, and [1, 2, 3] * 1e-200 squares to 0."""
 
     BIG = [1e200, 1.0, 2.0, 3.0]
     OTHER = [0.0, 1.0, 2.0, 4.0]
+    SMALL = [1e-200, 2e-200, 3e-200, 5e-200]
 
     def test_pearson_refuses_values_past_the_bound(self):
-        for x, y in ((self.BIG, self.OTHER), (self.OTHER, [-1e151, 1.0, 2.0, 3.0])):
-            with pytest.raises(InputError, match="within"):
+        for x, y in ((self.BIG, self.OTHER), (self.OTHER, [-1e160, 1.0, 2.0, 3.0]),
+                     (self.SMALL, self.OTHER)):
+            with pytest.raises(InputError, match="normal range"):
                 pearson(PairedSample(x, y))
+            assert np.isnan(pearson_rows([x], [y])).all()
 
     def test_pearson_matrix_refuses_values_past_the_bound(self):
-        with pytest.raises(InputError, match="within"):
-            correlation_matrix(np.column_stack([self.BIG, self.OTHER]))
+        # unrefused, the small column's off-diagonal read 1.0 (true value 0.98)
+        for column in (self.BIG, self.SMALL):
+            with pytest.raises(InputError, match="normal range"):
+                correlation_matrix(np.column_stack([column, self.OTHER]))
 
     def test_values_at_the_bound_are_correlated(self):
-        x = [MAX_SCANNED_MAGNITUDE, 1.0, 2.0, -MAX_SCANNED_MAGNITUDE]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            r = pearson(PairedSample(x, self.OTHER)).value
-            mat = correlation_matrix(np.column_stack([x, self.OTHER]))
-        scaled = np.corrcoef(np.divide(x, MAX_SCANNED_MAGNITUDE), self.OTHER)[0, 1]
-        assert r == pytest.approx(scaled, abs=1e-15)
-        assert mat[0, 1] == pytest.approx(scaled, abs=1e-15)
+        # 1e150 was once the bound; 1e153 keeps the sum of squares below 1.8e308
+        for big in (1e150, 1e153):
+            x = [big, 1.0, 2.0, -big]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = pearson(PairedSample(x, self.OTHER)).value
+                mat = correlation_matrix(np.column_stack([x, self.OTHER]))
+            scaled = np.corrcoef(np.divide(x, big), self.OTHER)[0, 1]
+            assert r == pytest.approx(scaled, abs=1e-15)
+            assert mat[0, 1] == pytest.approx(scaled, abs=1e-15)
 
     def test_rank_coefficients_take_any_finite_value(self):
         sample = PairedSample(self.BIG, self.OTHER)
@@ -956,6 +965,96 @@ class TestMagnitudeBound:
         assert kendall(sample).value == pytest.approx(0.0)
         mat = correlation_matrix(np.column_stack([self.BIG, self.OTHER]), "spearman")
         assert mat[0, 1] == pytest.approx(-0.2)
+
+
+POWERS = (-1000, -700, -300, -260, -256, 0, 250, 256, 300, 700, 1000)
+
+
+def _refused(compute):
+    """compute()'s value, or None if it raises InputError; a RuntimeWarning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return compute()
+        except InputError:
+            return None
+
+
+class TestPowerOfTwoScaling:
+    """Scaling x by 2**kx and y by 2**ky changes no bit of any moment kernel's
+    result, or the kernel refuses: InputError, or NaN from pearson_rows.
+
+    Every operation scales exactly while each sum stays in float64's normal
+    range.  Unrefused, pearson read 0.0 at 2**256 (Sxx * Syy overflowed),
+    the moments' kurtosis 1.50000000006548 at 2**-260 and NaN at 2**-300,
+    and a matrix 1.0 at 2**-700.  The scans append one axis to x and to y,
+    so they are scaled along kx == ky.
+    """
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        rng = np.random.default_rng(33)
+        return {n: (rng.standard_normal((6, n)), rng.standard_normal((6, n)))
+                for n in (3, 5, 20)}
+
+    @pytest.mark.parametrize("ky", POWERS)
+    @pytest.mark.parametrize("kx", POWERS)
+    def test_row_kernels(self, rows, kx, ky):
+        sx, sy = 2.0 ** kx, 2.0 ** ky
+        for x, y in rows.values():
+            expected = pearson_rows(x, y)
+            got = _refused(lambda: pearson_rows(x * sx, y * sy))
+            kept = ~np.isnan(got)
+            assert np.array_equal(got[kept], expected[kept])
+            if max(abs(kx), abs(ky)) <= 250:
+                assert kept.all()
+            if max(abs(kx), abs(ky)) >= 700:
+                assert not kept.any()
+            for i in range(len(x)):
+                r = _refused(lambda: pearson(PairedSample(x[i] * sx, y[i] * sy)).value)
+                assert r == (expected[i] if kept[i] else None)
+
+    @pytest.mark.parametrize("ky", POWERS)
+    @pytest.mark.parametrize("kx", POWERS)
+    def test_matrices_and_moments(self, rows, kx, ky):
+        x, y = rows[20]
+        table = np.column_stack([x[:2].T, y[:2].T])
+        scale = np.repeat([2.0 ** kx, 2.0 ** ky], 2)
+        for kind in ("pearson", "spearman"):
+            got = _refused(lambda: correlation_matrix(table * scale, kind))
+            if got is not None:
+                assert np.array_equal(got, correlation_matrix(table, kind))
+            assert (got is None) == (kind == "pearson" and max(abs(kx), abs(ky)) >= 700)
+        names = tuple("abcd")
+        got = _refused(lambda: moment_profile(PopulationDataset(names, table * scale)))
+        assert (got is None) == (max(abs(kx), abs(ky)) >= 256)  # m4 overflows or m2**2 underflows
+        if got is not None:
+            expected = moment_profile(PopulationDataset(names, table))
+            assert np.array_equal(got.mean, expected.mean * scale)
+            assert np.array_equal(got.sd, expected.sd * scale)
+            assert np.array_equal(got.skewness, expected.skewness)
+            assert np.array_equal(got.kurtosis, expected.kurtosis)
+
+    @pytest.mark.parametrize("k", POWERS)
+    def test_scans(self, rows, k):
+        x, y = rows[20]
+        base, scale = PairedSample(x[0], y[0]), 2.0 ** k
+        axis = AxisSpec(-3.0, 3.0, 0.5)
+        scaled_base = PairedSample(base.x * scale, base.y * scale)
+        scaled_axis = AxisSpec(-3.0 * scale, 3.0 * scale, 0.5 * scale)
+        for scan, scaled_scan in (
+                (lambda: scan_single(base, axis),
+                 lambda: scan_single(scaled_base, scaled_axis)),
+                (lambda: scan_double(base, (4.0, -2.5), axis),
+                 lambda: scan_double(scaled_base, (4.0 * scale, -2.5 * scale), scaled_axis))):
+            got = _refused(scaled_scan)
+            if abs(k) != 256:  # base Sxx * Syy near 2**(4k): in range to 2**+-1000
+                assert (got is None) == (abs(k) >= 260)
+            if got is not None:
+                expected = scan()
+                assert np.array_equal(got.axis, expected.axis * scale)
+                assert np.array_equal(got.delta_pearson, expected.delta_pearson)
+                assert np.array_equal(got.delta_spearman, expected.delta_spearman)
 
 
 class TestDistinctSpearmanValues:

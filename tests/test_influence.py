@@ -8,8 +8,8 @@ import pytest
 from corrlab import cli
 from corrlab.errors import InputError
 from corrlab.estimators import PairedSample, pearson, spearman
-from corrlab.influence import (MAX_AXIS_POINTS, MAX_SCANNED_MAGNITUDE, AxisSpec,
-                               delta_width, exceedance_fraction, scan_double, scan_single)
+from corrlab.influence import (MAX_AXIS_POINTS, AxisSpec, _scan, delta_width,
+                               exceedance_fraction, scan_double, scan_single)
 from corrlab.randgen import RngStream, sample_bivariate_normal
 
 COARSE = AxisSpec(-5.0, 5.0, 0.5)
@@ -131,8 +131,8 @@ class TestScanDouble:
 
 
 class TestScannedMagnitude:
-    # past about 1.3e154 a column's sum of squares overflows: the first scan
-    # wrote 9,189 NaN cells of 10,201 and the second a Pearson of 0 in every cell
+    # past about 1.3e154 a column's sum of squares overflows: unrefused, the first
+    # scan wrote 9,189 NaN cells of 10,201 and the second a Pearson of 0 in every cell
     @pytest.mark.parametrize("argv", [
         ["--axis-lo", "0", "--axis-hi", "1e155", "--axis-step", "1e153"],
         ["--outlier-x", "1e200", "--outlier-y", "0"]])
@@ -143,21 +143,33 @@ class TestScannedMagnitude:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists() or list(out.iterdir()) == []
 
+    # values up to about 1e153 keep every sum finite; 2e150 was refused by a
+    # +-1e150 bound before the sums themselves were checked
     @pytest.mark.parametrize("argv", [
         ["--axis-lo=-1e150", "--axis-hi=1e150", "--axis-step=1e148"],
-        ["--outlier-x=1e150", "--outlier-y=-1e150"]])
+        ["--outlier-x=2e150", "--outlier-y=-2e150"]])
     def test_scan_at_the_bound_is_complete(self, tmp_path, argv):
         assert cli.main(["influence", *argv, "--out-dir", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "influence_summary.json").read_text())
         assert summary["missing_cells"] == 0
 
+    def test_large_outlier_scans_as_its_scaled_image(self, base):
+        # the scan at 2e150 is the scan of everything times 2**-500 (outlier 0.61)
+        # bit for bit: no sum of either leaves float64's normal range
+        grid = scan_double(base, (2e150, -2e150), COARSE)
+        scale = 2.0 ** -500
+        scanned = base.append(2e150, -2e150)
+        image = _scan(PairedSample(scanned.x * scale, scanned.y * scale), grid.axis * scale)
+        assert np.array_equal(grid.delta_pearson, image[0] - grid.base_pearson)
+        assert np.array_equal(grid.delta_spearman, image[1] - grid.base_spearman)
+
     def test_every_scanned_value_is_checked(self, base):
-        big = 2 * MAX_SCANNED_MAGNITUDE
-        with pytest.raises(InputError):
+        big = 1e200  # a column holding it has a sum of squares past 1.8e308
+        with pytest.raises(InputError, match="normal range"):
             scan_single(base.append(0.0, -big), COARSE)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="normal range"):
             scan_double(base, (big, 0.0), COARSE)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="normal range"):
             scan_single(base, AxisSpec(-big, 0.0, big / 100))
 
 

@@ -240,15 +240,18 @@ class TestMomentProfile:
         assert prof.kurtosis[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_refuses_values_whose_fourth_powers_overflow(self):
-        values = np.column_stack([[1.0, 2.0, 3.0, 1e100], [1.0, 2.0, 4.0, 8.0]])
-        with pytest.raises(InputError, match="within"):
+        values = np.column_stack([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 4.0, 1e100]])
+        with pytest.raises(InputError, match="column 'b'.*normal range"):
             moment_profile(PopulationDataset(("a", "b"), values))
-        values[3, 0] = -1e75  # at the bound: every moment stays finite
+        values[:, 1] = [1e-100, 2e-100, 4e-100, 8e-100]  # m2**2 underflows: kurtosis was NaN
+        with pytest.raises(InputError, match="column 'b'.*normal range"):
+            moment_profile(PopulationDataset(("a", "b"), values))
+        values[:, 1] = [1.0, 2.0, 3.0, -2e75]  # m4 near 4e300: every moment stays finite
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             prof = moment_profile(PopulationDataset(("a", "b"), values))
         assert np.isfinite([prof.sd, prof.skewness, prof.kurtosis]).all()
-        assert prof.kurtosis[0] == pytest.approx(7.0 / 3.0)  # a two-point 3:1 column
+        assert prof.kurtosis[1] == pytest.approx(7.0 / 3.0)  # a two-point 3:1 column
 
     def test_matches_exact_rational_moments(self):
         values = np.array([[0, 3, -2], [1, 3, 5], [1, 7, 1], [2, -4, 1], [5, 0, 0],
