@@ -42,14 +42,18 @@ class AxisSpec:
         if not (np.isfinite([self.lo, self.hi, self.step]).all()
                 and self.step > 0 and self.hi > self.lo):
             raise InputError("axis needs finite lo < hi and a positive step")
-        if not (np.isfinite((self.hi - self.lo) / self.step)
-                and self.size <= MAX_AXIS_POINTS):
+        if self.size > MAX_AXIS_POINTS:
             raise InputError(f"axis needs at most {MAX_AXIS_POINTS} points")
 
     @property
     def size(self) -> int:
-        """Number of scan positions, computed without allocating them."""
-        return int(round((self.hi - self.lo) / self.step)) + 1
+        """Number of scan positions lo + k*step at or below hi, computed
+        without allocating them.  Four ulps of slack keep hi on an axis whose
+        step divides the span in decimal but not in binary (0.3 / 0.1 is
+        2.9999999999999996); a longer axis than MAX_AXIS_POINTS counts as one
+        point longer, so an infinite quotient cannot overflow the count."""
+        quotient = (self.hi - self.lo) / self.step * (1.0 + 4 * np.finfo(float).eps)
+        return int(min(quotient, MAX_AXIS_POINTS)) + 1
 
     @property
     def values(self) -> np.ndarray:

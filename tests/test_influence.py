@@ -42,6 +42,16 @@ class TestAxisSpec:
         for spec in (AxisSpec(), COARSE, AxisSpec(-1.0, 5.0, 0.5), AxisSpec(0.0, 1.0, 5.0)):
             assert spec.size == spec.values.size
 
+    def test_axis_stops_at_hi(self):
+        # rounding the quotient 1/0.6 once scanned 0, 0.6 and 1.2
+        assert AxisSpec(0.0, 1.0, 0.6).values.tolist() == [0.0, 0.6]
+        assert AxisSpec(0.0, 1.0, 0.5).values.tolist() == [0.0, 0.5, 1.0]
+        # steps that divide the span in decimal keep hi, within a few ulps
+        for (lo, hi, step), size in (((0.0, 0.3, 0.1), 4), ((-5.0, 5.0, 0.05), 201),
+                                     ((-5.0, 5.0, 0.005), 2001), ((-5.0, 5.0, 0.5), 21)):
+            values = AxisSpec(lo, hi, step).values
+            assert values.size == size and values[-1] == pytest.approx(hi, abs=1e-12)
+
     def test_largest_allowed_axis(self):
         assert AxisSpec(-5.0, 5.0, 0.005).size == MAX_AXIS_POINTS
 
