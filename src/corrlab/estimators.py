@@ -5,12 +5,8 @@ Scalar entry points (`pearson`, `spearman`, `kendall`) operate on a
 row-vectorized kernels (`rank_rows`, `pearson_rows`, `spearman_rows`,
 `kendall_rows`) evaluate one coefficient per row of a 2-d array and are
 the workhorses of the simulation, influence, and resampling studies.
-
-Rank coefficients take any finite value.  Pearson coefficients and
-matrices are refused where a moment sum leaves float64's normal range
-[tiny, max]: a row kernel gives NaN, and `pearson` and
-`correlation_matrix` raise :class:`InputError`.  Below tiny a sum has
-lost bits, above max it is inf; every sum in range keeps its bits.
+Pearson refuses moment sums outside float64's normal range (NaN from the row
+kernel, :class:`InputError` elsewhere); rank coefficients take any finite value.
 
 All functions are pure; nothing here holds mutable state.
 """
@@ -43,8 +39,7 @@ KINDS = ("pearson", "spearman", "kendall")
 _MATRIX_KINDS = ("pearson", "spearman")
 _SHORT_ROW = 7  # rows this short reduce column-wise, bit for bit: numpy sums < 8 terms in order
 assert _SHORT_ROW * (_SHORT_ROW ** 2 - 1) // 3 <= 127, "short-row sign sums are reduced in int8"
-# float64's normal range: a moment sum below it has lost bits, one above it is inf
-_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+_TINY = np.finfo(float).tiny  # float64's least normal number: a sum below it has lost bits
 # the merge counter counts inside base blocks at most this wide by direct compares
 _MAX_BASE_BLOCK = 127
 assert _MAX_BASE_BLOCK <= 128, "_block_inversions counts in int8"
@@ -243,9 +238,6 @@ def rank_rows(a: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _pearson(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    """Pearson along ``axis``; NaN unless Sxx, Syy and Sxx*Syy each lie in
-    float64's normal range (a constant line's are 0).  Sxx and Syy are
-    checked one by one: a subnormal Sxx times a huge Syy can be normal."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xc = x - x.mean(axis=axis, keepdims=True)
         yc = y - y.mean(axis=axis, keepdims=True)
@@ -253,20 +245,19 @@ def _pearson(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
         sxx, syy = (xc * xc).sum(axis=axis), (yc * yc).sum(axis=axis)
         den2 = sxx * syy
         r = num / np.sqrt(den2)
-    normal = (sxx >= _TINY) & (syy >= _TINY) & (den2 >= _TINY) & (den2 <= _HUGE)
+    # Sxx and Syy each in range too: a subnormal Sxx times a huge Syy can be normal
+    normal = (sxx >= _TINY) & (syy >= _TINY) & (den2 >= _TINY) & (den2 < np.inf)
     return np.clip(np.where(normal, r, np.nan), -1.0, 1.0)
 
 
 def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise Pearson coefficient of two equally shaped 2-d arrays.
 
-    Degenerate rows (either side constant) come back as NaN; callers
-    decide whether that is an error or a retry.  They are found by
-    comparison, since a constant whose mean rounds leaves tiny nonzero
-    centered values.  A row whose sum of squares on either side, or the
-    product of the two, leaves float64's normal range is NaN as well.
-    numpy's pairwise summation keeps the centered dot products accurate
-    for long rows.
+    Degenerate rows (either side constant, or Sxx, Syy or Sxx*Syy outside
+    float64's normal range) come back as NaN; callers decide whether that
+    is an error or a retry.  Constant rows are found by comparison, since a
+    constant whose mean rounds leaves tiny nonzero centered values.  numpy's
+    pairwise summation keeps the centered dot products accurate for long rows.
     """
     return _pearson_rows(x, y, check=True)
 
@@ -518,8 +509,7 @@ def _correlation_core(table: np.ndarray, kind: str = "pearson",
         columns = [rank_rows(c.reshape(-1, c.shape[-1]))[0].reshape(c.shape)
                    for c in columns]
     with np.errstate(over="ignore", invalid="ignore"):  # an inf mean fails the sums' check
-        centered = [c - c.mean(axis=-1, keepdims=True) for c in columns]
-    return _centered_correlation(*centered)
+        return _centered_correlation(*[c - c.mean(axis=-1, keepdims=True) for c in columns])
 
 
 def _centered_correlation(*centered: np.ndarray) -> np.ndarray:
@@ -529,17 +519,14 @@ def _centered_correlation(*centered: np.ndarray) -> np.ndarray:
 
     The einsum and matmul reduce in an order set by the memory layout, so
     a caller that centres its own columns lays them out as
-    :func:`_correlation_core` does to get the same bits.  A column whose
-    sum of squares leaves float64's normal range raises :class:`InputError`.
+    :func:`_correlation_core` does to get the same bits.
     """
     sums = [np.einsum("...ij,...ij->...i", c, c) for c in centered]  # einsum never warns
-    if not all(_TINY <= s.min(initial=_HUGE) and s.max(initial=_TINY) <= _HUGE
-               for s in sums):  # NaN fails too
+    if any(s.size and not _TINY <= s.min() <= s.max() < np.inf for s in sums):  # or NaN
         raise InputError("a column's sum of squares leaves float64's normal range")
-    scales = [np.sqrt(s) for s in sums]
     mat = centered[0] @ np.swapaxes(centered[-1], -1, -2)
-    mat /= scales[0][..., :, None]  # one scale vector at a time: no outer product
-    mat /= scales[-1][..., None, :]
+    mat /= np.sqrt(sums[0])[..., :, None]  # one scale vector at a time: no outer product
+    mat /= np.sqrt(sums[-1])[..., None, :]
     if len(centered) == 1:
         mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
         diagonal = np.arange(mat.shape[-1])

@@ -6,11 +6,9 @@ both coefficients from the base values (raw = base + delta).  Appending
 (a, b) moves x only through a and y only through b, so each surface is
 the cross-correlation block of the k augmented columns [x; axis_i] with
 the k augmented columns [y; axis_j] (their mid-ranks for Spearman).  No
-cell is degenerate: a constant base is rejected, and appending cannot
-make a column constant.  A scan in which a column's sum of squares
-leaves float64's normal range is refused whole by the matrix core, as is
-a base whose Pearson sums do, so any finite outlier or axis gives either
-every cell or an :class:`InputError`.
+cell is degenerate: a constant base is rejected, appending cannot make a
+column constant, and a scan whose sums leave float64's normal range is
+refused whole.
 """
 
 from __future__ import annotations
@@ -47,13 +45,9 @@ class AxisSpec:
 
     @property
     def size(self) -> int:
-        """Number of scan positions lo + k*step at or below hi, computed
-        without allocating them.  Four ulps of slack keep hi on an axis whose
-        step divides the span in decimal but not in binary (0.3 / 0.1 is
-        2.9999999999999996); a longer axis than MAX_AXIS_POINTS counts as one
-        point longer, so an infinite quotient cannot overflow the count."""
+        """Number of positions lo + k*step at or below hi, give or take four ulps."""
         quotient = (self.hi - self.lo) / self.step * (1.0 + 4 * np.finfo(float).eps)
-        return int(min(quotient, MAX_AXIS_POINTS)) + 1
+        return int(min(quotient, MAX_AXIS_POINTS)) + 1  # longer axes: one past the limit
 
     @property
     def values(self) -> np.ndarray:

@@ -439,8 +439,7 @@ def calibrate_copula(marginal: MarginalSpec, target_pearson: float,
         return float(pearson_rows(x, transformed_y(latent))[0])
 
     lo, hi = -0.999999, 0.999999
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        f_lo, f_hi = achieved(lo), achieved(hi)
+    f_lo, f_hi = achieved(lo), achieved(hi)
     if not f_lo < f_hi:  # NaN, or no change with the latent: a constant marginal
         raise NumericError("the transformed calibration sample has no finite Pearson "
                            "coefficient that moves with the latent correlation (a "

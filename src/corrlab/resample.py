@@ -6,12 +6,8 @@ correlation matrices are computed for every draw, and per-pair summary
 statistics are aggregated against the whole-table population matrices.
 Draws with a constant column (by ``estimators._varies``, the one constant
 test) are redrawn and counted.  Each block of draws from the one replication
-driver, ``randgen._replication_blocks``, is reduced in turn.  Every matrix
-passes the matrix core's range check, so a population or a sample with a
-column whose sum of squares leaves float64's normal range raises
-:class:`InputError`: a sample can underflow where its population does not.
-``moment_profile`` refuses a column whose m4 overflows or whose m2^2
-underflows.
+driver, ``randgen._replication_blocks``, is reduced in turn; the matrix core
+checks the sums of each sample, which can underflow where the population's do not.
 
 A population whose values are all integers (Likert items, counts) is
 drawn as per-column level codes, value - column minimum, in the
@@ -47,7 +43,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateSampleError, InputError
-from .estimators import (_HUGE, _MATRIX_KINDS, _TINY, _centered_correlation,
+from .estimators import (_MATRIX_KINDS, _TINY, _centered_correlation,
                          _correlation_core, _mid_ranks, _varies, correlation_matrix)
 from .randgen import MarginalSpec, RngStream, _couple, _replication_blocks, _transform
 
@@ -200,24 +196,22 @@ class MomentProfile:
 def moment_profile(dataset: PopulationDataset) -> MomentProfile:
     """Mean, SD, skewness (m3/sd^3), and kurtosis (m4/m2^2) per column.
 
-    A column whose m4 is not finite or whose m2^2 is below float64's
-    normal range raises :class:`InputError`: its kurtosis would be inf,
-    NaN or short of bits.  Every other column's moments are unchanged.
+    A column whose m4 overflows or whose m2^2 is below float64's normal
+    range raises :class:`InputError`: its kurtosis would be inf, NaN or short of bits.
     """
     columns = np.ascontiguousarray(dataset.values.T)  # numpy sums along rows pairwise
-    with np.errstate(over="ignore", invalid="ignore"):  # what overflows fails the check
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
         mean = columns.mean(axis=1)
         centered = columns - mean[:, None]
         squared = centered * centered  # products, not pow: ** 3 and ** 4 call pow per entry
         m2 = squared.mean(axis=1)
-        m4, m2_squared = (squared * squared).mean(axis=1), m2 ** 2
-    refused = ~((m4 <= _HUGE) & (m2_squared >= _TINY))  # NaN is refused too
+        kurt = (squared * squared).mean(axis=1) / m2 ** 2
+        refused = ~((kurt < np.inf) & (m2 ** 2 >= _TINY))  # or NaN; finite m4: kurt <= n
     if refused.any():
-        raise InputError(f"column {dataset.column_names[refused.argmax()]!r}: its moment "
-                         f"sums leave float64's normal range")
+        raise InputError(f"column {dataset.column_names[refused.argmax()]!r}: its moment sums "
+                         "leave float64's normal range")
     sd = np.sqrt(m2)
     skew = (squared * centered).mean(axis=1) / sd ** 3
-    kurt = m4 / m2_squared
     return MomentProfile(column_names=dataset.column_names, mean=mean, sd=sd,
                          skewness=skew, kurtosis=kurt)
 
