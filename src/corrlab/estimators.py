@@ -246,8 +246,8 @@ def _pearson(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
         den2 = sxx * syy
         r = num / np.sqrt(den2)
     # Sxx and Syy each in range too: a subnormal Sxx times a huge Syy can be normal
-    normal = (sxx >= _TINY) & (syy >= _TINY) & (den2 >= _TINY) & (den2 < np.inf)
-    return np.clip(np.where(normal, r, np.nan), -1.0, 1.0)
+    r[~((np.minimum(np.minimum(sxx, syy), den2) >= _TINY) & (den2 < np.inf))] = np.nan
+    return np.clip(r, -1.0, 1.0, out=r)
 
 
 def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
