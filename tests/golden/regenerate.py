@@ -109,9 +109,9 @@ def _statements(function: ast.AST):
 
 
 def unreached(executed: set[tuple[str, int]]) -> list[str]:
-    """Report lines: each function or method of ``src/corrlab`` (definition
-    lines run at import, untraced) followed by its statements that no line
-    of ``executed`` runs, with their line numbers."""
+    """Report lines: each function or method of ``src/corrlab`` that has
+    statements no line of ``executed`` runs (its ``def`` line aside),
+    followed by those statements with their line numbers."""
     report = []
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text()
