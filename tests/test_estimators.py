@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from corrlab import estimators
 from corrlab.errors import DegenerateSampleError, InputError
-from corrlab.estimators import (CoefficientEstimate, PairedSample, _inversion_counts, _level_ranks, _pearson_rows,
-                                _tie_run_flags, _tied_pair_counts, _varies,
+from corrlab.estimators import (CoefficientEstimate, PairedSample, _inversion_counts,
+                                _level_ranks, _pearson_rows, _tie_run_flags, _tied_pair_counts, _varies,
                                 correlation_matrix,
                                 distinct_spearman_values, kendall,
                                 kendall_rows, pearson, pearson_rows, rank_rows, spearman,
@@ -970,7 +970,7 @@ class TestMagnitudeBound:
 POWERS = (-1000, -700, -300, -260, -256, 0, 250, 256, 300, 700, 1000)
 
 
-def _refused(compute):
+def _unless_refused(compute):
     """compute()'s value, or None if it raises InputError; a RuntimeWarning fails."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1003,7 +1003,7 @@ class TestPowerOfTwoScaling:
         sx, sy = 2.0 ** kx, 2.0 ** ky
         for x, y in rows.values():
             expected = pearson_rows(x, y)
-            got = _refused(lambda: pearson_rows(x * sx, y * sy))
+            got = _unless_refused(lambda: pearson_rows(x * sx, y * sy))
             kept = ~np.isnan(got)
             assert np.array_equal(got[kept], expected[kept])
             if max(abs(kx), abs(ky)) <= 250:
@@ -1011,7 +1011,7 @@ class TestPowerOfTwoScaling:
             if max(abs(kx), abs(ky)) >= 700:
                 assert not kept.any()
             for i in range(len(x)):
-                r = _refused(lambda: pearson(PairedSample(x[i] * sx, y[i] * sy)).value)
+                r = _unless_refused(lambda: pearson(PairedSample(x[i] * sx, y[i] * sy)).value)
                 assert r == (expected[i] if kept[i] else None)
 
     @pytest.mark.parametrize("ky", POWERS)
@@ -1021,12 +1021,12 @@ class TestPowerOfTwoScaling:
         table = np.column_stack([x[:2].T, y[:2].T])
         scale = np.repeat([2.0 ** kx, 2.0 ** ky], 2)
         for kind in ("pearson", "spearman"):
-            got = _refused(lambda: correlation_matrix(table * scale, kind))
+            got = _unless_refused(lambda: correlation_matrix(table * scale, kind))
             if got is not None:
                 assert np.array_equal(got, correlation_matrix(table, kind))
             assert (got is None) == (kind == "pearson" and max(abs(kx), abs(ky)) >= 700)
         names = tuple("abcd")
-        got = _refused(lambda: moment_profile(PopulationDataset(names, table * scale)))
+        got = _unless_refused(lambda: moment_profile(PopulationDataset(names, table * scale)))
         assert (got is None) == (max(abs(kx), abs(ky)) >= 256)  # m4 overflows or m2**2 underflows
         if got is not None:
             expected = moment_profile(PopulationDataset(names, table))
@@ -1047,7 +1047,7 @@ class TestPowerOfTwoScaling:
                  lambda: scan_single(scaled_base, scaled_axis)),
                 (lambda: scan_double(base, (4.0, -2.5), axis),
                  lambda: scan_double(scaled_base, (4.0 * scale, -2.5 * scale), scaled_axis))):
-            got = _refused(scaled_scan)
+            got = _unless_refused(scaled_scan)
             if abs(k) != 256:  # base Sxx * Syy near 2**(4k): in range to 2**+-1000
                 assert (got is None) == (abs(k) >= 260)
             if got is not None:
