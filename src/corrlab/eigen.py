@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimators import _MATRIX_KINDS, correlation_matrix
-from .resample import PopulationDataset, _MeanSD, _replicate
+from .estimators import _MATRIX_KINDS
+from .resample import PopulationDataset, _MeanSD, _population, _replicate
 
 __all__ = ["symmetric_eigenvalues", "EigenSummary", "eigen_study"]
 
@@ -61,13 +61,13 @@ def eigen_study(dataset: PopulationDataset, sample_size: int, n_samples: int,
     p = dataset.n_cols
     if not 1 <= k <= p:
         raise InputError(f"k must lie in [1, {p}]")
-    pop_eig = {kind: symmetric_eigenvalues(correlation_matrix(dataset, kind))[:k]
-               for kind in _MATRIX_KINDS}
+    levels, pop = _population(dataset, sample_size)
+    pop_eig = {kind: symmetric_eigenvalues(matrix)[:k] for kind, matrix in zip(_MATRIX_KINDS, pop)}
     top = _MeanSD((len(_MATRIX_KINDS), k))
     max_trace_err = 0.0
     redraws = 0
-    for matrices, block_redraws in _replicate(dataset, sample_size, n_samples, master_seed):
-        redraws += block_redraws
+    for matrices, failed in _replicate(dataset, sample_size, n_samples, master_seed, levels):
+        redraws += failed
         # the matrices are symmetric by construction; eigvalsh ascends
         eig = np.linalg.eigvalsh(matrices)[..., ::-1]
         max_trace_err = max(max_trace_err, float(np.abs(eig.sum(axis=-1) - p).max()))

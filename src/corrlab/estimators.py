@@ -519,11 +519,15 @@ def _centered_correlation(*centered: np.ndarray) -> np.ndarray:
 
     The einsum and matmul reduce in an order set by the memory layout, so
     a caller that centres its own columns lays them out as
-    :func:`_correlation_core` does to get the same bits.
+    :func:`_correlation_core` does to get the same bits.  Its InputError for
+    a sum out of range carries ``index``, the (..., column) of the first.
     """
     sums = [np.einsum("...ij,...ij->...i", c, c) for c in centered]  # einsum never warns
-    if any(s.size and not _TINY <= s.min() <= s.max() < np.inf for s in sums):  # or NaN
-        raise InputError("a column's sum of squares leaves float64's normal range")
+    for s in sums:
+        if s.size and not _TINY <= s.min() <= s.max() < np.inf:  # or NaN
+            error = InputError("a column's sum of squares leaves float64's normal range")
+            error.index = np.unravel_index(np.argmin((s >= _TINY) & (s < np.inf)), s.shape)
+            raise error
     mat = centered[0] @ np.swapaxes(centered[-1], -1, -2)
     mat /= np.sqrt(sums[0])[..., :, None]  # one scale vector at a time: no outer product
     mat /= np.sqrt(sums[-1])[..., None, :]

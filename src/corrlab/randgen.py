@@ -25,8 +25,8 @@ interpolant of log g from a per-df table of 4,353 nodes over |z| <= 8.5
 (step 1/256, exact node values and slopes, relative error below 1e-12 for
 df 1 to 100).  Beyond the table, and for a df so large that no table
 can be built, the exact map inverts the lower tail below z = 0 and the
-upper tail above it.  The uniform is u = Phi(z) and the likert counts
-its thresholds at or below u, so a u rounded to 0 or 1 maps too.
+upper tail above it.  The uniform is u = Phi(z); the likert never forms
+u either and counts its cut points Phi^-1(threshold) at or below z.
 """
 
 from __future__ import annotations
@@ -145,6 +145,7 @@ class MarginalSpec:
             if not t or any(not 0.0 < a < 1.0 for a in t) or list(t) != sorted(set(t)):
                 raise InputError("likert thresholds must be strictly increasing in (0, 1)")
             object.__setattr__(self, "thresholds", tuple(float(a) for a in t))
+            object.__setattr__(self, "_cuts", special.ndtri(self.thresholds))  # z-space, for _transform
         elif self.thresholds is not None:
             raise InputError("thresholds are only valid for discretized_likert")
 
@@ -363,9 +364,10 @@ def _transform(marginal: MarginalSpec, z: np.ndarray) -> np.ndarray:
     g = F^-1(Phi(z)) of the latent-normal coupling; the only such map in
     simulation, calibration and the dbq-like population.
 
-    The normal is the identity, the exponential and the chi-square are
-    mapped without forming u = Phi(z) (which rounds to 1 from z of about
-    8.3); the uniform is u, and the likert counts thresholds at or below u.
+    The normal is the identity, the exponential, the chi-square and the
+    likert are mapped without forming u = Phi(z) (which rounds to 1 from z
+    of about 8.3); the uniform is u, and the likert is 1 plus the count of
+    its cut points Phi^-1(threshold) at or below z.
     """
     if marginal.is_standard_normal:
         return z
@@ -373,12 +375,11 @@ def _transform(marginal: MarginalSpec, z: np.ndarray) -> np.ndarray:
         return _exponential_from_normal(z)
     if marginal.family == "chi_square":
         return _chi_square_from_normal(marginal.df, z)
-    u = special.ndtr(z)
     if marginal.family == "uniform":
-        return u
+        return special.ndtr(z)
     # searchsorted answers in C order; the sum lands in z's memory order
-    return np.add(1.0, np.searchsorted(marginal.thresholds, u, side="right"),
-                  out=np.empty_like(u))
+    return np.add(1.0, np.searchsorted(marginal._cuts, z, side="right"),
+                  out=np.empty_like(z))
 
 
 def _pairs(spec: PopulationSpec, rng: np.random.Generator, rows: int, n: int) -> np.ndarray:

@@ -10,16 +10,15 @@ driver, ``randgen._replication_blocks``, is reduced in turn; the matrix core
 checks the sums of each sample, which can underflow where the population's do not.
 
 A population whose values are all integers (Likert items, counts) is
-drawn as per-column level codes, value - column minimum, in the
-narrowest unsigned dtype when each column spans less than the sample
-size (the rule by which ``rank_rows`` counts levels), sample size *
-max|value| < 2**53, the sample size is below 2**17 and no value is -0.0.
-One count of each block's (table, column, level) cells then gives the
-exact Pearson means and the Spearman mid-ranks, and both centred stacks
-are gathered from per-level tables in the one (table, row, column)
-layout in which :func:`corrlab.estimators._correlation_core` centres
-gathered values, so the matrices keep their bits.  Any other population
-is gathered as floats, ranked and centred.
+drawn as per-column level codes, value - column minimum, by the rule of
+``_level_codes``.  One count of each block's (table, column, level) cells
+then gives the exact Pearson means and the Spearman mid-ranks, and both
+centred stacks are gathered from per-level tables in the one (table, row,
+column) layout in which :func:`corrlab.estimators._correlation_core`
+centres gathered values, so the matrices keep their bits.  The population
+matrices are the same count over all rows while the row count keeps the
+codes' exactness bounds.  Any other population is gathered as floats,
+ranked and centred, and its matrices come from ``_correlation_core``.
 
 The original survey datasets this protocol was designed around are not
 redistributable, so the module ships two deterministic synthetic
@@ -43,8 +42,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateSampleError, InputError
-from .estimators import (_MATRIX_KINDS, _TINY, _centered_correlation,
-                         _correlation_core, _mid_ranks, _varies, correlation_matrix)
+from .estimators import (_MATRIX_KINDS, _TINY, _centered_correlation, _correlation_core,
+                         _mid_ranks, _varies)
 from .randgen import MarginalSpec, RngStream, _couple, _replication_blocks, _transform
 
 __all__ = [
@@ -232,7 +231,10 @@ def scale_sums(dataset: PopulationDataset, groups) -> PopulationDataset:
         missing = [m for m in members if m not in index]
         if missing:
             raise InputError(f"scale {scale!r} references unknown column {missing[0]!r}")
-        columns.append(dataset.values[:, [index[m] for m in members]].sum(axis=1))
+        with np.errstate(over="ignore"):  # refused just below
+            columns.append(dataset.values[:, [index[m] for m in members]].sum(axis=1))
+        if not np.isfinite(columns[-1]).all():
+            raise InputError(f"scale {scale!r}: a row's sum leaves float64's range")
     return PopulationDataset(column_names=tuple(groups), values=np.column_stack(columns))
 
 
@@ -320,36 +322,57 @@ def _level_codes(values: np.ndarray, sample_size: int) -> _LevelCodes | None:
     return _LevelCodes(codes=codes, levels=low[:, None] + np.arange(int(span) + 1))
 
 
+def _population(dataset: PopulationDataset, sample_size: int):
+    """The table's :func:`_level_codes` and its ``_MATRIX_KINDS`` population
+    matrices: from the codes while rows < 2**17 and rows * max|level| < 2**53
+    (the bounds within which they equal ``_correlation_core``'s), else from it."""
+    values, n = dataset.values, dataset.n_rows
+    levels = _level_codes(values, sample_size) if n < 2 ** 17 else None
+    if levels is not None and n * np.abs(levels.levels).max() < 2 ** 53:
+        return levels, np.concatenate(levels.matrices(levels.codes[None]))
+    pop = np.stack([_correlation_core(values, kind) for kind in _MATRIX_KINDS])
+    if n >= 2 ** 17:  # codes after the float matrices, whose peak they would raise
+        levels = _level_codes(values, sample_size)
+    return levels, pop
+
+
 def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
-               master_seed: int):
+               master_seed: int, levels: _LevelCodes | None):
     """Yield (matrices, redraws) for successive blocks of replications.
 
     Draws come from ``randgen._replication_blocks``: chunk k draws its row
     picks block by block from path (k,), and a replication i of it with a
     constant column is redrawn from (k, i).  ``matrices[r, a]`` is replication
     r's matrix of kind ``_MATRIX_KINDS[a]``; ``redraws`` counts failed draws.
-    A replication over the redraw cap makes the condition infeasible, and
-    the error names the column that degenerated most often.  Tables of an
-    integer population are drawn as level codes (see :func:`_level_codes`).
+    A replication over the redraw cap makes the condition infeasible, naming
+    the column that degenerated most often; an InputError names the first
+    replication and column whose Pearson sum of squares leaves float64's
+    normal range.  Tables are drawn as the codes of ``levels`` unless None.
     """
     if sample_size < 2:
         raise InputError("sample size must be at least 2")
     if n_samples < 2:
         raise InputError("need at least two replications")
-    values = dataset.values
-    n_rows, p = values.shape
-    levels = _level_codes(values, sample_size)
-    source = values if levels is None else levels.codes
+    n_rows, p = dataset.values.shape
+    source = dataset.values if levels is None else levels.codes
     block = max(1, _BLOCK_VALUES // (sample_size * p))
+    done = 0
     for tables, redraws in _replication_blocks(
             RngStream(master_seed), n_samples,
             lambda rng, rows: source[rng.integers(0, n_rows, (rows, sample_size))],
             lambda tables: ~_varies(tables, axis=-2), dataset.column_names,
             f"at sample size {sample_size}", block):
-        if levels is None:
-            matrices = [_correlation_core(tables, kind) for kind in _MATRIX_KINDS]
-        else:
+        if levels is not None:
             matrices = levels.matrices(tables)
+        else:
+            try:
+                matrices = [_correlation_core(tables, kind) for kind in _MATRIX_KINDS]
+            except InputError as error:
+                table, column = error.index
+                raise InputError(f"replication {done + table} at sample size {sample_size}: the "
+                                 f"sum of squares of column {dataset.column_names[column]!r} "
+                                 "leaves float64's normal range") from None
+        done += len(tables)
         yield np.stack(matrices, axis=1), redraws
 
 
@@ -395,12 +418,12 @@ def run_study(dataset: PopulationDataset, sample_size: int, n_samples: int,
     p = dataset.n_cols
     if p < 2:
         raise InputError(f"the resampling study needs at least two columns, got {p}")
-    pop = np.stack([correlation_matrix(dataset, kind) for kind in _MATRIX_KINDS])
+    levels, pop = _population(dataset, sample_size)
     moments = _MeanSD(pop.shape)
     abs_dev = np.zeros((len(_MATRIX_KINDS),) + pop.shape)  # [kind, population kind]
     redraws = 0
-    for matrices, block_redraws in _replicate(dataset, sample_size, n_samples, master_seed):
-        redraws += block_redraws
+    for matrices, failed in _replicate(dataset, sample_size, n_samples, master_seed, levels):
+        redraws += failed
         moments.add(matrices)
         abs_dev += np.abs(matrices[:, :, None] - pop).sum(axis=0)
     means, sds = moments.mean_sd()

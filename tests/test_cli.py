@@ -582,6 +582,24 @@ class TestExitCodes:
         assert "float64's normal range" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["resample"], ["eigen", "--top", "2"]])
+    def test_samples_that_underflow_name_the_replication_and_column(self, tmp_path, capsys,
+                                                                    argv):
+        # column a is {1..6}e-160 but for one 1.0: most 20-row samples miss it
+        # and have a sum of squares near 1e-320, below float64's normal range
+        rows = [f"{(i % 6 + 1) * 1e-160!r},{i % 5},{i % 7}" for i in range(399)]
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(["a,b,c", *rows, "1.0,3,4"]) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--input", str(data), "--sample-size", "20", "--reps", "50",
+                             "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: replication 0 at sample size 20: ")
+        assert "column 'a'" in err and "float64's normal range" in err
+        assert not out.exists()
+
     # refused by the +-1e150 and +-1e75 bounds that preceded the sums' own check
     @pytest.mark.parametrize("cell,argv,artifact", [
         ("2e75", ["moments"], "moments.csv"),

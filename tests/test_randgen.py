@@ -10,10 +10,11 @@ from corrlab import cli
 from corrlab.errors import InfeasibleError, InputError, NumericError
 from corrlab.estimators import (_SHORT_ROW, PairedSample, _varies, pearson, pearson_rows,
                                 spearman)
-from corrlab.randgen import (CALIBRATION_VERSION, CHUNK_REPS, MarginalSpec, PopulationSpec,
-                             RngStream, _chi_square_exact, _chi_square_table, _couple, _pairs,
-                             _replication_blocks, _transform, calibrate_copula,
-                             sample_bivariate_normal, sample_population)
+from corrlab.randgen import (CALIBRATION_VERSION, CHUNK_REPS, DEFAULT_LIKERT_THRESHOLDS,
+                             MarginalSpec, PopulationSpec, RngStream, _chi_square_exact,
+                             _chi_square_table, _couple, _pairs, _replication_blocks, _transform,
+                             calibrate_copula, sample_bivariate_normal, sample_population)
+from corrlab.resample import _survey_thresholds
 
 
 def sample_moments(v):
@@ -242,6 +243,26 @@ class TestNormalMap:
         low, high = (0.0, 1.0) if marginal.family == "uniform" else (1.0, 6.0)
         np.testing.assert_array_equal(got[[0, -2, -1]], [low, high, high])
         assert np.all(np.diff(got) >= 0)
+
+    @pytest.fixture(scope="class")
+    def normals(self):
+        return RngStream(23).generator().standard_normal(10 ** 6)
+
+    # the default cut points and those of the dbq-like population's 34 floors
+    @pytest.mark.parametrize("thresholds", [DEFAULT_LIKERT_THRESHOLDS] + [
+        _survey_thresholds(floor) for floor in np.linspace(0.50, 0.95, 34)],
+        ids=["default"] + [f"floor{floor:.4f}" for floor in np.linspace(0.50, 0.95, 34)])
+    def test_likert_cuts_in_z_match_the_count_of_thresholds_at_or_below_u(self, normals,
+                                                                        thresholds):
+        expected = 1.0 + np.searchsorted(thresholds, special.ndtr(normals), side="right")
+        np.testing.assert_array_equal(_transform(MarginalSpec.likert(thresholds), normals),
+                                      expected)
+
+    def test_likert_z_at_a_cut_point_takes_the_upper_category(self):
+        cuts = special.ndtri(np.array(DEFAULT_LIKERT_THRESHOLDS))
+        z = np.concatenate([np.nextafter(cuts, -np.inf), cuts])
+        np.testing.assert_array_equal(_transform(MarginalSpec.likert(), z),
+                                      np.concatenate([np.arange(1.0, 6.0), np.arange(2.0, 7.0)]))
 
 
 # float.hex() of (latent_rho, pop_pearson) of two cheap calibrations, per

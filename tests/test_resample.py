@@ -317,6 +317,13 @@ class TestScaleSums:
         with pytest.raises(InputError, match="nope"):
             scale_sums(d, {"s": ["a", "nope"]})
 
+    def test_sums_that_overflow_name_their_scale_without_warnings(self):
+        d = PopulationDataset(("a", "b"), np.array([[1e308, 1e308], [1.0, 2.0], [3.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="scale 'both'"):
+                scale_sums(d, {"first": ["a"], "both": ["a", "b"]})
+
 
 class TestSyntheticPopulations:
     def test_dbq_like_is_uniformly_leptokurtic(self, dbq):
@@ -360,7 +367,7 @@ class TestReplicationLayout:
 
     @staticmethod
     def _matrices(dataset, n_samples):
-        blocks = list(_replicate(dataset, 5, n_samples, master_seed=9))
+        blocks = list(_replicate(dataset, 5, n_samples, 9, _level_codes(dataset.values, 5)))
         return (np.concatenate([matrices for matrices, _ in blocks]),
                 sum(redraws for _, redraws in blocks))
 
@@ -452,6 +459,18 @@ class TestRunStudy:
         with pytest.raises(InfeasibleError, match="'rare'"):
             run_study(d, sample_size=2, n_samples=2)
 
+    def test_sample_sums_out_of_range_name_the_first_replication_and_column(self):
+        # a 20-row sample that misses every 1.0 of column 'a' has a sum of squares
+        # near 1e-320; at seed 2 the first is replication 2403, in the second block
+        rows = 400
+        a = np.where(np.arange(rows) % 10 < 7, (np.arange(rows) % 6 + 1) * 1e-160, 1.0)
+        d = PopulationDataset(("spread", "a"), np.column_stack([np.arange(rows, dtype=float), a]))
+        message = r"replication 2403 at sample size 20: .* column 'a' .*normal range"
+        for study in (run_study, lambda *args, **kw: eigen_study(*args, k=1, **kw)):
+            with pytest.raises(InputError, match=message):
+                study(d, 20, 5000, master_seed=2)
+            study(d, 20, 2403, master_seed=2)  # every replication before it is in range
+
     def test_validation(self, asvab):
         with pytest.raises(InputError):
             run_study(asvab, 1, 100)
@@ -490,7 +509,8 @@ def _eigen_bytes(summary):
 
 
 def _replicate_bytes(dataset, sample_size, n_samples=300):
-    blocks = list(_replicate(dataset, sample_size, n_samples, master_seed=4))
+    levels = resample._level_codes(dataset.values, sample_size)  # None when a test patches it
+    blocks = list(_replicate(dataset, sample_size, n_samples, 4, levels))
     return (np.concatenate([matrices for matrices, _ in blocks]).tobytes(),
             sum(redraws for _, redraws in blocks))
 
@@ -526,10 +546,9 @@ class TestLevelCodes:
                 calls.append(_name)
                 return _fn(*args)
             monkeypatch.setattr(module, name, counted)
-        assert len(list(_replicate(dbq, 200, 100, master_seed=1))) > 1
+        assert len(list(_replicate(dbq, 200, 100, 1, _level_codes(dbq.values, 200)))) > 1
         assert calls == []
-        self._force_float_path(monkeypatch)
-        list(_replicate(dbq, 200, 100, master_seed=1))
+        list(_replicate(dbq, 200, 100, 1, None))
         assert set(calls) == {"rank_rows", "_correlation_core"}
 
     def test_codes_take_the_narrowest_unsigned_type(self, dbq):
@@ -563,6 +582,42 @@ class TestLevelCodes:
         # centred mid-rank sums reach about n**3/12 in steps of 1/4
         values = np.column_stack([np.arange(20.0), np.arange(20.0) % 3])
         assert (_level_codes(values, sample_size) is not None) == selected
+
+    @staticmethod
+    def _population_and_core_calls(monkeypatch, dataset, sample_size):
+        calls = []
+        core = resample._correlation_core
+        monkeypatch.setattr(resample, "_correlation_core",
+                            lambda *args: calls.append(args) or core(*args))
+        return resample._population(dataset, sample_size)[1], len(calls)
+
+    # near: 200 * max|v| < 2**53 <= 300 * max|v|; long: 2**17 rows
+    @pytest.mark.parametrize("population, sample_size, from_codes", [
+        ("dbq", 200, True), ("survey", 25, True), ("short", 100, True),
+        ("asvab", 200, False), ("near", 200, False), ("long", 5, False)])
+    def test_population_matrices_equal_correlation_matrix(self, request, monkeypatch,
+                                                          population, sample_size, from_codes):
+        rows = {"short": 40, "near": 300, "long": 2 ** 17}.get(population)
+        if rows is None:
+            dataset = request.getfixturevalue(population)
+        else:
+            top = self.NEAR if population == "near" else 3.0
+            dataset = PopulationDataset(("a", "b"), np.column_stack(
+                [top - np.arange(rows) % 4, np.arange(rows) % 3 - 1.0]))
+        assert (_level_codes(dataset.values, sample_size) is None) == (population == "asvab")
+        expected = np.stack([correlation_matrix(dataset, kind) for kind in _MATRIX_KINDS])
+        pop, core_calls = self._population_and_core_calls(monkeypatch, dataset, sample_size)
+        assert pop.tobytes() == expected.tobytes()
+        assert core_calls == (0 if from_codes else len(_MATRIX_KINDS))
+
+    @pytest.mark.parametrize("study", [run_study, eigen_study])
+    def test_level_codes_run_once_per_study(self, dbq, monkeypatch, study):
+        calls = []
+        codes = resample._level_codes
+        monkeypatch.setattr(resample, "_level_codes",
+                            lambda *args: calls.append(args) or codes(*args))
+        study(dbq, 25, 50, master_seed=3)
+        assert len(calls) == 1
 
     def test_redraw_cap_names_the_same_column_and_replication(self, monkeypatch):
         # 60 ones in 20,000 rows: most 2-row samples redraw, and replication
