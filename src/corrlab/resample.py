@@ -324,8 +324,8 @@ def _level_codes(values: np.ndarray, sample_size: int) -> _LevelCodes | None:
 
 def _population(dataset: PopulationDataset, sample_size: int):
     """The table's :func:`_level_codes` and its ``_MATRIX_KINDS`` population
-    matrices: from the codes while rows < 2**17 and rows * max|level| < 2**53
-    (the bounds within which they equal ``_correlation_core``'s), else from it."""
+    matrices, from the codes within their exactness bounds (rows < 2**17,
+    rows * max|level| < 2**53) and from ``_correlation_core`` otherwise."""
     values, n = dataset.values, dataset.n_rows
     levels = _level_codes(values, sample_size) if n < 2 ** 17 else None
     if levels is not None and n * np.abs(levels.levels).max() < 2 ** 53:
@@ -362,9 +362,7 @@ def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
             lambda rng, rows: source[rng.integers(0, n_rows, (rows, sample_size))],
             lambda tables: ~_varies(tables, axis=-2), dataset.column_names,
             f"at sample size {sample_size}", block):
-        if levels is not None:
-            matrices = levels.matrices(tables)
-        else:
+        if levels is None:
             try:
                 matrices = [_correlation_core(tables, kind) for kind in _MATRIX_KINDS]
             except InputError as error:
@@ -372,6 +370,8 @@ def _replicate(dataset: PopulationDataset, sample_size: int, n_samples: int,
                 raise InputError(f"replication {done + table} at sample size {sample_size}: the "
                                  f"sum of squares of column {dataset.column_names[column]!r} "
                                  "leaves float64's normal range") from None
+        else:
+            matrices = levels.matrices(tables)
         done += len(tables)
         yield np.stack(matrices, axis=1), redraws
 
