@@ -19,8 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -589,10 +588,10 @@ def _run_influence(cfg: RunConfig):
         "first_outlier": list(grid.first_outlier) if grid.first_outlier else None,
         "grid_cells": int(grid.delta_pearson.size),
         "missing_cells": int(np.isnan(grid.delta_pearson).sum()),
-        "delta_pearson_min": float(np.nanmin(grid.delta_pearson)),
-        "delta_pearson_max": float(np.nanmax(grid.delta_pearson)),
-        "delta_spearman_min": float(np.nanmin(grid.delta_spearman)),
-        "delta_spearman_max": float(np.nanmax(grid.delta_spearman)),
+        "delta_pearson_min": float(grid.delta_pearson.min()),
+        "delta_pearson_max": float(grid.delta_pearson.max()),
+        "delta_spearman_min": float(grid.delta_spearman.min()),
+        "delta_spearman_max": float(grid.delta_spearman.max()),
         "exceedance_pearson_0.05": influence.exceedance_fraction(grid, 0.05, "pearson"),
         "exceedance_spearman_0.05": influence.exceedance_fraction(grid, 0.05, "spearman"),
     }
@@ -621,12 +620,11 @@ def _run_resample(cfg: RunConfig):
     result = resample.run_study(dataset, params["sample-size"], params["reps"],
                                 master_seed=cfg.seed)
     summary = {"sample_size": result.sample_size, "n_samples": result.n_samples,
-               "redraw_count": result.redraw_count, "n_pairs": len(result.pairs)}
+               "redraw_count": result.redraw_count, "n_pairs": len(result.pairs["column_a"])}
     lines = [f"{result.n_samples} samples of {result.sample_size} rows, "
-             f"{len(result.pairs)} pairs, {result.redraw_count} redraws"]
-    names = [f.name for f in fields(resample.PairSummary)]
+             f"{summary['n_pairs']} pairs, {result.redraw_count} redraws"]
     stats = resample.TABLE_STATISTICS
-    return {"resample_pairs.csv": (names, tuple(zip(*map(attrgetter(*names), result.pairs)))),
+    return {"resample_pairs.csv": (tuple(result.pairs), tuple(result.pairs.values())),
             "resample_table.csv": (("statistic", "value"),
                                    (stats, [result.aggregates[stat] for stat in stats])),
             "resample_summary.json": summary}, lines

@@ -239,9 +239,8 @@ class PopulationSpec:
 
     @classmethod
     def bivariate_normal(cls, rho: float) -> "PopulationSpec":
-        """Standard-normal pair with exact population correlation rho."""
-        if not -1.0 <= rho <= 1.0:
-            raise InputError(f"rho must lie in [-1, 1], got {rho}")
+        """Standard-normal pair with exact population correlation rho
+        (spearman_from_pearson refuses rho outside [-1, 1])."""
         return cls(MarginalSpec.standard_normal(), target_pearson=float(rho),
                    latent_rho=float(rho), pop_pearson=float(rho),
                    pop_spearman=spearman_from_pearson(rho))

@@ -2,8 +2,8 @@
 
 A numeric table is treated as the population; samples of a fixed size
 are drawn from its rows with replacement, Pearson and Spearman
-correlation matrices are computed for every draw, and per-pair summary
-statistics are aggregated against the whole-table population matrices.
+correlation matrices are computed for every draw, and their column pairs
+a < b alone are summarised against the whole-table population matrices.
 Draws with a constant column (by ``estimators._varies``, the one constant
 test) are redrawn and counted.  Each block of draws from the one replication
 driver, ``randgen._replication_blocks``, is reduced in turn; the matrix core
@@ -37,7 +37,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .randgen import MarginalSpec, RngStream, _couple, _replication_blocks, _tra
 __all__ = [
     "PopulationDataset",
     "MomentProfile",
-    "PairSummary",
     "StudyResult",
     "ingest_csv",
     "moment_profile",
@@ -242,29 +241,21 @@ def scale_sums(dataset: PopulationDataset, groups) -> PopulationDataset:
 # The resampling study
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairSummary:
-    """Statistics of one off-diagonal column pair, in resample_pairs.csv order."""
-
-    column_a: str
-    column_b: str
-    pop_pearson: float
-    pop_spearman: float
-    mean_pearson: float
-    mean_spearman: float
-    sd_pearson: float
-    sd_spearman: float
-    mad_pearson_vs_pop_pearson: float
-    mad_pearson_vs_pop_spearman: float
-    mad_spearman_vs_pop_pearson: float
-    mad_spearman_vs_pop_spearman: float
+# the columns of resample_pairs.csv, in output order
+_PAIR_COLUMNS = ("column_a", "column_b", "pop_pearson", "pop_spearman", "mean_pearson",
+                 "mean_spearman", "sd_pearson", "sd_spearman", "mad_pearson_vs_pop_pearson",
+                 "mad_pearson_vs_pop_spearman", "mad_spearman_vs_pop_pearson",
+                 "mad_spearman_vs_pop_spearman")
 
 
 @dataclass(frozen=True)
 class StudyResult:
+    """``pairs`` maps each ``_PAIR_COLUMNS`` name to its values over the column pairs
+    a < b in row-major order: two lists of column names, then ten float arrays."""
+
     sample_size: int
     n_samples: int
-    pairs: tuple[PairSummary, ...]
+    pairs: dict[str, list[str] | np.ndarray]
     aggregates: dict[str, float]
     redraw_count: int
 
@@ -325,12 +316,18 @@ def _level_codes(values: np.ndarray, sample_size: int) -> _LevelCodes | None:
 def _population(dataset: PopulationDataset, sample_size: int):
     """The table's :func:`_level_codes` and its ``_MATRIX_KINDS`` population
     matrices, from the codes within their exactness bounds (rows < 2**17,
-    rows * max|level| < 2**53) and from ``_correlation_core`` otherwise."""
+    rows * max|level| < 2**53) and from ``_correlation_core`` otherwise.  An
+    InputError names the column whose sum of squares leaves float64's normal range."""
     values, n = dataset.values, dataset.n_rows
     levels = _level_codes(values, sample_size) if n < 2 ** 17 else None
     if levels is not None and n * np.abs(levels.levels).max() < 2 ** 53:
         return levels, np.concatenate(levels.matrices(levels.codes[None]))
-    pop = np.stack([_correlation_core(values, kind) for kind in _MATRIX_KINDS])
+    try:
+        pop = np.stack([_correlation_core(values, kind) for kind in _MATRIX_KINDS])
+    except InputError as error:
+        raise InputError("the population's sum of squares of column "
+                         f"{dataset.column_names[error.index[-1]]!r} leaves float64's "
+                         "normal range") from None
     if n >= 2 ** 17:  # codes after the float matrices, whose peak they would raise
         levels = _level_codes(values, sample_size)
     return levels, pop
@@ -419,32 +416,31 @@ def run_study(dataset: PopulationDataset, sample_size: int, n_samples: int,
     if p < 2:
         raise InputError(f"the resampling study needs at least two columns, got {p}")
     levels, pop = _population(dataset, sample_size)
+    iu, ju = np.triu_indices(p, k=1)
+    upper = iu * p + ju  # flat offsets: np.take stays contiguous where [..., iu, ju] does not
+    pop = np.take(pop.reshape(len(pop), -1), upper, axis=-1)  # [kind, pair]
     moments = _MeanSD(pop.shape)
-    abs_dev = np.zeros((len(_MATRIX_KINDS),) + pop.shape)  # [kind, population kind]
+    abs_dev = np.zeros((len(_MATRIX_KINDS),) + pop.shape)  # [kind, population kind, pair]
     redraws = 0
     for matrices, failed in _replicate(dataset, sample_size, n_samples, master_seed, levels):
         redraws += failed
+        matrices = np.take(matrices.reshape(*matrices.shape[:2], -1), upper, axis=-1)
         moments.add(matrices)
         abs_dev += np.abs(matrices[:, :, None] - pop).sum(axis=0)
     means, sds = moments.mean_sd()
-    stats = {}
+    stats = {"column_a": [dataset.column_names[i] for i in iu],
+             "column_b": [dataset.column_names[j] for j in ju]}
     for a, kind in enumerate(_MATRIX_KINDS):
         stats.update({f"pop_{kind}": pop[a], f"mean_{kind}": means[a], f"sd_{kind}": sds[a],
                       f"mean_{kind}_minus_pop": means[a] - pop[a]})
         for b, pop_kind in enumerate(_MATRIX_KINDS):
             stats[f"mad_{kind}_vs_pop_{pop_kind}"] = abs_dev[a, b] / float(n_samples)
-    iu, ju = np.triu_indices(p, k=1)
-    upper = {name: mat[iu, ju] for name, mat in stats.items()}
-    names = dataset.column_names
-    # every field after column_a and column_b is a per-pair statistic
-    rows = np.column_stack([upper[f.name] for f in fields(PairSummary)[2:]]).tolist()
-    pairs = tuple(PairSummary(names[i], names[j], *row)
-                  for i, j, row in zip(iu, ju, rows))
     plain_means = {f"mean_{kind}" for kind in _MATRIX_KINDS}
     aggregates = {
-        name: float(np.mean(np.abs(upper[name]) if name in plain_means else upper[name]))
+        name: float(np.mean(np.abs(stats[name]) if name in plain_means else stats[name]))
         for name in TABLE_STATISTICS}
-    return StudyResult(sample_size=sample_size, n_samples=n_samples, pairs=pairs,
+    return StudyResult(sample_size=sample_size, n_samples=n_samples,
+                       pairs={name: stats[name] for name in _PAIR_COLUMNS},
                        aggregates=aggregates, redraw_count=redraws)
 
 

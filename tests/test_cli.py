@@ -579,7 +579,7 @@ class TestExitCodes:
             assert cli.main([*argv, "--input", str(data), "--out-dir", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        assert "float64's normal range" in err
+        assert "column 'a'" in err and "float64's normal range" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["resample"], ["eigen", "--top", "2"]])
@@ -956,13 +956,13 @@ class TestPublicNames:
             "SimulationPlan", "SummaryStats", "logspace_sizes", "run_plan",
             "AxisSpec", "InfluenceGrid", "delta_width", "exceedance_fraction",
             "scan_double", "scan_single",
-            "MomentProfile", "PairSummary", "PopulationDataset", "StudyResult",
+            "MomentProfile", "PopulationDataset", "StudyResult",
             "asvab_like_population", "dbq_like_population", "ingest_csv",
             "moment_profile", "run_study", "scale_sums",
             "EigenSummary", "eigen_study", "symmetric_eigenvalues",
             "__version__",
         ]
-        assert len(earlier) == 56
+        assert len(earlier) == 55
         assert set(earlier) - set(corrlab.__all__) == set()
 
 

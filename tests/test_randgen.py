@@ -106,8 +106,9 @@ class TestBivariateNormal:
         assert pearson(s).value == pytest.approx(0.200, abs=1e-3)
 
     def test_rho_out_of_range(self):
-        with pytest.raises(InputError):
-            sample_bivariate_normal(1.5, 10, RngStream(0))
+        for rho in (1.5, math.nan):
+            with pytest.raises(InputError, match=rf"^rho must lie in \[-1, 1\], got {rho}$"):
+                sample_bivariate_normal(rho, 10, RngStream(0))
 
 
 class TestMarginalQuantiles:

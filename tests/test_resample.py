@@ -19,9 +19,10 @@ from corrlab.eigen import eigen_study
 from corrlab.errors import DegenerateSampleError, InfeasibleError, InputError
 from corrlab.estimators import _correlation_core, _level_ranks, correlation_matrix
 from corrlab.randgen import CHUNK_REPS, RngStream
-from corrlab.resample import (_MATRIX_KINDS, PairSummary, PopulationDataset, _level_codes,
-                              _replicate, asvab_like_population, dbq_like_population,
-                              ingest_csv, moment_profile, run_study, scale_sums)
+from corrlab.resample import (_MATRIX_KINDS, _PAIR_COLUMNS, TABLE_STATISTICS, PopulationDataset,
+                              _level_codes, _MeanSD, _replicate, asvab_like_population,
+                              dbq_like_population, ingest_csv, moment_profile, run_study,
+                              scale_sums)
 
 
 @pytest.fixture(scope="module")
@@ -393,56 +394,49 @@ class TestRunStudy:
         d = PopulationDataset(("x", "y"), np.column_stack([x, y]))
         pop = correlation_matrix(d)[0, 1]
         result = run_study(d, sample_size=400, n_samples=2000, master_seed=1)
-        assert result.pairs[0].mean_pearson == pytest.approx(pop, abs=0.01)
+        assert result.pairs["mean_pearson"][0] == pytest.approx(pop, abs=0.01)
 
     def test_aggregates_are_unweighted_pair_means(self, asvab):
         result = run_study(asvab, 50, 200, master_seed=2)
         pairs = result.pairs
         assert result.aggregates["sd_pearson"] == pytest.approx(
-            np.mean([p.sd_pearson for p in pairs]), abs=1e-12)
+            np.mean(pairs["sd_pearson"]), abs=1e-12)
         assert result.aggregates["mad_spearman_vs_pop_pearson"] == pytest.approx(
-            np.mean([p.mad_spearman_vs_pop_pearson for p in pairs]), abs=1e-12)
+            np.mean(pairs["mad_spearman_vs_pop_pearson"]), abs=1e-12)
         assert result.aggregates["mean_pearson"] == pytest.approx(
-            np.mean([abs(p.mean_pearson) for p in pairs]), abs=1e-12)
+            np.mean(np.abs(pairs["mean_pearson"])), abs=1e-12)
         assert result.aggregates["mean_pearson_minus_pop"] == pytest.approx(
-            np.mean([p.mean_pearson - p.pop_pearson for p in pairs]), abs=1e-12)
+            np.mean(pairs["mean_pearson"] - pairs["pop_pearson"]), abs=1e-12)
 
     def test_deterministic_under_seed(self, asvab):
         a = run_study(asvab, 30, 100, master_seed=3)
         b = run_study(asvab, 30, 100, master_seed=3)
-        assert a == b
+        assert _study_bytes(a) == _study_bytes(b)
 
     def test_asvab_like_pearson_is_less_variable_per_pair(self, asvab):
-        result = run_study(asvab, 200, 2000, master_seed=4)
-        for pair in result.pairs:
-            assert pair.sd_pearson < pair.sd_spearman, (pair.column_a, pair.column_b)
+        pairs = run_study(asvab, 200, 2000, master_seed=4).pairs
+        assert _pairs_where(pairs, ~(pairs["sd_pearson"] < pairs["sd_spearman"])) == []
 
     def test_dbq_like_spearman_recovers_pearson_population_better(self, dbq):
-        result = run_study(dbq, 200, 2000, master_seed=5)
-        prof = moment_profile(dbq)
-        kurt = dict(zip(dbq.column_names, prof.kurtosis))
-        heavy = [p for p in result.pairs
-                 if kurt[p.column_a] + kurt[p.column_b] > 40.0]
-        assert heavy
-        for pair in heavy:
-            assert pair.mad_spearman_vs_pop_pearson < pair.mad_pearson_vs_pop_pearson
+        pairs = run_study(dbq, 200, 2000, master_seed=5).pairs
+        heavy = _kurtosis_sums(dbq, pairs) > 40.0
+        assert heavy.any()
+        better = pairs["mad_spearman_vs_pop_pearson"] < pairs["mad_pearson_vs_pop_pearson"]
+        assert _pairs_where(pairs, heavy & ~better) == []
 
     def test_kurtosis_error_association(self, dbq):
         from corrlab.estimators import PairedSample, spearman
-        result = run_study(dbq, 200, 1000, master_seed=6)
-        prof = moment_profile(dbq)
-        kurt = dict(zip(dbq.column_names, prof.kurtosis))
-        sums = np.array([kurt[p.column_a] + kurt[p.column_b] for p in result.pairs])
-        errs = np.array([p.mad_pearson_vs_pop_pearson for p in result.pairs])
+        pairs = run_study(dbq, 200, 1000, master_seed=6).pairs
+        sums = _kurtosis_sums(dbq, pairs)
+        errs = pairs["mad_pearson_vs_pop_pearson"]
         assoc = spearman(PairedSample(sums, errs)).value
         assert assoc > 0.3
 
     def test_sample_size_trend_keeps_sign_of_sd_differences(self, dbq):
         results = {n: run_study(dbq, n, 600, master_seed=7) for n in (25, 200, 1000)}
         for n, result in results.items():
-            for pair in result.pairs:
-                assert pair.sd_pearson > pair.sd_spearman, (n, pair.column_a,
-                                                            pair.column_b)
+            pairs = result.pairs
+            assert _pairs_where(pairs, ~(pairs["sd_pearson"] > pairs["sd_spearman"])) == [], n
         # redraws happen at the small size and are reproducible
         assert results[25].redraw_count > 0
         again = run_study(dbq, 25, 600, master_seed=7)
@@ -490,7 +484,7 @@ class TestRankPaths:
         assert study[0].redraw_count == study[1].redraw_count
         for name in ("pop_spearman", "mean_spearman", "sd_spearman",
                      "mad_spearman_vs_pop_spearman"):
-            values = [np.array([getattr(pair, name) for pair in s.pairs]) for s in study]
+            values = [s.pairs[name] for s in study]
             assert values[0].tobytes() == values[1].tobytes(), name
         eigen = [eigen_study(d, sample_size, 150, master_seed=2) for d in (dbq, mapped)]
         assert eigen[0].redraw_count == eigen[1].redraw_count
@@ -498,10 +492,69 @@ class TestRankPaths:
             assert getattr(eigen[0], name).tobytes() == getattr(eigen[1], name).tobytes(), name
 
 
+class TestPairReduction:
+    """run_study reduces only the pairs a < b; its columns keep the bits of
+    the full p x p reduction's upper triangle."""
+
+    @staticmethod
+    def _square_reduction(dataset, sample_size, n_samples, seed):
+        """The study's statistics as p x p matrices, reduced over whole
+        matrices, and the number of blocks reduced."""
+        levels, pop = resample._population(dataset, sample_size)
+        moments = _MeanSD(pop.shape)
+        abs_dev = np.zeros((len(_MATRIX_KINDS),) + pop.shape)
+        blocks = 0
+        for matrices, _ in _replicate(dataset, sample_size, n_samples, seed, levels):
+            blocks += 1
+            moments.add(matrices)
+            abs_dev += np.abs(matrices[:, :, None] - pop).sum(axis=0)
+        means, sds = moments.mean_sd()
+        stats = {}
+        for a, kind in enumerate(_MATRIX_KINDS):
+            stats.update({f"pop_{kind}": pop[a], f"mean_{kind}": means[a], f"sd_{kind}": sds[a],
+                          f"mean_{kind}_minus_pop": means[a] - pop[a]})
+            for b, pop_kind in enumerate(_MATRIX_KINDS):
+                stats[f"mad_{kind}_vs_pop_{pop_kind}"] = abs_dev[a, b] / float(n_samples)
+        return stats, blocks
+
+    # dbq draws level codes, asvab floats; each runs three blocks
+    @pytest.mark.parametrize("population, sample_size, n_samples", [
+        ("dbq", 25, 200), ("dbq", 200, 30), ("asvab", 50, 300)])
+    def test_pair_columns_equal_the_upper_triangle_bit_for_bit(
+            self, request, population, sample_size, n_samples):
+        dataset = request.getfixturevalue(population)
+        assert (_level_codes(dataset.values, sample_size) is None) == (population == "asvab")
+        stats, blocks = self._square_reduction(dataset, sample_size, n_samples, 9)
+        assert blocks >= 2
+        result = run_study(dataset, sample_size, n_samples, master_seed=9)
+        assert list(result.pairs) == list(_PAIR_COLUMNS)
+        iu, ju = np.triu_indices(dataset.n_cols, k=1)
+        assert result.pairs["column_a"] == [dataset.column_names[i] for i in iu]
+        assert result.pairs["column_b"] == [dataset.column_names[j] for j in ju]
+        upper = {name: matrix[iu, ju] for name, matrix in stats.items()}
+        for name in _PAIR_COLUMNS[2:]:
+            assert upper[name].tobytes() == result.pairs[name].tobytes(), name
+        plain_means = {f"mean_{kind}" for kind in _MATRIX_KINDS}
+        expected = [np.mean(np.abs(upper[name]) if name in plain_means else upper[name])
+                    for name in TABLE_STATISTICS]
+        assert np.array(expected).tobytes() == \
+            np.array([result.aggregates[name] for name in TABLE_STATISTICS]).tobytes()
+
+
+def _pairs_where(pairs, mask):
+    """The (column_a, column_b) names of the pairs where ``mask`` is set."""
+    return [(pairs["column_a"][i], pairs["column_b"][i]) for i in np.flatnonzero(mask)]
+
+
+def _kurtosis_sums(dataset, pairs):
+    """Each pair's sum of its two columns' kurtoses."""
+    kurt = dict(zip(dataset.column_names, moment_profile(dataset).kurtosis))
+    return np.array([kurt[a] + kurt[b] for a, b in zip(pairs["column_a"], pairs["column_b"])])
+
+
 def _study_bytes(result):
-    per_pair = [[getattr(pair, f.name) for f in fields(PairSummary)[2:]] for pair in result.pairs]
-    return (np.array(per_pair).tobytes(), np.array(list(result.aggregates.values())).tobytes(),
-            result.redraw_count)
+    return ([(name, np.asarray(column).tobytes()) for name, column in result.pairs.items()],
+            np.array(list(result.aggregates.values())).tobytes(), result.redraw_count)
 
 
 def _eigen_bytes(summary):
