@@ -20,6 +20,15 @@ matrices are the same count over all rows while the row count keeps the
 codes' exactness bounds.  Any other population is gathered as floats,
 ranked and centred, and its matrices come from ``_correlation_core``.
 
+A pass over the whole table holds at most the table, its level codes and
+one table-sized result, and does the rest in blocks of ``_BLOCK_VALUES``
+values: ``moment_profile`` reduces a few columns of a contiguous copy at a
+time, ``scale_sums`` sums row blocks, and the population matrices count
+and gather the codes a row block at a time into one stack or, for
+floats, rank the Spearman columns a few at a time into one array centred
+in place.  Each row of a reduction is summed as in one pass, so the bits
+are the same.
+
 The original survey datasets this protocol was designed around are not
 redistributable, so the module ships two deterministic synthetic
 populations with documented moment targets:
@@ -43,7 +52,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, InputError
 from .estimators import (_MATRIX_KINDS, _TINY, _centered_correlation, _correlation_core,
-                         _mid_ranks, _varies)
+                         _mid_ranks, _varies, rank_rows)
 from .randgen import MarginalSpec, RngStream, _couple, _replication_blocks, _transform
 
 __all__ = [
@@ -197,19 +206,26 @@ def moment_profile(dataset: PopulationDataset) -> MomentProfile:
     A column whose m4 overflows or whose m2^2 is below float64's normal
     range raises :class:`InputError`: its kurtosis would be inf, NaN or short of bits.
     """
-    columns = np.ascontiguousarray(dataset.values.T)  # numpy sums along rows pairwise
+    mean, m2, m3, m4 = np.empty((4, dataset.n_cols))
+    step = max(1, _BLOCK_VALUES // dataset.n_rows)
+    # finite m4 bounds |m3|: a refused column is the only one whose m3 could overflow
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
-        mean = columns.mean(axis=1)
-        centered = columns - mean[:, None]
-        squared = centered * centered  # products, not pow: ** 3 and ** 4 call pow per entry
-        m2 = squared.mean(axis=1)
-        kurt = (squared * squared).mean(axis=1) / m2 ** 2
+        for lo in range(0, dataset.n_cols, step):
+            block = slice(lo, lo + step)
+            centered = dataset.values[:, block].T.copy()  # C order: rows sum pairwise
+            mean[block] = centered.mean(axis=1)
+            centered -= mean[block, None]
+            squared = centered * centered  # products, not pow: ** 3 and ** 4 call pow per entry
+            m2[block] = squared.mean(axis=1)
+            m3[block] = (squared * centered).mean(axis=1)
+            m4[block] = (squared * squared).mean(axis=1)
+        kurt = m4 / m2 ** 2
         refused = ~((kurt < np.inf) & (m2 ** 2 >= _TINY))  # or NaN; finite m4: kurt <= n
     if refused.any():
         raise InputError(f"column {dataset.column_names[refused.argmax()]!r}: its moment sums "
                          "leave float64's normal range")
     sd = np.sqrt(m2)
-    skew = (squared * centered).mean(axis=1) / sd ** 3
+    skew = m3 / sd ** 3
     return MomentProfile(column_names=dataset.column_names, mean=mean, sd=sd,
                          skewness=skew, kurtosis=kurt)
 
@@ -222,19 +238,21 @@ def scale_sums(dataset: PopulationDataset, groups) -> PopulationDataset:
     if not groups:
         raise InputError("no scale groups given")
     index = {name: i for i, name in enumerate(dataset.column_names)}
-    columns = []
-    for scale, members in groups.items():
+    sums = np.empty((dataset.n_rows, len(groups)))
+    for column, (scale, members) in zip(sums.T, groups.items()):
         if not (isinstance(members, (list, tuple)) and members
                 and all(isinstance(m, str) for m in members)):
             raise InputError(f"scale {scale!r} must map to a non-empty list of column names")
         missing = [m for m in members if m not in index]
         if missing:
             raise InputError(f"scale {scale!r} references unknown column {missing[0]!r}")
+        items, step = [index[m] for m in members], max(1, _BLOCK_VALUES // len(members))
         with np.errstate(over="ignore"):  # refused just below
-            columns.append(dataset.values[:, [index[m] for m in members]].sum(axis=1))
-        if not np.isfinite(columns[-1]).all():
+            for lo in range(0, dataset.n_rows, step):  # row blocks: no rows x members copy
+                column[lo:lo + step] = dataset.values[lo:lo + step, items].sum(axis=1)
+        if not np.isfinite(column).all():
             raise InputError(f"scale {scale!r}: a row's sum leaves float64's range")
-    return PopulationDataset(column_names=tuple(groups), values=np.column_stack(columns))
+    return PopulationDataset(column_names=tuple(groups), values=sums)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +285,7 @@ class _LevelCodes:
     codes: np.ndarray  # (rows, cols) in the narrowest unsigned dtype
     levels: np.ndarray  # (cols, width): the value of each code, column by column
 
-    def matrices(self, tables: np.ndarray) -> list[np.ndarray]:
+    def matrices(self, tables: np.ndarray, step: int | None = None) -> list[np.ndarray]:
         """The ``_MATRIX_KINDS`` matrices of a (tables, rows, cols) stack of
         codes, bit for bit ``_correlation_core`` of the values they code.
 
@@ -275,17 +293,29 @@ class _LevelCodes:
         means from the level counts equal numpy's means; the mid-ranks are
         exact half-integers and centre on the exact (n + 1)/2, so every
         Spearman sum is exact in any order while n**3/4 < 2**53.  Both
-        stacks are gathered in the (table, row, col) layout in which
+        stacks are counted and gathered ``step`` rows at a time (all at once
+        if None) into one (table, row, col) array, the layout in which
         ``_correlation_core`` centres gathered values.
         """
         count, n, p = tables.shape
         width = self.levels.shape[1]
-        cells = tables + np.arange(0, count * p * width, width).reshape(count, 1, p)
-        counts = np.bincount(cells.ravel(), minlength=count * p * width)
+        offsets = np.arange(0, count * p * width, width).reshape(count, 1, p)
+        rows = range(0, n, step or n)
+        first = tables[:, :rows.step] + offsets  # a one-block stack indexes its cells once
+
+        def cells(lo):  # flat (table, column, level) cell of each code in the row block
+            return first if lo == 0 else tables[:, lo:lo + rows.step] + offsets
+
+        counts = sum(np.bincount(cells(lo).ravel(), minlength=count * p * width) for lo in rows)
         counts = counts.reshape(count, p, width)
         means = (counts * self.levels).sum(axis=-1, keepdims=True) / n
         centred = (self.levels - means, _mid_ranks(counts) - 0.5 * (n + 1))
-        return [_centered_correlation(np.take(t, cells).swapaxes(1, 2)) for t in centred]
+        stack, matrices = np.empty(tables.shape), []
+        for table in centred:
+            for lo in rows:  # mode "raise" would buffer the output
+                np.take(table, cells(lo), out=stack[:, lo:lo + rows.step], mode="clip")
+            matrices.append(_centered_correlation(stack.swapaxes(1, 2)))
+        return matrices
 
 
 def _level_codes(values: np.ndarray, sample_size: int) -> _LevelCodes | None:
@@ -316,19 +346,27 @@ def _level_codes(values: np.ndarray, sample_size: int) -> _LevelCodes | None:
 def _population(dataset: PopulationDataset, sample_size: int):
     """The table's :func:`_level_codes` and its ``_MATRIX_KINDS`` population
     matrices, from the codes within their exactness bounds (rows < 2**17,
-    rows * max|level| < 2**53) and from ``_correlation_core`` otherwise.  An
-    InputError names the column whose sum of squares leaves float64's normal range."""
-    values, n = dataset.values, dataset.n_rows
+    rows * max|level| < 2**53) and otherwise as ``_correlation_core`` forms
+    them, ranking a block of Spearman columns at a time.  An InputError
+    names the column whose sum of squares leaves float64's normal range."""
+    values, (n, p) = dataset.values, dataset.values.shape
     levels = _level_codes(values, sample_size) if n < 2 ** 17 else None
     if levels is not None and n * np.abs(levels.levels).max() < 2 ** 53:
-        return levels, np.concatenate(levels.matrices(levels.codes[None]))
+        step = max(1, _BLOCK_VALUES // p)  # rows; _replicate gathers each block at once
+        return levels, np.concatenate(levels.matrices(levels.codes[None], step))
     try:
-        pop = np.stack([_correlation_core(values, kind) for kind in _MATRIX_KINDS])
+        pearson = _correlation_core(values, "pearson")
+        ranks = np.empty((p, n))  # _correlation_core's Spearman columns, ranked in blocks
+        step = max(1, _BLOCK_VALUES // n)
+        for lo in range(0, p, step):
+            ranks[lo:lo + step] = rank_rows(values[:, lo:lo + step].T)[0]
+        ranks -= ranks.mean(axis=-1, keepdims=True)
+        pop = np.stack([pearson, _centered_correlation(ranks)])
     except InputError as error:
         raise InputError("the population's sum of squares of column "
                          f"{dataset.column_names[error.index[-1]]!r} leaves float64's "
                          "normal range") from None
-    if n >= 2 ** 17:  # codes after the float matrices, whose peak they would raise
+    if n >= 2 ** 17:  # codes last, so that they are never held beside the table-sized ranks
         levels = _level_codes(values, sample_size)
     return levels, pop
 
@@ -465,8 +503,9 @@ def asvab_like_population() -> PopulationDataset:
     shares = np.linspace(0.50, 0.85, n_cols)
     half_width = math.sqrt(3.0)  # standardized uniform on [-sqrt(3), sqrt(3)]
     factor = rng.uniform(-half_width, half_width, size=n_rows)
-    noise = rng.uniform(-half_width, half_width, size=(n_rows, n_cols))
-    table = np.sqrt(shares) * factor[:, None] + np.sqrt(1.0 - shares) * noise
+    table = rng.uniform(-half_width, half_width, size=(n_rows, n_cols))  # the noise
+    table *= np.sqrt(1.0 - shares)  # then + sqrt(s) * factor: addition commutes, same bits
+    table += np.sqrt(shares) * factor[:, None]
     names = tuple(f"test{i + 1:02d}" for i in range(n_cols))
     return PopulationDataset(column_names=names, values=table)
 
@@ -494,12 +533,11 @@ def dbq_like_population() -> PopulationDataset:
                        kind="stable")
     floor_mass = floor_mass[order]
 
-    columns = np.empty_like(latent)
-    for j in range(n_cols):
+    for j in range(n_cols):  # each column's values replace its latent normals
         marginal = MarginalSpec.likert(_survey_thresholds(floor_mass[j]))
-        columns[:, j] = _transform(marginal, latent[:, j])
+        latent[:, j] = _transform(marginal, latent[:, j])
     names = tuple(f"item{i + 1:02d}" for i in range(n_cols))
-    return PopulationDataset(column_names=names, values=columns)
+    return PopulationDataset(column_names=names, values=latent)
 
 
 def _survey_thresholds(floor_mass: float) -> tuple[float, ...]:

@@ -3,6 +3,7 @@
 import csv
 import math
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import fields
 from fractions import Fraction
@@ -18,7 +19,7 @@ from corrlab import estimators, resample
 from corrlab.eigen import eigen_study
 from corrlab.errors import DegenerateSampleError, InfeasibleError, InputError
 from corrlab.estimators import _correlation_core, _level_ranks, correlation_matrix
-from corrlab.randgen import CHUNK_REPS, RngStream
+from corrlab.randgen import CHUNK_REPS, MarginalSpec, RngStream, _transform
 from corrlab.resample import (_MATRIX_KINDS, _PAIR_COLUMNS, TABLE_STATISTICS, PopulationDataset,
                               _level_codes, _MeanSD, _replicate, asvab_like_population,
                               dbq_like_population, ingest_csv, moment_profile, run_study,
@@ -541,6 +542,154 @@ class TestPairReduction:
             np.array([result.aggregates[name] for name in TABLE_STATISTICS]).tobytes()
 
 
+def _one_shot_matrices(levels, tables):
+    """``_LevelCodes.matrices`` with every cell indexed and gathered at once."""
+    count, n, p = tables.shape
+    width = levels.levels.shape[1]
+    cells = tables + np.arange(0, count * p * width, width).reshape(count, 1, p)
+    counts = np.bincount(cells.ravel(), minlength=count * p * width).reshape(count, p, width)
+    means = (counts * levels.levels).sum(axis=-1, keepdims=True) / n
+    centred = (levels.levels - means, estimators._mid_ranks(counts) - 0.5 * (n + 1))
+    return [estimators._centered_correlation(np.take(t, cells).swapaxes(1, 2)) for t in centred]
+
+
+class TestBlockedPasses:
+    """The whole-table passes run in blocks of ``_BLOCK_VALUES`` values and keep
+    the bits of the one-shot formulas kept here as references."""
+
+    @staticmethod
+    def _one_shot_moments(values):
+        columns = np.ascontiguousarray(values.T)
+        mean = columns.mean(axis=1)
+        centered = columns - mean[:, None]
+        squared = centered * centered
+        m2 = squared.mean(axis=1)
+        sd = np.sqrt(m2)
+        return (mean, sd, (squared * centered).mean(axis=1) / sd ** 3,
+                (squared * squared).mean(axis=1) / m2 ** 2)
+
+    # a 9,000-row table reduces 7 columns per block; 70,000 rows reduce one
+    @pytest.mark.parametrize("shape", [(9000, 34), (9000, 7), (9000, 1), (70_000, 3)],
+                             ids=["blocks-and-remainder", "one-block", "one-column",
+                                  "column-per-block"])
+    def test_moment_profile_keeps_the_one_shot_bits(self, shape):
+        cols = shape[1]
+        assert resample._BLOCK_VALUES // 9000 == 7 and resample._BLOCK_VALUES // 70_000 == 0
+        values = np.exp(RngStream(61).generator().standard_normal(shape))
+        profile = moment_profile(PopulationDataset(tuple(f"c{j}" for j in range(cols)), values))
+        expected = self._one_shot_moments(values)
+        got = (profile.mean, profile.sd, profile.skewness, profile.kurtosis)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    @pytest.mark.parametrize("refused, named", [((16, 30), "item17"), ((33,), "item34")])
+    def test_a_refusal_in_a_later_block_names_the_first_refused_column(self, dbq, refused,
+                                                                       named):
+        values = dbq.values.copy()
+        values[:2, refused[0]] = [1e100, -1e100]  # m4 overflows
+        values[:, refused[1:]] *= 1e-100  # m2**2 underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"column '{named}'.*normal range"):
+                moment_profile(PopulationDataset(dbq.column_names, values))
+
+    # dbq gathers its codes in five row blocks, survey in one; the 2**17 + 1-row
+    # tables take the float matrices, asvab's ranks two blocks of five columns
+    @pytest.mark.parametrize("population, sample_size", [
+        ("dbq", 200), ("survey", 25), ("asvab", 200), ("long-integers", 5), ("long-floats", 5)])
+    def test_population_keeps_the_one_shot_bits(self, request, population, sample_size):
+        if population.startswith("long"):
+            rng = RngStream(62).generator()
+            values = rng.integers(0, 4, (2 ** 17 + 1, 3)).astype(float)
+            if population == "long-floats":
+                values += rng.standard_normal(values.shape)
+            dataset = PopulationDataset(("a", "b", "c"), values)
+        else:
+            dataset = request.getfixturevalue(population)
+        codes = _level_codes(dataset.values, sample_size)
+        levels, pop = resample._population(dataset, sample_size)
+        if population in ("dbq", "survey"):
+            expected = np.concatenate(_one_shot_matrices(codes, codes.codes[None]))
+        else:
+            expected = np.stack([_correlation_core(dataset.values, kind)
+                                 for kind in _MATRIX_KINDS])
+        assert pop.tobytes() == expected.tobytes()
+        floats = population in ("asvab", "long-floats")
+        assert (codes is None) == (levels is None) == floats
+        if not floats:
+            assert levels.codes.tobytes() == codes.codes.tobytes()
+
+    @pytest.mark.parametrize("step", [1, 7, 199, 200, None])
+    def test_level_matrices_keep_their_bits_in_any_row_blocks(self, dbq, step):
+        levels = _level_codes(dbq.values, 200)
+        tables = levels.codes[RngStream(63).generator().integers(0, dbq.n_rows, (5, 200))]
+        assert [m.tobytes() for m in levels.matrices(tables, step)] == \
+            [m.tobytes() for m in _one_shot_matrices(levels, tables)]
+
+    def test_synthetic_populations_keep_their_values(self, dbq, asvab):
+        rng = RngStream(resample.ASVAB_LIKE_SEED).generator()
+        shares, half_width = np.linspace(0.50, 0.85, 10), math.sqrt(3.0)
+        factor = rng.uniform(-half_width, half_width, size=12000)
+        noise = rng.uniform(-half_width, half_width, size=(12000, 10))
+        table = np.sqrt(shares) * factor[:, None] + np.sqrt(1.0 - shares) * noise
+        assert asvab.values.tobytes() == table.tobytes()
+        rng = RngStream(resample.DBQ_LIKE_SEED).generator()
+        loadings = np.linspace(0.45, 0.75, 34)
+        factor = rng.standard_normal(9000)
+        latent = loadings * factor[:, None] + np.sqrt(1.0 - loadings ** 2) * \
+            rng.standard_normal((9000, 34))
+        floor_mass = np.linspace(0.50, 0.95, 34)[
+            np.argsort(np.tile([0, 2, 1, 3], 9)[:34], kind="stable")]
+        columns = np.empty_like(latent)
+        for j in range(34):
+            marginal = MarginalSpec.likert(resample._survey_thresholds(floor_mass[j]))
+            columns[:, j] = _transform(marginal, latent[:, j])
+        assert dbq.values.tobytes() == columns.tobytes()
+
+    @pytest.mark.parametrize("members", [1, 10, 34])
+    def test_scale_sums_keep_the_one_shot_bits(self, members):
+        # 34 members sum in blocks of 1,927 rows, 10 in blocks of 6,553
+        values = RngStream(64).generator().standard_normal((9000, 34))
+        dataset = PopulationDataset(tuple(f"c{j}" for j in range(34)), values)
+        groups = {f"s{k}": [f"c{(k + 3 * j) % 34}" for j in range(members)] for k in range(3)}
+        expected = np.column_stack([values[:, [(k + 3 * j) % 34 for j in range(members)]]
+                                    .sum(axis=1) for k in range(3)])
+        assert scale_sums(dataset, groups).values.tobytes() == expected.tobytes()
+
+
+class TestPeakMemory:
+    """The whole-table passes hold at most the table, its level codes and
+    one table-sized result beside block-sized temporaries."""
+
+    TABLES = {"floats": lambda rng: rng.standard_normal((200_000, 20)),
+              "integers": lambda rng: rng.integers(1, 7, (100_000, 34)).astype(float)}
+
+    @pytest.fixture(scope="class", params=list(TABLES))
+    def table(self, request):
+        values = self.TABLES[request.param](RngStream(65).generator())
+        return PopulationDataset(tuple(f"c{j}" for j in range(values.shape[1])), values)
+
+    @staticmethod
+    def _peak_above_start(fn, *args):
+        """The traced peak, in bytes, above what was held when ``fn`` started;
+        numpy reports its buffers to tracemalloc."""
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    def test_moment_profile(self, table):
+        assert self._peak_above_start(moment_profile, table) <= 0.1 * table.values.nbytes + 4e6
+
+    def test_population(self, table):
+        floats = table.n_cols == 20
+        assert (_level_codes(table.values, 200) is None) == floats
+        peak = self._peak_above_start(resample._population, table, 200)
+        assert peak <= 1.25 * table.values.nbytes + 4e6
+
+
 def _pairs_where(pairs, mask):
     """The (column_a, column_b) names of the pairs where ``mask`` is set."""
     return [(pairs["column_a"][i], pairs["column_b"][i]) for i in np.flatnonzero(mask)]
@@ -661,7 +810,8 @@ class TestLevelCodes:
         expected = np.stack([correlation_matrix(dataset, kind) for kind in _MATRIX_KINDS])
         pop, core_calls = self._population_and_core_calls(monkeypatch, dataset, sample_size)
         assert pop.tobytes() == expected.tobytes()
-        assert core_calls == (0 if from_codes else len(_MATRIX_KINDS))
+        # floats: the core gives Pearson; _population ranks and centres the Spearman columns
+        assert core_calls == (0 if from_codes else 1)
 
     @pytest.mark.parametrize("study", [run_study, eigen_study])
     def test_level_codes_run_once_per_study(self, dbq, monkeypatch, study):
