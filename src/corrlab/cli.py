@@ -73,6 +73,13 @@ def _seed(text):
     return seed
 
 
+def _threads(text):
+    threads = int(text)
+    if threads < 1:
+        raise UsageError(f"threads must be at least 1, got {threads}")
+    return threads
+
+
 def _scale(text):
     if text not in _SCALE_DEFAULTS:
         raise UsageError(f"scale must be desk or paper, got {text!r}")
@@ -138,7 +145,7 @@ COMMON = {
     "seed": (_seed, 0, "non-negative master seed"),
     "out-dir": (str, None, f"output directory [default: ${ENV_OUT_DIR} or ./{DEFAULT_OUT_DIR}]"),
     "scale": (_scale, "desk", "replication scale preset: desk or paper"),
-    "threads": (int, None, "worker threads; never changes results [default: cpu count]"),
+    "threads": (_threads, None, "worker threads; never changes results [default: cpu count]"),
 }
 
 _SCALE_DEFAULTS = {
@@ -289,16 +296,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     params = {key: resolve(key, _SCALE_DEFAULTS[scale].get((subcommand, key), default))
               for key, (_, default, _help) in keys.items()}
     return RunConfig(subcommand=subcommand, params=params, seed=seed,
-                     out_dir=out_dir, scale=scale, threads=max(1, threads))
+                     out_dir=out_dir, scale=scale, threads=threads)
 
 
 # ---------------------------------------------------------------------------
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _csv_text(header, columns, cfg_hash: str):
+def _csv_text(table: dict, cfg_hash: str):
     """The texts of one CSV artifact in write order: the config line and the
-    header, then the rows, ``_RENDER_ROWS`` at a time.
+    header of ``table``'s keys, then the rows of its columns, ``_RENDER_ROWS``
+    at a time.
 
     A column is a float array, written as the shortest round-trip repr of
     each value; a function from an array of row indices to those rows'
@@ -306,13 +314,13 @@ def _csv_text(header, columns, cfg_hash: str):
     (text, ints and Python floats, whose str is their repr).  At least one
     column is not a function.
     """
-    yield f"# config {cfg_hash}\n{','.join(header)}\n"
-    size = len(next(c for c in columns if not callable(c)))
+    yield f"# config {cfg_hash}\n{','.join(table)}\n"
+    size = len(next(c for c in table.values() if not callable(c)))
     for lo in range(0, size, _RENDER_ROWS):
         hi = min(lo + _RENDER_ROWS, size)
         texts = [_reprs(np.asarray(c(np.arange(lo, hi)), dtype=float)) if callable(c) else
                  _reprs(c[lo:hi]) if isinstance(c, np.ndarray) else map(str, c[lo:hi])
-                 for c in columns]
+                 for c in table.values()]
         yield "\n".join(map(",".join, zip(*texts))) + "\n"
 
 
@@ -432,7 +440,8 @@ def _dataset_for(params: dict):
 
 # ---------------------------------------------------------------------------
 # Subcommand runners: each returns its artifacts plus stdout lines; a .csv
-# artifact is (header, columns) for _csv_text, a .json artifact is its payload
+# artifact is a dict of columns whose keys _csv_text writes as the header, a
+# .json artifact is its payload
 # ---------------------------------------------------------------------------
 
 def _run_convert(cfg: RunConfig):
@@ -470,12 +479,11 @@ def _run_density(cfg: RunConfig):
             area = float(np.trapezoid(curve.density, curve.grid))
             stem = f"{label}_n{n}"
             grid_texts = grid_texts or _reprs(curve.grid)
-            artifacts[f"density_{stem}.csv"] = (("r", "density"), (grid_texts, curve.density))
+            artifacts[f"density_{stem}.csv"] = {"r": grid_texts, "density": curve.density}
             entry = {"pearson": rho, "n": n, "area": area}
             if params["mc-reps"] > 0:
-                artifacts[f"histogram_{stem}.csv"] = (
-                    ("bin_center", "fraction_pearson", "fraction_spearman", "fraction_exact"),
-                    _density_histogram(rho, n, params["mc-reps"], cfg.seed))
+                artifacts[f"histogram_{stem}.csv"] = _density_histogram(
+                    rho, n, params["mc-reps"], cfg.seed)
                 entry["mc_reps"] = params["mc-reps"]
             summary.append(entry)
             lines.append(f"density {stem}: area={area:.6f}")
@@ -494,7 +502,8 @@ def _density_histogram(rho: float, n: int, reps: int, seed: int):
         counts[0] += np.histogram(_pearson_rows(x, y), bins=edges)[0]  # rows vary
         counts[1] += np.histogram(spearman_rows(x, y), bins=edges)[0]
     frac_p, frac_s = counts / reps
-    return centers, frac_p, frac_s, _exact_bin_fractions(rho, n, edges)
+    return {"bin_center": centers, "fraction_pearson": frac_p, "fraction_spearman": frac_s,
+            "fraction_exact": _exact_bin_fractions(rho, n, edges)}
 
 
 def _exact_bin_fractions(rho: float, n: int, edges: np.ndarray) -> np.ndarray:
@@ -508,12 +517,9 @@ def _exact_bin_fractions(rho: float, n: int, edges: np.ndarray) -> np.ndarray:
 
 def _run_moments(cfg: RunConfig):
     dataset = _dataset_for(cfg.params)
-    profile = resample.moment_profile(dataset)
-    columns = (profile.column_names, profile.mean, profile.sd, profile.skewness,
-               profile.kurtosis)
     lines = [f"profiled {dataset.n_cols} columns over {dataset.n_rows} rows "
              f"({dataset.dropped_rows} rows dropped)"]
-    return {"moments.csv": (("column", "mean", "sd", "skewness", "kurtosis"), columns)}, lines
+    return {"moments.csv": resample.moment_profile(dataset)}, lines
 
 
 def _run_simulate(cfg: RunConfig):
@@ -549,20 +555,20 @@ def _run_simulate(cfg: RunConfig):
 
     artifacts = {}
     lines = []
-    all_rows = []
+    summary = {name: [] for name in simulate.SUMMARY_COLUMNS}
     for cond_index, marginal in enumerate(marginals):
         population = _population_for(marginal, params["pearson"],
                                      params["calibration-n"], cfg.out_dir)
-        rows = simulate.run_plan(plan, population, threads=cfg.threads,
-                                 stream=RngStream(cfg.seed).child(cond_index))
-        all_rows.extend(rows)
-        lines.append(f"condition {population.label}: {len(rows)} summary rows")
+        table = simulate.run_plan(plan, population, threads=cfg.threads,
+                                  stream=RngStream(cfg.seed).child(cond_index))
+        for name, column in summary.items():
+            column += table[name]
+        lines.append(f"condition {population.label}: {len(table['n'])} summary rows")
         if params["emit-sample"] > 0 and cond_index == 0:
             sample = sample_population(population, params["emit-sample"],
                                        RngStream(cfg.seed).child(cond_index, 2 ** 20))
-            artifacts["depiction_sample.csv"] = (("x", "y"), (sample.x, sample.y))
-    artifacts["simulation_summary.csv"] = (simulate.SUMMARY_COLUMNS,
-                                           tuple(zip(*(r.row() for r in all_rows))))
+            artifacts["depiction_sample.csv"] = {"x": sample.x, "y": sample.y}
+    artifacts["simulation_summary.csv"] = summary
     return artifacts, lines
 
 
@@ -580,8 +586,9 @@ def _run_influence(cfg: RunConfig):
 
     k = grid.axis.size
     # row r is the cell (axis[r // k], axis[r % k]); no k*k-long x or y column is formed
-    columns = (lambda r: grid.axis[r // k], lambda r: grid.axis[r % k],
-               grid.delta_pearson.ravel(), grid.delta_spearman.ravel())
+    table = {"x": lambda r: grid.axis[r // k], "y": lambda r: grid.axis[r % k],
+             "delta_pearson": grid.delta_pearson.ravel(),
+             "delta_spearman": grid.delta_spearman.ravel()}
     summary = {
         "base_pearson": grid.base_pearson,
         "base_spearman": grid.base_spearman,
@@ -597,8 +604,7 @@ def _run_influence(cfg: RunConfig):
     }
     lines = [f"influence grid {k}x{k}: base pearson {grid.base_pearson:+.4f}, "
              f"base spearman {grid.base_spearman:+.4f}"]
-    return {"influence_grid.csv": (("x", "y", "delta_pearson", "delta_spearman"), columns),
-            "influence_summary.json": summary}, lines
+    return {"influence_grid.csv": table, "influence_summary.json": summary}, lines
 
 
 def _load_groups(path: str) -> dict:
@@ -623,10 +629,9 @@ def _run_resample(cfg: RunConfig):
                "redraw_count": result.redraw_count, "n_pairs": len(result.pairs["column_a"])}
     lines = [f"{result.n_samples} samples of {result.sample_size} rows, "
              f"{summary['n_pairs']} pairs, {result.redraw_count} redraws"]
-    stats = resample.TABLE_STATISTICS
-    return {"resample_pairs.csv": (tuple(result.pairs), tuple(result.pairs.values())),
-            "resample_table.csv": (("statistic", "value"),
-                                   (stats, [result.aggregates[stat] for stat in stats])),
+    return {"resample_pairs.csv": result.pairs,
+            "resample_table.csv": {"statistic": tuple(result.aggregates),
+                                   "value": list(result.aggregates.values())},
             "resample_summary.json": summary}, lines
 
 
@@ -635,16 +640,11 @@ def _run_eigen(cfg: RunConfig):
     dataset = _dataset_for(params)
     summary = eigenmod.eigen_study(dataset, params["sample-size"], params["reps"],
                                    k=params["top"], master_seed=cfg.seed)
-    names = ("mean_pearson", "sd_pearson", "mean_spearman", "sd_spearman",
-             "population_pearson", "population_spearman")
-    columns = (range(1, summary.k + 1), *(getattr(summary, name) for name in names))
     meta = {"sample_size": summary.sample_size, "n_samples": summary.n_samples,
-            "redraw_count": summary.redraw_count,
-            "max_trace_error": summary.max_trace_error}
+            "redraw_count": summary.redraw_count, "max_trace_error": summary.max_trace_error}
     lines = [f"top {summary.k} eigenvalues over {summary.n_samples} samples "
              f"(max trace error {summary.max_trace_error:.2e})"]
-    return {"eigen_table.csv": (("eigenvalue", *names), columns),
-            "eigen_summary.json": meta}, lines
+    return {"eigen_table.csv": summary.table, "eigen_summary.json": meta}, lines
 
 
 _RUNNERS = {
@@ -665,7 +665,7 @@ def dispatch(cfg: RunConfig) -> int:
     cfg_hash = cfg.hash()
     _commit_artifacts(cfg.out_dir, {
         name: [_json_text(body, cfg_hash)] if name.endswith(".json")
-        else _csv_text(*body, cfg_hash)
+        else _csv_text(body, cfg_hash)
         for name, body in artifacts.items()})
     for line in lines:
         print(line)

@@ -33,17 +33,14 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSummary:
-    """Leading-eigenvalue stability of resampled correlation matrices."""
+    """Leading-eigenvalue stability of resampled correlation matrices; ``table``
+    holds the k rows of ``eigen_table.csv`` as its columns: each eigenvalue's
+    rank from 1, its mean and SD per matrix kind, then its population values."""
 
     k: int
     sample_size: int
     n_samples: int
-    mean_pearson: np.ndarray
-    sd_pearson: np.ndarray
-    mean_spearman: np.ndarray
-    sd_spearman: np.ndarray
-    population_pearson: np.ndarray
-    population_spearman: np.ndarray
+    table: dict[str, list[int] | np.ndarray]
     redraw_count: int
     max_trace_error: float
 
@@ -73,9 +70,9 @@ def eigen_study(dataset: PopulationDataset, sample_size: int, n_samples: int,
         max_trace_err = max(max_trace_err, float(np.abs(eig.sum(axis=-1) - p).max()))
         top.add(eig[..., :k])
     means, sds = top.mean_sd()
-    columns = {}
+    table = {"eigenvalue": list(range(1, k + 1))}
     for a, kind in enumerate(_MATRIX_KINDS):
-        columns.update({f"mean_{kind}": means[a], f"sd_{kind}": sds[a],
-                        f"population_{kind}": pop_eig[kind]})
-    return EigenSummary(k=k, sample_size=sample_size, n_samples=n_samples,
-                        redraw_count=redraws, max_trace_error=max_trace_err, **columns)
+        table.update({f"mean_{kind}": means[a], f"sd_{kind}": sds[a]})
+    table.update({f"population_{kind}": pop_eig[kind] for kind in _MATRIX_KINDS})
+    return EigenSummary(k=k, sample_size=sample_size, n_samples=n_samples, table=table,
+                        redraw_count=redraws, max_trace_error=max_trace_err)

@@ -57,7 +57,6 @@ from .randgen import MarginalSpec, RngStream, _couple, _replication_blocks, _tra
 
 __all__ = [
     "PopulationDataset",
-    "MomentProfile",
     "StudyResult",
     "ingest_csv",
     "moment_profile",
@@ -189,19 +188,10 @@ def _parsed_or_nan(record):
         return [math.nan] * len(record)
 
 
-@dataclass(frozen=True)
-class MomentProfile:
-    """Per-column population moments (divide-by-n central moments)."""
-
-    column_names: tuple[str, ...]
-    mean: np.ndarray
-    sd: np.ndarray
-    skewness: np.ndarray
-    kurtosis: np.ndarray
-
-
-def moment_profile(dataset: PopulationDataset) -> MomentProfile:
-    """Mean, SD, skewness (m3/sd^3), and kurtosis (m4/m2^2) per column.
+def moment_profile(dataset: PopulationDataset) -> dict:
+    """Per-column population moments (divide-by-n central moments) as the
+    columns of ``moments.csv``: ``column`` (the names), then ``mean``,
+    ``sd``, ``skewness`` (m3/sd^3) and ``kurtosis`` (m4/m2^2), float arrays.
 
     A column whose m4 overflows or whose m2^2 is below float64's normal
     range raises :class:`InputError`: its kurtosis would be inf, NaN or short of bits.
@@ -226,8 +216,8 @@ def moment_profile(dataset: PopulationDataset) -> MomentProfile:
                          "leave float64's normal range")
     sd = np.sqrt(m2)
     skew = m3 / sd ** 3
-    return MomentProfile(column_names=dataset.column_names, mean=mean, sd=sd,
-                         skewness=skew, kurtosis=kurt)
+    return {"column": dataset.column_names, "mean": mean, "sd": sd, "skewness": skew,
+            "kurtosis": kurt}
 
 
 def scale_sums(dataset: PopulationDataset, groups) -> PopulationDataset:

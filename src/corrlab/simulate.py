@@ -2,13 +2,13 @@
 
 A :class:`SimulationPlan` names a list of sample sizes, the
 coefficients to estimate, and a replication count; :func:`run_plan` runs
-it against one population.  Each (size, coefficient) cell yields a
-:class:`SummaryStats` row.  Cell c draws through the chunk layout of
-:mod:`corrlab.randgen` under path (c,), so results do not depend on how
-cells are scheduled.  A sweep keeps every replication in one
-(coefficient, cell, replication) array and takes each statistic once per
-coefficient over all cells; a cell's row has the same bits as the cell
-summarised alone.
+it against one population and returns its summary table as columns.
+Each (size, coefficient) cell yields one row of that table.  Cell c
+draws through the chunk layout of :mod:`corrlab.randgen` under path
+(c,), so results do not depend on how cells are scheduled.  A sweep
+keeps every replication in one (coefficient, cell, replication) array
+and takes each statistic once per coefficient over all cells; a cell's
+row has the same bits as the cell summarised alone.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .errors import InfeasibleError, InputError
 from .estimators import KINDS, _pearson_rows, _varies, kendall_rows, spearman_rows
 from .randgen import PopulationSpec, RngStream, _pairs, _replication_blocks
 
-__all__ = ["SimulationPlan", "SummaryStats", "logspace_sizes", "replication_chunks",
-           "run_plan", "SUMMARY_COLUMNS"]
+__all__ = ["SimulationPlan", "logspace_sizes", "replication_chunks", "run_plan",
+           "SUMMARY_COLUMNS"]
 
 MAX_REDRAW_RATE = 0.5
 
@@ -74,28 +74,6 @@ class SimulationPlan:
         object.__setattr__(self, "coefficients", kinds)
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    """Per-cell Monte Carlo summary of one coefficient's sampling distribution."""
-
-    condition: str
-    kind: str
-    n: int
-    mean: float
-    sd: float | None  # absent (not zero) when only one replication ran
-    p5: float
-    p95: float
-    bias: float
-    rmse: float
-    population_value: float
-    redraw_count: int = 0
-
-    def row(self) -> tuple:
-        sd = "" if self.sd is None else self.sd
-        return (self.condition, self.kind, self.n, self.mean, sd, self.p5,
-                self.p95, self.bias, self.rmse, self.redraw_count)
-
-
 def replication_chunks(population: PopulationSpec, n: int, reps: int,
                        stream: RngStream):
     """Yield (x, y, redraws) for successive chunks of ``CHUNK_REPS`` rows, drawn
@@ -131,39 +109,45 @@ def _cell_values(plan: SimulationPlan, population: PopulationSpec, n: int,
 
 
 def _summarize(plan: SimulationPlan, population: PopulationSpec, values: np.ndarray,
-               redraws) -> list[SummaryStats]:
-    """One row per (coefficient, size), coefficient-major, from ``values[kind, cell, rep]``.
+               redraws) -> dict:
+    """The ``SUMMARY_COLUMNS`` of ``values[kind, cell, rep]``, one row per
+    (size, coefficient) sorted by (n, kind); a cell's ``sd`` is ``""`` when
+    only one replication ran.
 
     Each statistic is one call per kind over every cell.  numpy reduces,
     partitions and interpolates each row of a C-contiguous 2-d array as it
     would the row alone, so a cell's row does not depend on the others.
     """
-    rows = []
-    for kind, v in zip(plan.coefficients, values):
+    kinds, sizes = plan.coefficients, plan.sample_sizes
+    stats = []  # per kind: column -> per-cell values
+    for kind, v in zip(kinds, values):
         population_value = population.population_value(kind)
-        mean = v.mean(axis=1).tolist()
-        sd = v.std(axis=1, ddof=1).tolist() if v.shape[1] > 1 else [None] * len(v)
-        p5, p95 = np.percentile(v, [5.0, 95.0], axis=1).tolist()  # type-7 linear interpolation
-        rmse = np.sqrt(np.mean((v - population_value) ** 2, axis=1)).tolist()
-        rows += [SummaryStats(condition=population.label, kind=kind, n=n, mean=mean[c], sd=sd[c],
-                              p5=p5[c], p95=p95[c], bias=mean[c] - population_value,
-                              rmse=rmse[c], population_value=population_value,
-                              redraw_count=redraws[c])
-                 for c, n in enumerate(plan.sample_sizes)]
-    return rows
+        mean = v.mean(axis=1)
+        p5, p95 = np.percentile(v, [5.0, 95.0], axis=1)  # type-7 linear interpolation
+        stats.append({
+            "condition": [population.label] * len(sizes), "kind": [kind] * len(sizes),
+            "n": sizes, "mean": mean.tolist(),
+            "sd": v.std(axis=1, ddof=1).tolist() if v.shape[1] > 1 else [""] * len(sizes),
+            "p5": p5.tolist(), "p95": p95.tolist(), "bias": (mean - population_value).tolist(),
+            "rmse": np.sqrt(np.mean((v - population_value) ** 2, axis=1)).tolist(),
+            "redraw_count": redraws})
+    # stable: cells of equal (n, kind) stay coefficient-major
+    cells = sorted(((k, c) for k in range(len(kinds)) for c in range(len(sizes))),
+                   key=lambda kc: (sizes[kc[1]], kinds[kc[0]]))
+    return {name: [stats[k][name][c] for k, c in cells] for name in SUMMARY_COLUMNS}
 
 
 def run_plan(plan: SimulationPlan, population: PopulationSpec, threads: int = 1,
-             stream: RngStream = RngStream(0)) -> list[SummaryStats]:
-    """Run every cell of the plan against ``population``; one row per
-    (size, coefficient), its condition the population's label.
+             stream: RngStream = RngStream(0)) -> dict:
+    """Run every cell of the plan against ``population``; return the summary
+    table as a dict of ``SUMMARY_COLUMNS``, one row per (size, coefficient)
+    in (n, kind) order, its condition the population's label.
 
     Cells are independent streams, so the result is identical for any
-    thread count; rows come back sorted by (n, kind).  Cell i draws under
-    ``stream.child(i)``, so a caller running one plan against several
-    populations gives each its own root stream.  Every cell fills its slice
-    of one (kind, cell, replication) array, and the summaries are taken over
-    all cells at once.
+    thread count.  Cell i draws under ``stream.child(i)``, so a caller
+    running one plan against several populations gives each its own root
+    stream.  Every cell fills its slice of one (kind, cell, replication)
+    array, and the summaries are taken over all cells at once.
     """
     sizes = plan.sample_sizes
     values = np.empty((len(plan.coefficients), len(sizes), plan.replications))
@@ -177,6 +161,4 @@ def run_plan(plan: SimulationPlan, population: PopulationSpec, threads: int = 1,
             redraws = list(pool.map(one, range(len(sizes))))
     else:
         redraws = [one(i) for i in range(len(sizes))]
-    rows = _summarize(plan, population, values, redraws)
-    rows.sort(key=lambda r: (r.n, r.kind))
-    return rows
+    return _summarize(plan, population, values, redraws)

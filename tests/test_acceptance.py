@@ -42,8 +42,10 @@ def run_condition(population, target, sizes, kinds, stream):
     ``stream.child(i)``."""
     plan = SimulationPlan(sizes, replications=REPS, coefficients=kinds)
     cells = {}
-    for row in run_plan(plan, population, threads=2, stream=stream):
-        cells.setdefault((target, row.n), {})[row.kind] = row
+    table = run_plan(plan, population, threads=2, stream=stream)
+    for values in zip(*table.values()):
+        row = dict(zip(table, values))
+        cells.setdefault((target, row["n"]), {})[row["kind"]] = row
     return cells
 
 
@@ -136,7 +138,7 @@ def test_criterion_04_normal_condition_variability_ratios(normal_cells):
     for rho, (lo, hi) in bands.items():
         for n in sizes[rho]:
             cell = normal_cells[(rho, n)]
-            ratio = cell["spearman"].sd / cell["pearson"].sd
+            ratio = cell["spearman"]["sd"] / cell["pearson"]["sd"]
             checks.append((f"rho={rho} n={n}: sd ratio {ratio:.4f} in [{lo},{hi}]",
                            lo <= ratio <= hi))
     finish(4, "normal-condition variability ratios", checks)
@@ -148,7 +150,7 @@ def test_criterion_05_exponential_condition_ratios(exponential_cells):
     checks = []
     for rho, n, want, tol in targets:
         cell = exponential_cells[(rho, n)]
-        ratio = cell["pearson"].sd / cell["spearman"].sd
+        ratio = cell["pearson"]["sd"] / cell["spearman"]["sd"]
         checks.append(
             (f"target={rho} n={n}: sd ratio {ratio:.4f}~{want}+-{tol}",
              abs(ratio - want) <= tol))
@@ -158,8 +160,8 @@ def test_criterion_05_exponential_condition_ratios(exponential_cells):
 def test_criterion_06_sqrt_n_law(normal_cells):
     checks = []
     for kind in ("pearson", "spearman"):
-        ratio = (normal_cells[(0.2, 200)][kind].sd
-                 / normal_cells[(0.2, 100)][kind].sd)
+        ratio = (normal_cells[(0.2, 200)][kind]["sd"]
+                 / normal_cells[(0.2, 100)][kind]["sd"])
         checks.append((f"{kind}: sd(200)/sd(100)={ratio:.3f}~.71",
                        abs(ratio - 0.71) <= 0.03))
     finish(6, "sqrt-n variability law", checks)
@@ -190,7 +192,7 @@ def test_criterion_08_distinct_spearman_values():
 def test_criterion_09_resampling_study_directions():
     checks = []
     dbq = dbq_like_population()
-    kurt = moment_profile(dbq).kurtosis
+    kurt = moment_profile(dbq)["kurtosis"]
     checks.append((f"dbq-like min kurtosis {kurt.min():.2f}>3", kurt.min() > 3.0))
     study = run_study(dbq, sample_size=200, n_samples=10000, master_seed=1)
     mad_s = study.aggregates["mad_spearman_vs_pop_pearson"]
@@ -209,10 +211,9 @@ def test_criterion_09_resampling_study_directions():
 def test_criterion_10_eigenvalue_stability():
     summary = eigen_study(dbq_like_population(), sample_size=200, n_samples=5000,
                           k=6, master_seed=1)
+    sd_p, sd_s = summary.table["sd_pearson"][0], summary.table["sd_spearman"][0]
     checks = [
-        (f"sd(eig1): pearson {summary.sd_pearson[0]:.3f} > "
-         f"spearman {summary.sd_spearman[0]:.3f}",
-         summary.sd_pearson[0] > summary.sd_spearman[0]),
+        (f"sd(eig1): pearson {sd_p:.3f} > spearman {sd_s:.3f}", sd_p > sd_s),
         (f"max trace error {summary.max_trace_error:.2e}<=1e-8",
          summary.max_trace_error <= 1e-8),
     ]
@@ -221,7 +222,7 @@ def test_criterion_10_eigenvalue_stability():
 
 def test_criterion_11_kendall_convergence(normal_cells):
     want = kendall_from_pearson(0.2)
-    got = normal_cells[(0.2, 1000)]["kendall"].mean
+    got = normal_cells[(0.2, 1000)]["kendall"]["mean"]
     finish(11, "kendall convergence",
            [(f"mean kendall at n=1000: {got:.4f}~{want:.4f}+-.005",
              abs(got - want) <= 0.005)])

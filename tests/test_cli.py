@@ -115,6 +115,15 @@ class TestParsing:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        argv = ["simulate", "--sizes", "5", "--reps", "3", "--threads", threads]
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: threads must be at least 1, got {threads}")
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_negative_seed_in_config_file_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": "5", "mc-reps": 10, "seed": -2}))
@@ -249,9 +258,9 @@ def _float_columns(draw):
 
 def _rows_text(*columns):
     """The rows that ``_csv_text`` writes for these columns, after its two header lines."""
-    header = [f"c{i}" for i in range(len(columns))]
-    texts = list(cli._csv_text(header, columns, "0123456789ab"))
-    assert texts[0] == f"# config 0123456789ab\n{','.join(header)}\n"
+    table = {f"c{i}": column for i, column in enumerate(columns)}
+    texts = list(cli._csv_text(table, "0123456789ab"))
+    assert texts[0] == f"# config 0123456789ab\n{','.join(table)}\n"
     return "".join(texts[1:])
 
 
@@ -953,16 +962,16 @@ class TestPublicNames:
             "spearman_from_kendall", "spearman_from_pearson", "spearman_interval",
             "MarginalSpec", "PopulationSpec", "RngStream", "calibrate_copula",
             "sample_bivariate_normal", "sample_population",
-            "SimulationPlan", "SummaryStats", "logspace_sizes", "run_plan",
+            "SimulationPlan", "logspace_sizes", "run_plan",
             "AxisSpec", "InfluenceGrid", "delta_width", "exceedance_fraction",
             "scan_double", "scan_single",
-            "MomentProfile", "PopulationDataset", "StudyResult",
+            "PopulationDataset", "StudyResult",
             "asvab_like_population", "dbq_like_population", "ingest_csv",
             "moment_profile", "run_study", "scale_sums",
             "EigenSummary", "eigen_study", "symmetric_eigenvalues",
             "__version__",
         ]
-        assert len(earlier) == 55
+        assert len(earlier) == 53
         assert set(earlier) - set(corrlab.__all__) == set()
 
 

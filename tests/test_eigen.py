@@ -99,16 +99,16 @@ class TestEigenStudy:
         summary = eigen_study(independent_columns, sample_size=100, n_samples=400,
                               k=3, master_seed=1)
         # sampling noise pushes the top eigenvalue above 1
-        assert 1.0 < summary.mean_pearson[0] < 2.0
+        assert 1.0 < summary.table["mean_pearson"][0] < 2.0
         # and both matrix kinds are about equally stable for normal data
-        ratio = summary.sd_pearson[0] / summary.sd_spearman[0]
+        ratio = summary.table["sd_pearson"][0] / summary.table["sd_spearman"][0]
         assert 0.85 < ratio < 1.18
 
     def test_full_spectrum_traces_match_dimension(self, independent_columns):
         summary = eigen_study(independent_columns, sample_size=60, n_samples=50,
                               k=8, master_seed=2)
         assert summary.max_trace_error < 1e-8
-        assert summary.mean_pearson.sum() == pytest.approx(8.0, abs=1e-8)
+        assert summary.table["mean_pearson"].sum() == pytest.approx(8.0, abs=1e-8)
 
     def test_rank_transformed_dataset_identity(self):
         rng = RngStream(82).generator()
@@ -123,13 +123,13 @@ class TestEigenStudy:
     def test_dbq_like_pearson_eigenvalues_more_variable(self):
         summary = eigen_study(dbq_like_population(), sample_size=200, n_samples=500,
                               k=6, master_seed=3)
-        assert summary.sd_pearson[0] > summary.sd_spearman[0]
+        assert summary.table["sd_pearson"][0] > summary.table["sd_spearman"][0]
 
     def test_deterministic(self, independent_columns):
         a = eigen_study(independent_columns, 50, 40, k=2, master_seed=4)
         b = eigen_study(independent_columns, 50, 40, k=2, master_seed=4)
-        np.testing.assert_array_equal(a.mean_pearson, b.mean_pearson)
-        np.testing.assert_array_equal(a.sd_spearman, b.sd_spearman)
+        np.testing.assert_array_equal(a.table["mean_pearson"], b.table["mean_pearson"])
+        np.testing.assert_array_equal(a.table["sd_spearman"], b.table["sd_spearman"])
 
     def test_validation(self, independent_columns):
         with pytest.raises(InputError):

@@ -1030,10 +1030,10 @@ class TestPowerOfTwoScaling:
         assert (got is None) == (max(abs(kx), abs(ky)) >= 256)  # m4 overflows or m2**2 underflows
         if got is not None:
             expected = moment_profile(PopulationDataset(names, table))
-            assert np.array_equal(got.mean, expected.mean * scale)
-            assert np.array_equal(got.sd, expected.sd * scale)
-            assert np.array_equal(got.skewness, expected.skewness)
-            assert np.array_equal(got.kurtosis, expected.kurtosis)
+            assert np.array_equal(got["mean"], expected["mean"] * scale)
+            assert np.array_equal(got["sd"], expected["sd"] * scale)
+            assert np.array_equal(got["skewness"], expected["skewness"])
+            assert np.array_equal(got["kurtosis"], expected["kurtosis"])
 
     @pytest.mark.parametrize("k", POWERS)
     def test_scans(self, rows, k):

@@ -83,6 +83,10 @@ INVOCATIONS = {
     "chi2-short-long": ("simulate", "--marginal", "chi2", "--df", "1", *_CALIBRATION,
                         "--sizes", "2,7,8", "--reps", "4200",
                         "--kinds", "pearson,spearman,kendall"),
+    # unsorted sizes, kinds out of alphabetical order and two conditions: the row order
+    "chi2-unsorted": ("simulate", "--marginal", "chi2", "--df", "32,1", *_CALIBRATION,
+                      "--sizes", "40,5,8", "--kinds", "spearman,kendall,pearson",
+                      "--reps", "300"),
     # one run of every other CSV and JSON writer
     "s10-depiction": ("simulate", "--preset", "s10", *_CALIBRATION),
     "dbq-groups": ("resample", "--preset", "table3-dbq", "--groups", SCALES, "--reps", "300"),

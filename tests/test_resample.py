@@ -222,8 +222,8 @@ class TestMomentProfile:
                               np.column_stack([rng.standard_normal(10 ** 6),
                                                rng.standard_normal(10 ** 6)]))
         prof = moment_profile(d)
-        assert prof.skewness[0] == pytest.approx(0.0, abs=0.01)
-        assert prof.kurtosis[0] == pytest.approx(3.0, abs=0.03)
+        assert prof["skewness"][0] == pytest.approx(0.0, abs=0.01)
+        assert prof["kurtosis"][0] == pytest.approx(3.0, abs=0.03)
 
     def test_exponential_column(self):
         rng = RngStream(32).generator()
@@ -231,15 +231,15 @@ class TestMomentProfile:
                               np.column_stack([rng.exponential(size=10 ** 6),
                                                rng.standard_normal(10 ** 6)]))
         prof = moment_profile(d)
-        assert prof.skewness[0] == pytest.approx(2.0, abs=0.02)
-        assert prof.kurtosis[0] == pytest.approx(9.0, abs=0.3)
+        assert prof["skewness"][0] == pytest.approx(2.0, abs=0.02)
+        assert prof["kurtosis"][0] == pytest.approx(9.0, abs=0.3)
 
     def test_symmetric_two_point_column(self):
         values = np.column_stack([np.tile([-1.0, 1.0], 50),
                                   np.arange(100, dtype=float)])
         prof = moment_profile(PopulationDataset(("pm", "ramp"), values))
-        assert prof.skewness[0] == pytest.approx(0.0, abs=1e-12)
-        assert prof.kurtosis[0] == pytest.approx(1.0, abs=1e-12)
+        assert prof["skewness"][0] == pytest.approx(0.0, abs=1e-12)
+        assert prof["kurtosis"][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_refuses_values_whose_fourth_powers_overflow(self):
         values = np.column_stack([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 4.0, 1e100]])
@@ -252,8 +252,8 @@ class TestMomentProfile:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             prof = moment_profile(PopulationDataset(("a", "b"), values))
-        assert np.isfinite([prof.sd, prof.skewness, prof.kurtosis]).all()
-        assert prof.kurtosis[1] == pytest.approx(7.0 / 3.0)  # a two-point 3:1 column
+        assert np.isfinite([prof["sd"], prof["skewness"], prof["kurtosis"]]).all()
+        assert prof["kurtosis"][1] == pytest.approx(7.0 / 3.0)  # a two-point 3:1 column
 
     def test_matches_exact_rational_moments(self):
         values = np.array([[0, 3, -2], [1, 3, 5], [1, 7, 1], [2, -4, 1], [5, 0, 0],
@@ -263,12 +263,12 @@ class TestMomentProfile:
             mean = Fraction(sum(column), len(column))
             m2, m3, m4 = (sum((v - mean) ** k for v in column) / len(column)
                           for k in (2, 3, 4))
-            assert prof.mean[j] == float(mean)
-            assert prof.sd[j] ** 2 == pytest.approx(float(m2), rel=1e-14)
+            assert prof["mean"][j] == float(mean)
+            assert prof["sd"][j] ** 2 == pytest.approx(float(m2), rel=1e-14)
             # skewness is m3 / m2**1.5: compare its square, a rational, and its sign
-            assert prof.skewness[j] ** 2 == pytest.approx(float(m3 ** 2 / m2 ** 3), rel=1e-14)
-            assert np.sign(prof.skewness[j]) == np.sign(m3)
-            assert prof.kurtosis[j] == pytest.approx(float(m4 / m2 ** 2), rel=1e-14)
+            assert prof["skewness"][j] ** 2 == pytest.approx(float(m3 ** 2 / m2 ** 3), rel=1e-14)
+            assert np.sign(prof["skewness"][j]) == np.sign(m3)
+            assert prof["kurtosis"][j] == pytest.approx(float(m4 / m2 ** 2), rel=1e-14)
 
     def test_survey_moments_match_exact_rational_moments(self, dbq):
         # 9,000 rows of six-point items: summed down the columns one row at a
@@ -280,15 +280,15 @@ class TestMomentProfile:
             m2 = e2 - e1 ** 2
             m3 = e3 - 3 * e1 * e2 + 2 * e1 ** 3
             m4 = e4 - 4 * e1 * e3 + 6 * e1 ** 2 * e2 - 3 * e1 ** 4
-            assert prof.mean[j] == float(e1)
-            assert prof.sd[j] == pytest.approx(math.sqrt(m2), rel=1e-14)
-            assert prof.skewness[j] == pytest.approx(
+            assert prof["mean"][j] == float(e1)
+            assert prof["sd"][j] == pytest.approx(math.sqrt(m2), rel=1e-14)
+            assert prof["skewness"][j] == pytest.approx(
                 math.copysign(math.sqrt(m3 ** 2 / m2 ** 3), m3), rel=1e-14)
-            assert prof.kurtosis[j] == pytest.approx(float(m4 / m2 ** 2), rel=1e-14)
+            assert prof["kurtosis"][j] == pytest.approx(float(m4 / m2 ** 2), rel=1e-14)
 
     def test_moment_inequality(self, dbq):
         prof = moment_profile(dbq)
-        assert np.all(prof.kurtosis >= prof.skewness ** 2 + 1.0)
+        assert np.all(prof["kurtosis"] >= prof["skewness"] ** 2 + 1.0)
 
 
 class TestScaleSums:
@@ -331,9 +331,9 @@ class TestSyntheticPopulations:
     def test_dbq_like_is_uniformly_leptokurtic(self, dbq):
         prof = moment_profile(dbq)
         assert dbq.n_cols == 34
-        assert np.all(prof.kurtosis > 3.0)
-        assert np.all(prof.skewness > 0.5)
-        assert prof.kurtosis.max() > 20.0  # heavy ceiling, like real survey floors
+        assert np.all(prof["kurtosis"] > 3.0)
+        assert np.all(prof["skewness"] > 0.5)
+        assert prof["kurtosis"].max() > 20.0  # heavy ceiling, like real survey floors
 
     def test_dbq_like_positive_correlations(self, dbq):
         mat = correlation_matrix(dbq)
@@ -343,8 +343,8 @@ class TestSyntheticPopulations:
     def test_asvab_like_is_light_tailed_and_strongly_correlated(self, asvab):
         prof = moment_profile(asvab)
         assert asvab.n_cols == 10
-        assert np.all(np.abs(prof.skewness) < 0.1)
-        assert np.all((prof.kurtosis > 2.0) & (prof.kurtosis < 2.6))
+        assert np.all(np.abs(prof["skewness"]) < 0.1)
+        assert np.all((prof["kurtosis"] > 2.0) & (prof["kurtosis"] < 2.6))
         mat = correlation_matrix(asvab)
         iu = np.triu_indices(10, 1)
         assert mat[iu].min() > 0.45
@@ -490,7 +490,7 @@ class TestRankPaths:
         eigen = [eigen_study(d, sample_size, 150, master_seed=2) for d in (dbq, mapped)]
         assert eigen[0].redraw_count == eigen[1].redraw_count
         for name in ("mean_spearman", "sd_spearman", "population_spearman"):
-            assert getattr(eigen[0], name).tobytes() == getattr(eigen[1], name).tobytes(), name
+            assert eigen[0].table[name].tobytes() == eigen[1].table[name].tobytes(), name
 
 
 class TestPairReduction:
@@ -578,7 +578,7 @@ class TestBlockedPasses:
         values = np.exp(RngStream(61).generator().standard_normal(shape))
         profile = moment_profile(PopulationDataset(tuple(f"c{j}" for j in range(cols)), values))
         expected = self._one_shot_moments(values)
-        got = (profile.mean, profile.sd, profile.skewness, profile.kurtosis)
+        got = (profile["mean"], profile["sd"], profile["skewness"], profile["kurtosis"])
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
     @pytest.mark.parametrize("refused, named", [((16, 30), "item17"), ((33,), "item34")])
@@ -697,7 +697,7 @@ def _pairs_where(pairs, mask):
 
 def _kurtosis_sums(dataset, pairs):
     """Each pair's sum of its two columns' kurtoses."""
-    kurt = dict(zip(dataset.column_names, moment_profile(dataset).kurtosis))
+    kurt = dict(zip(dataset.column_names, moment_profile(dataset)["kurtosis"]))
     return np.array([kurt[a] + kurt[b] for a, b in zip(pairs["column_a"], pairs["column_b"])])
 
 
@@ -707,7 +707,8 @@ def _study_bytes(result):
 
 
 def _eigen_bytes(summary):
-    return [np.asarray(getattr(summary, f.name)).tobytes() for f in fields(summary)]
+    scalars = [getattr(summary, f.name) for f in fields(summary) if f.name != "table"]
+    return [np.asarray(value).tobytes() for value in [*scalars, *summary.table.values()]]
 
 
 def _replicate_bytes(dataset, sample_size, n_samples=300):

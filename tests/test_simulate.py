@@ -1,7 +1,5 @@
 """Tests for the Monte Carlo sweep engine."""
 
-import dataclasses
-import operator
 import struct
 from pathlib import Path
 
@@ -13,8 +11,8 @@ from corrlab.errors import InfeasibleError, InputError
 from corrlab.estimators import KINDS, kendall_rows, pearson_rows, spearman_rows
 from corrlab.exact import kendall_from_pearson, spearman_from_pearson
 from corrlab.randgen import CHUNK_REPS, MarginalSpec, PopulationSpec, RngStream
-from corrlab.simulate import (SimulationPlan, SummaryStats, logspace_sizes, replication_chunks,
-                              run_plan)
+from corrlab.simulate import (SUMMARY_COLUMNS, SimulationPlan, logspace_sizes,
+                              replication_chunks, run_plan)
 
 
 class TestLogspaceSizes:
@@ -55,47 +53,52 @@ def _two_category_population():
                           pop_pearson=0.0, pop_spearman=0.0)
 
 
+def rows_of(table):
+    """A summary table's rows, each a dict of ``SUMMARY_COLUMNS``."""
+    return [dict(zip(table, row)) for row in zip(*table.values())]
+
+
 class TestRunCell:
     """One-size plans: cell 0 of ``RngStream(k)`` draws from ``RngStream(k).child(0)``."""
 
     def test_zero_condition_is_unbiased(self):
         plan = _plan(sizes=(50,), reps=20000)
-        rows = run_plan(plan, _normal(0.0), stream=RngStream(1))
-        by_kind = {r.kind: r for r in rows}
-        assert by_kind["pearson"].mean == pytest.approx(0.0, abs=0.005)
-        assert by_kind["spearman"].mean == pytest.approx(0.0, abs=0.005)
+        table = run_plan(plan, _normal(0.0), stream=RngStream(1))
+        by_kind = dict(zip(table["kind"], table["mean"]))
+        assert by_kind["pearson"] == pytest.approx(0.0, abs=0.005)
+        assert by_kind["spearman"] == pytest.approx(0.0, abs=0.005)
 
     def test_small_sample_bias_matches_theory(self):
         plan = _plan(sizes=(5,), reps=20000)
-        rows = run_plan(plan, _normal(0.2), stream=RngStream(2))
-        by_kind = {r.kind: r for r in rows}
-        assert by_kind["pearson"].mean == pytest.approx(0.177, abs=0.01)
-        assert by_kind["spearman"].mean == pytest.approx(0.160, abs=0.01)
+        table = run_plan(plan, _normal(0.2), stream=RngStream(2))
+        by_kind = dict(zip(table["kind"], table["mean"]))
+        assert by_kind["pearson"] == pytest.approx(0.177, abs=0.01)
+        assert by_kind["spearman"] == pytest.approx(0.160, abs=0.01)
 
     def test_single_replication_has_no_sd(self):
         plan = _plan(reps=1)
-        rows = run_plan(plan, _normal(), stream=RngStream(0))
-        assert rows[0].sd is None
-        assert rows[0].p5 == rows[0].p95 == rows[0].mean
+        table = run_plan(plan, _normal(), stream=RngStream(0))
+        assert table["sd"] == ["", ""]
+        assert table["p5"] == table["p95"] == table["mean"]
 
     def test_rmse_identity(self):
         plan = _plan(reps=3000)
-        for row in run_plan(plan, _normal(), stream=RngStream(3)):
+        for row in rows_of(run_plan(plan, _normal(), stream=RngStream(3))):
             reps = plan.replications
-            lhs = row.rmse ** 2
-            rhs = row.sd ** 2 * (reps - 1) / reps + row.bias ** 2
+            lhs = row["rmse"] ** 2
+            rhs = row["sd"] ** 2 * (reps - 1) / reps + row["bias"] ** 2
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_percentiles_bracket_mean(self):
         plan = _plan(reps=2000)
-        for row in run_plan(plan, _normal(), stream=RngStream(4)):
-            assert row.p5 <= row.mean <= row.p95
+        for row in rows_of(run_plan(plan, _normal(), stream=RngStream(4))):
+            assert row["p5"] <= row["mean"] <= row["p95"]
 
     def test_degenerate_draws_are_redrawn_and_counted(self):
         # two-category marginal at n=4: a constant draw is common
         plan = SimulationPlan((4,), replications=500, coefficients=("pearson",))
-        rows = run_plan(plan, _two_category_population(), stream=RngStream(5))
-        assert rows[0].redraw_count > 0
+        table = run_plan(plan, _two_category_population(), stream=RngStream(5))
+        assert table["redraw_count"][0] > 0
 
     def test_hopeless_condition_is_infeasible(self):
         # nearly all mass on one category: n=3 draws are almost always constant
@@ -129,21 +132,21 @@ class TestRunPlan:
 
     def test_rows_cover_every_cell(self):
         plan = _plan(sizes=(10, 20), reps=200, kinds=("pearson", "spearman", "kendall"))
-        rows = run_plan(plan, _normal())
-        assert {(r.n, r.kind) for r in rows} == {
+        table = run_plan(plan, _normal())
+        assert set(zip(table["n"], table["kind"])) == {
             (n, k) for n in (10, 20) for k in ("pearson", "spearman", "kendall")}
 
     def test_seed_determinism_and_thread_independence(self):
         plan = _plan(sizes=(10, 30), reps=500)
-        rows_a = run_plan(plan, _normal(), stream=RngStream(7))
-        rows_b = run_plan(plan, _normal(), stream=RngStream(7))
-        rows_c = run_plan(plan, _normal(), threads=4, stream=RngStream(7))
-        assert rows_a == rows_b == rows_c
+        table_a = run_plan(plan, _normal(), stream=RngStream(7))
+        table_b = run_plan(plan, _normal(), stream=RngStream(7))
+        table_c = run_plan(plan, _normal(), threads=4, stream=RngStream(7))
+        assert table_a == table_b == table_c
 
     def test_different_seeds_differ(self):
-        rows_a = run_plan(_plan(reps=200), _normal(), stream=RngStream(1))
-        rows_b = run_plan(_plan(reps=200), _normal(), stream=RngStream(2))
-        assert rows_a != rows_b
+        table_a = run_plan(_plan(reps=200), _normal(), stream=RngStream(1))
+        table_b = run_plan(_plan(reps=200), _normal(), stream=RngStream(2))
+        assert table_a != table_b
 
     @staticmethod
     def _rows(population, n, reps, seed):
@@ -169,22 +172,25 @@ class TestRunPlan:
 
     def test_sd_shrinks_with_sample_size(self):
         plan = _plan(sizes=(10, 40, 160), reps=4000)
-        rows = [r for r in run_plan(plan, _normal(), stream=RngStream(9)) if r.kind == "pearson"]
-        sds = [r.sd for r in rows]
+        table = run_plan(plan, _normal(), stream=RngStream(9))
+        sds = [sd for kind, sd in zip(table["kind"], table["sd"]) if kind == "pearson"]
         assert sds[0] > sds[1] > sds[2]
 
     def test_kendall_mean_tracks_population_conversion(self):
         plan = _plan(sizes=(100,), reps=4000, kinds=("kendall",))
-        row = run_plan(plan, _normal(), stream=RngStream(10))[0]
-        assert row.mean == pytest.approx(kendall_from_pearson(0.2), abs=0.01)
-        assert row.population_value == pytest.approx(kendall_from_pearson(0.2))
+        row = rows_of(run_plan(plan, _normal(), stream=RngStream(10)))[0]
+        assert row["mean"] == pytest.approx(kendall_from_pearson(0.2), abs=0.01)
+        # bias = mean - population value
+        assert row["mean"] - row["bias"] == pytest.approx(kendall_from_pearson(0.2))
 
     def test_population_values_recorded_per_kind(self):
         plan = _plan(sizes=(12,), reps=50, kinds=("pearson", "spearman"))
-        by_kind = {r.kind: r for r in run_plan(plan, _normal(), stream=RngStream(11))}
-        assert by_kind["pearson"].population_value == 0.2
-        assert by_kind["spearman"].population_value == pytest.approx(
-            spearman_from_pearson(0.2))
+        by_kind = {row["kind"]: row
+                   for row in rows_of(run_plan(plan, _normal(), stream=RngStream(11)))}
+        # bias = mean - population value, one float64 subtraction
+        assert by_kind["pearson"]["bias"] == by_kind["pearson"]["mean"] - 0.2
+        assert by_kind["spearman"]["bias"] == pytest.approx(
+            by_kind["spearman"]["mean"] - spearman_from_pearson(0.2))
 
     def test_plan_validation(self):
         with pytest.raises(InputError):
@@ -197,15 +203,22 @@ class TestRunPlan:
             _plan(reps=0)
 
 
-def float_bits(rows):
-    """Every field of each summary row, floats as their IEEE-754 bytes."""
-    return [tuple(struct.pack("<d", v) if isinstance(v, float) else v
-                  for v in dataclasses.astuple(row)) for row in rows]
+def float_bits(table):
+    """A summary table's columns in order, floats as their IEEE-754 bytes."""
+    return [(name, [struct.pack("<d", v) if isinstance(v, float) else v for v in column])
+            for name, column in table.items()]
+
+
+def sorted_table(rows):
+    """The summary table of row dicts, its rows sorted by (n, kind)."""
+    rows = sorted(rows, key=lambda r: (r["n"], r["kind"]))
+    return {name: [row[name] for row in rows] for name in SUMMARY_COLUMNS}
 
 
 def one_cell_reference(plan, population, n, cell_stream):
-    """A cell's rows from its replications alone: 1-d numpy statistics of
-    the public row kernels' values, the summary before sweeps were batched."""
+    """A cell's rows from its replications alone, as dicts in plan order: 1-d
+    numpy statistics of the public row kernels' values, the summary before
+    sweeps were batched."""
     chunks = list(replication_chunks(population, n, plan.replications, cell_stream))
     kernels = {"pearson": pearson_rows, "spearman": spearman_rows, "kendall": kendall_rows}
     redraws = sum(chunk[2] for chunk in chunks)
@@ -215,12 +228,11 @@ def one_cell_reference(plan, population, n, cell_stream):
         pop = population.population_value(kind)
         mean = float(values.mean())
         p5, p95 = np.percentile(values, [5.0, 95.0])
-        rows.append(SummaryStats(
-            condition=population.label, kind=kind, n=n, mean=mean,
-            sd=float(values.std(ddof=1)) if values.size > 1 else None,
-            p5=float(p5), p95=float(p95), bias=mean - pop,
-            rmse=float(np.sqrt(np.mean((values - pop) ** 2))), population_value=pop,
-            redraw_count=redraws))
+        rows.append({
+            "condition": population.label, "kind": kind, "n": n, "mean": mean,
+            "sd": float(values.std(ddof=1)) if values.size > 1 else "",
+            "p5": float(p5), "p95": float(p95), "bias": mean - pop,
+            "rmse": float(np.sqrt(np.mean((values - pop) ** 2))), "redraw_count": redraws})
     return rows
 
 
@@ -229,35 +241,38 @@ class TestBatchedSummaries:
     have the bits of the cell summarised alone, whatever the thread count."""
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("reps", [1, 2, 100, CHUNK_REPS + 1])
-    def test_plan_rows_equal_cell_rows(self, reps, threads):
-        sizes = (5, 8, 30, 60) if reps < CHUNK_REPS else (5, 60)
-        plan = _plan(sizes=sizes, reps=reps, kinds=("kendall", "pearson", "spearman"))
+    @pytest.mark.parametrize("reps,sizes,kinds", [
+        *(pytest.param(reps, (5, 8, 30, 60) if reps < CHUNK_REPS else (5, 60),
+                       ("kendall", "pearson", "spearman"), id=str(reps))
+          for reps in (1, 2, 100, CHUNK_REPS + 1)),
+        # rows still come sorted by (n, kind)
+        pytest.param(300, (40, 5, 8), ("spearman", "kendall", "pearson"), id="unsorted")])
+    def test_plan_rows_equal_cell_rows(self, reps, sizes, kinds, threads):
+        plan = _plan(sizes=sizes, reps=reps, kinds=kinds)
         population = _normal(0.3)
         stream = RngStream(12)
-        rows = run_plan(plan, population, threads=threads, stream=stream)
+        table = run_plan(plan, population, threads=threads, stream=stream)
         cells = [one_cell_reference(plan, population, n, stream.child(i))
                  for i, n in enumerate(sizes)]
-        by_cell = sorted((row for cell in cells for row in cell), key=lambda r: (r.n, r.kind))
-        assert float_bits(rows) == float_bits(by_cell)
-        assert all((row.sd is None) == (reps == 1) for row in rows)
+        assert float_bits(table) == float_bits(sorted_table(row for cell in cells for row in cell))
+        assert all((sd == "") == (reps == 1) for sd in table["sd"])
 
     @pytest.mark.parametrize("reps", [1, 2, 100, CHUNK_REPS + 1])
     def test_cell_rows_equal_one_dimensional_statistics(self, reps):
         plan = _plan(sizes=(30,), reps=reps, kinds=("kendall", "pearson", "spearman"))
         population = _normal(0.3)
-        rows = run_plan(plan, population, stream=RngStream(13))
+        table = run_plan(plan, population, stream=RngStream(13))
         reference = one_cell_reference(plan, population, 30, RngStream(13).child(0))
-        assert float_bits(rows) == float_bits(sorted(reference, key=lambda r: (r.n, r.kind)))
+        assert float_bits(table) == float_bits(sorted_table(reference))
 
     def test_redraw_counts_stay_with_their_cells(self):
         plan = SimulationPlan((4, 5, 30), replications=100)
         population = _two_category_population()
-        rows = run_plan(plan, population, threads=2, stream=RngStream(14))
+        table = run_plan(plan, population, threads=2, stream=RngStream(14))
         reference = [row for i, n in enumerate(plan.sample_sizes)
                      for row in one_cell_reference(plan, population, n, RngStream(14).child(i))]
-        assert float_bits(rows) == float_bits(sorted(reference, key=lambda r: (r.n, r.kind)))
-        assert rows[0].redraw_count > rows[-1].redraw_count
+        assert float_bits(table) == float_bits(sorted_table(reference))
+        assert table["redraw_count"][0] > table["redraw_count"][-1]
 
 
 class TestRankInvariance:
@@ -274,15 +289,15 @@ class TestRankInvariance:
     def test_rank_rows_equal_the_normal_populations(self, marginal, seed):
         plan = SimulationPlan(self.SIZES, replications=300, coefficients=KINDS)
         population = PopulationSpec(marginal, 0.4, self.LATENT, 0.4, 0.0)
-        rows = run_plan(plan, population, stream=RngStream(seed))
-        normal = run_plan(plan, _normal(self.LATENT), stream=RngStream(seed))
-        assert [(r.n, r.kind) for r in rows] == [(r.n, r.kind) for r in normal]
-        stats = operator.attrgetter("mean", "sd", "p5", "p95")
+        rows = rows_of(run_plan(plan, population, stream=RngStream(seed)))
+        normal = rows_of(run_plan(plan, _normal(self.LATENT), stream=RngStream(seed)))
+        assert [(r["n"], r["kind"]) for r in rows] == [(r["n"], r["kind"]) for r in normal]
         for row, ref in zip(rows, normal):
-            if row.kind == "pearson":  # the marginal did reshape the draws
-                assert row.mean != ref.mean, row.n
+            if row["kind"] == "pearson":  # the marginal did reshape the draws
+                assert row["mean"] != ref["mean"], row["n"]
             else:
-                assert stats(row) == stats(ref), (row.n, row.kind)
+                stats = ("mean", "sd", "p5", "p95")
+                assert [row[s] for s in stats] == [ref[s] for s in stats], (row["n"], row["kind"])
 
 
 def test_readme_library_use_runs_as_written():
@@ -293,4 +308,4 @@ def test_readme_library_use_runs_as_written():
     namespace = {}
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["population"].label == "exponential_rp0.4"
-    assert {row.condition for row in namespace["rows"]} == {"exponential_rp0.4"}
+    assert set(namespace["table"]["condition"]) == {"exponential_rp0.4"}
