@@ -27,7 +27,7 @@ from . import eigen as eigenmod
 from . import exact, influence, resample, simulate
 from .errors import CorrlabError, InfeasibleError, InputError, UsageError
 from .estimators import KINDS, _pearson_rows, spearman_rows
-from .randgen import (CALIBRATION_TOL, CALIBRATION_VERSION, MIN_CALIBRATION_N,
+from .randgen import (CALIBRATION_TOL, CALIBRATION_VERSION, CHUNK_REPS, MIN_CALIBRATION_N,
                       MarginalSpec, PopulationSpec, RngStream, calibrate_copula,
                       sample_bivariate_normal, sample_population)
 
@@ -78,6 +78,14 @@ def _threads(text):
     if threads < 1:
         raise UsageError(f"threads must be at least 1, got {threads}")
     return threads
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the system
+    has one (``taskset`` narrows it below the machine's count), else the count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _scale(text):
@@ -145,7 +153,8 @@ COMMON = {
     "seed": (_seed, 0, "non-negative master seed"),
     "out-dir": (str, None, f"output directory [default: ${ENV_OUT_DIR} or ./{DEFAULT_OUT_DIR}]"),
     "scale": (_scale, "desk", "replication scale preset: desk or paper"),
-    "threads": (_threads, None, "worker threads; never changes results [default: cpu count]"),
+    "threads": (_threads, None,
+                "worker threads; never changes results [default: CPUs this process may use]"),
 }
 
 _SCALE_DEFAULTS = {
@@ -291,7 +300,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     scale = resolve("scale", COMMON["scale"][1])
     seed = resolve("seed", COMMON["seed"][1])
-    threads = resolve("threads", os.cpu_count() or 1)
+    threads = resolve("threads", _usable_cpus())
     out_dir = resolve("out-dir", os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
     params = {key: resolve(key, _SCALE_DEFAULTS[scale].get((subcommand, key), default))
               for key, (_, default, _help) in keys.items()}
@@ -493,14 +502,23 @@ def _run_density(cfg: RunConfig):
 
 def _density_histogram(rho: float, n: int, reps: int, seed: int):
     """Simulated coefficient distribution on 0.01-wide bins, counted chunk by
-    chunk from a simulation cell's draws, plus the exact curve."""
+    chunk from a simulation cell's draws, plus the exact curve.  The blocks of
+    a chunk fill one buffer per kind, which is binned once the chunk is whole;
+    counts are integers, so the binning order moves no value."""
     edges = np.linspace(-1.005, 1.005, 202)  # bins centered on -1.00 .. 1.00
     centers = 0.5 * (edges[:-1] + edges[1:])
     counts = np.zeros((2, edges.size - 1), dtype=np.int64)
+    chunk = np.empty((2, CHUNK_REPS))
+    done = 0
     for x, y, _ in simulate.replication_chunks(PopulationSpec.bivariate_normal(rho), n,
                                                reps, RngStream(seed).child(2)):
-        counts[0] += np.histogram(_pearson_rows(x, y), bins=edges)[0]  # rows vary
-        counts[1] += np.histogram(spearman_rows(x, y), bins=edges)[0]
+        lo = done % CHUNK_REPS  # a block never spans two chunks
+        hi, done = lo + len(x), done + len(x)
+        chunk[0, lo:hi] = _pearson_rows(x, y)  # rows vary
+        chunk[1, lo:hi] = spearman_rows(x, y)
+        if hi == CHUNK_REPS or done == reps:
+            for kind_counts, values in zip(counts, chunk[:, :hi]):
+                kind_counts += np.histogram(values, bins=edges)[0]
     frac_p, frac_s = counts / reps
     return {"bin_center": centers, "fraction_pearson": frac_p, "fraction_spearman": frac_s,
             "fraction_exact": _exact_bin_fractions(rho, n, edges)}

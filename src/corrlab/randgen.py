@@ -5,12 +5,16 @@ replication study draws through one driver, ``_replication_blocks``: chunk
 k of ``CHUNK_REPS`` replications draws block by block from path (..., k)
 and redraws a degenerate replication i of it from (..., k, i), so every
 study is reproducible and safely parallel however its work is blocked or
-scheduled.  Bit-level streams come from numpy's PCG64 keyed by a
-SeedSequence spawn key; normal variates use numpy's ziggurat sampler.
+scheduled.  Studies size their blocks by ``_BLOCK_VALUES``, the one
+budget of values per block, so that a block's draw, its map and every
+kernel over it stay in cache; a simulation cell of size n runs
+``_BLOCK_VALUES // n`` rows at a time, a whole chunk up to n = 16.
+Bit-level streams come from numpy's PCG64 keyed by a SeedSequence spawn
+key; normal variates use numpy's ziggurat sampler.
 Reproducibility holds per build, not across numpy major versions.
-A simulation chunk of n <= 7 (``estimators._SHORT_ROW``) is held
+A simulation block of n <= 7 (``estimators._SHORT_ROW``) is held
 variable-major, each variable one contiguous (n, rows) plane, the layout
-the short-row kernels read; every chunk is coupled in place.  No value
+the short-row kernels read; every block is coupled in place.  No value
 depends on the memory layout.
 
 Correlated non-normal pairs are produced by pushing a correlated
@@ -60,6 +64,9 @@ MIN_CALIBRATION_N = 1000
 # a sample that keeps degenerating is given up after this many redraws
 REDRAW_CAP_PER_SAMPLE = 1000
 CHUNK_REPS = 4096  # replications per chunk stream: part of the layout, not a knob
+# values per block of replications (0.5 MB of float64, an L2-sized working set;
+# 2**18 took more memory and time); blocks move no value, only the memory held
+_BLOCK_VALUES = 2 ** 16
 
 # Cumulative cut points mimicking a heavily floor-concentrated survey
 # item: three quarters of the mass on the lowest of six categories.
@@ -97,8 +104,10 @@ def _replication_blocks(stream: RngStream, reps: int, draw, constant, names, whe
             sample = draw(rng, min(block, size - lo))
             flags = constant(sample)
             failed = 0
-            # the flagged replications, in order; flags.any(axis=1) takes 10x as long on 2 columns
-            for i in np.unique(np.flatnonzero(flags) // flags.shape[1]):
+            # the flagged replications, in order; flags.any(axis=1) takes 10x as long on
+            # 2 columns, and flags.any() passes the many blocks that flag none 4x faster
+            flagged = np.unique(np.flatnonzero(flags) // flags.shape[1]) if flags.any() else ()
+            for i in flagged:
                 degenerate += flags[i]
                 redraw = chunk.child(lo + i).generator()
                 for _ in range(REDRAW_CAP_PER_SAMPLE):

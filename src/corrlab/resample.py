@@ -21,12 +21,13 @@ codes' exactness bounds.  Any other population is gathered as floats,
 ranked and centred, and its matrices come from ``_correlation_core``.
 
 A pass over the whole table holds at most the table, its level codes and
-one table-sized result, and does the rest in blocks of ``_BLOCK_VALUES``
-values: ``moment_profile`` reduces a few columns of a contiguous copy at a
-time, ``scale_sums`` sums row blocks, and the population matrices count
-and gather the codes a row block at a time into one stack or, for
-floats, rank the Spearman columns a few at a time into one array centred
-in place.  Each row of a reduction is summed as in one pass, so the bits
+one table-sized result, and does the rest in blocks of
+``randgen._BLOCK_VALUES`` values, the budget that blocks the draws too:
+``moment_profile`` reduces a few columns of a contiguous copy at a time,
+``scale_sums`` sums row blocks, and the population matrices count and
+gather the codes a row block at a time into one stack or, for floats,
+rank the Spearman columns a few at a time into one array centred in
+place.  Each row of a reduction is summed as in one pass, so the bits
 are the same.
 
 The original survey datasets this protocol was designed around are not
@@ -53,7 +54,8 @@ import numpy as np
 from .errors import DegenerateSampleError, InputError
 from .estimators import (_MATRIX_KINDS, _TINY, _centered_correlation, _correlation_core,
                          _mid_ranks, _varies, rank_rows)
-from .randgen import MarginalSpec, RngStream, _couple, _replication_blocks, _transform
+from .randgen import (_BLOCK_VALUES, MarginalSpec, RngStream, _couple, _replication_blocks,
+                      _transform)
 
 __all__ = [
     "PopulationDataset",
@@ -66,9 +68,6 @@ __all__ = [
     "dbq_like_population",
     "TABLE_STATISTICS",
 ]
-
-# table values gathered per block of replications (2**18 took more memory and time)
-_BLOCK_VALUES = 2 ** 16
 
 # the ten aggregate statistic rows of the summary table, in output order
 TABLE_STATISTICS = (

@@ -5,10 +5,13 @@ coefficients to estimate, and a replication count; :func:`run_plan` runs
 it against one population and returns its summary table as columns.
 Each (size, coefficient) cell yields one row of that table.  Cell c
 draws through the chunk layout of :mod:`corrlab.randgen` under path
-(c,), so results do not depend on how cells are scheduled.  A sweep
-keeps every replication in one (coefficient, cell, replication) array
-and takes each statistic once per coefficient over all cells; a cell's
-row has the same bits as the cell summarised alone.
+(c,), so results do not depend on how cells are scheduled, and runs
+the draw, the marginal map and every kernel on one row block of
+``randgen._BLOCK_VALUES`` values at a time, so a cell holds one block
+rather than a chunk.  A sweep keeps every replication in one
+(coefficient, cell, replication) array and takes each statistic once per
+coefficient over all cells; a cell's row has the same bits as the cell
+summarised alone.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import InfeasibleError, InputError
 from .estimators import KINDS, _pearson_rows, _varies, kendall_rows, spearman_rows
-from .randgen import PopulationSpec, RngStream, _pairs, _replication_blocks
+from .randgen import _BLOCK_VALUES, PopulationSpec, RngStream, _pairs, _replication_blocks
 
 __all__ = ["SimulationPlan", "logspace_sizes", "replication_chunks", "run_plan",
            "SUMMARY_COLUMNS"]
@@ -76,12 +79,16 @@ class SimulationPlan:
 
 def replication_chunks(population: PopulationSpec, n: int, reps: int,
                        stream: RngStream):
-    """Yield (x, y, redraws) for successive chunks of ``CHUNK_REPS`` rows, drawn
-    under ``stream`` by :mod:`corrlab.randgen`'s replication driver: a row with
-    a constant x or y is redrawn, and ``redraws`` counts the failed draws."""
+    """Yield (x, y, redraws) for successive blocks of ``max(1, _BLOCK_VALUES // n)``
+    rows, at most a chunk of ``CHUNK_REPS``, drawn under ``stream`` by
+    :mod:`corrlab.randgen`'s replication driver: a row with a constant x or y
+    is redrawn, and ``redraws`` counts the failed draws.  A block has the rows
+    of one chunk-wide draw, and every kernel reduces each row on its own, so
+    no value depends on the block size."""
     for pairs, redraws in _replication_blocks(
             stream, reps, lambda rng, rows: _pairs(population, rng, rows, n),
-            lambda pairs: ~_varies(pairs), ("x", "y"), f"at n={n}"):
+            lambda pairs: ~_varies(pairs), ("x", "y"), f"at n={n}",
+            max(1, _BLOCK_VALUES // n)):
         yield pairs[:, 0], pairs[:, 1], redraws
 
 

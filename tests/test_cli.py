@@ -124,6 +124,24 @@ class TestParsing:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("mask,argv,expected", [
+        ({0}, [], 1), ({0, 3, 5}, [], 3), ({0}, ["--threads", "4"], 4)],
+        ids=["one-cpu", "three-cpus", "flag"])
+    def test_threads_default_to_the_affinity_mask(self, monkeypatch, mask, argv, expected):
+        # under taskset the mask is narrower than the machine's CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        args = cli.build_parser().parse_args(["simulate", "--sizes", "5", *argv])
+        assert cli.resolve_config(args).threads == expected
+
+    @pytest.mark.parametrize("count,expected", [(6, 6), (None, 1)])
+    def test_threads_default_to_the_cpu_count_without_a_mask(self, monkeypatch, count,
+                                                             expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        args = cli.build_parser().parse_args(["simulate", "--sizes", "5"])
+        assert cli.resolve_config(args).threads == expected
+
     def test_negative_seed_in_config_file_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": "5", "mc-reps": 10, "seed": -2}))
@@ -996,6 +1014,13 @@ class TestPeakMemory:
         argv = ["density", "--pearson", "0.2", "--n", "5", "--mc-reps", "1000000",
                 "--out-dir", str(tmp_path)]
         assert self.peak_mb(f"from corrlab import cli\nassert cli.main({argv!r}) == 0") < 150
+
+    def test_simulate_cell_holds_one_block(self, tmp_path):
+        # a whole 4,096 x 1000 chunk pair and its kernel temporaries took 254 MB;
+        # blocks of 65 rows take the run to about 62 MB
+        argv = ["simulate", "--sizes", "1000", "--reps", "4096", "--kinds", "pearson,spearman",
+                "--out-dir", str(tmp_path)]
+        assert self.peak_mb(f"from corrlab import cli\nassert cli.main({argv!r}) == 0") < 120
 
     def test_largest_influence_scan_forms_only_its_cross_block(self):
         code = ("from corrlab import influence\n"

@@ -83,6 +83,10 @@ INVOCATIONS = {
     "chi2-short-long": ("simulate", "--marginal", "chi2", "--df", "1", *_CALIBRATION,
                         "--sizes", "2,7,8", "--reps", "4200",
                         "--kinds", "pearson,spearman,kendall"),
+    # row blocks smaller than a chunk: n = 20 splits chunk 0 in two and redraws,
+    # n = 700 runs 93-row blocks, and both cross a chunk with all three kernels on ties
+    "likert-blocks": ("simulate", "--marginal", "likert", *_CALIBRATION, "--sizes", "20,700",
+                      "--reps", "4200", "--kinds", "pearson,spearman,kendall"),
     # unsorted sizes, kinds out of alphabetical order and two conditions: the row order
     "chi2-unsorted": ("simulate", "--marginal", "chi2", "--df", "32,1", *_CALIBRATION,
                       "--sizes", "40,5,8", "--kinds", "spearman,kendall,pearson",

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrlab import simulate
+from corrlab import cli, simulate
 from corrlab.errors import InfeasibleError, InputError
 from corrlab.estimators import KINDS, kendall_rows, pearson_rows, spearman_rows
 from corrlab.exact import kendall_from_pearson, spearman_from_pearson
@@ -273,6 +273,83 @@ class TestBatchedSummaries:
                      for row in one_cell_reference(plan, population, n, RngStream(14).child(i))]
         assert float_bits(table) == float_bits(sorted_table(reference))
         assert table["redraw_count"][0] > table["redraw_count"][-1]
+
+
+class TestBlockBudget:
+    """A cell of size n runs blocks of ``_BLOCK_VALUES // n`` rows.  Budgets
+    that make blocks of 1, 7 and 275 rows move no value, redraw count or
+    error: a block has the rows of one chunk-wide draw, and every kernel
+    reduces each row on its own."""
+
+    SIZES = (5, 20)  # the short-row and long-row kernels
+    REPS = CHUNK_REPS + 4  # two chunks, the second one short
+    POPULATIONS = {
+        "normal": _normal(0.3),
+        "exponential": PopulationSpec(MarginalSpec.exponential(), 0.4, 0.4462904, 0.4, 0.0),
+        # three-quarters of the mass on one of six levels: ties everywhere, and
+        # constant draws redrawn, a quarter of them at n = 5 and a few at n = 20
+        "likert": PopulationSpec(MarginalSpec.likert(), 0.3, 0.35, 0.3, 0.3)}
+
+    @staticmethod
+    def _blocked(monkeypatch, n, rows, run):
+        """``run()`` with a budget of ``rows`` rows at size n, and the largest
+        number of rows drawn at once."""
+        drawn = []
+        pairs = simulate._pairs
+
+        def recorded(spec, rng, count, size):
+            drawn.append(count)
+            return pairs(spec, rng, count, size)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_BLOCK_VALUES", rows * n)
+            patch.setattr(simulate, "_pairs", recorded)
+            return run(), max(drawn)
+
+    @pytest.mark.parametrize("rows", [1, 7, 275])
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("population", list(POPULATIONS))
+    def test_run_plan_keeps_its_bits(self, monkeypatch, population, n, rows):
+        plan = _plan(sizes=(n,), reps=self.REPS, kinds=KINDS)
+        spec = self.POPULATIONS[population]
+
+        def run():
+            return run_plan(plan, spec, stream=RngStream(16))
+
+        table, largest = self._blocked(monkeypatch, n, rows, run)
+        assert largest == rows
+        assert float_bits(table) == float_bits(run())
+        assert (table["redraw_count"][0] > 0) == (population == "likert")
+
+    @pytest.mark.parametrize("rows", [1, 7, 275])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_density_histogram_keeps_its_bits(self, monkeypatch, n, rows):
+        def run():
+            return cli._density_histogram(0.5, n, self.REPS, 17)
+
+        histogram, largest = self._blocked(monkeypatch, n, rows, run)
+        assert largest == rows
+        for kind in ("pearson", "spearman"):  # the short last chunk is binned too
+            assert histogram[f"fraction_{kind}"].sum() == pytest.approx(1.0, abs=1e-12)
+        for name, column in run().items():
+            assert np.asarray(histogram[name]).tobytes() == np.asarray(column).tobytes(), name
+
+    def test_redraw_cap_names_the_same_replication(self, monkeypatch):
+        # two levels, 97.5 % on the lower: at n = 3, replication 111 is the
+        # first whose x keeps coming out constant past the cap
+        population = PopulationSpec(MarginalSpec.likert((0.975,)), 0.0, 0.0, 0.0, 0.0)
+        plan = SimulationPlan((3,), replications=300, coefficients=("pearson",))
+
+        def error():
+            with pytest.raises(InfeasibleError) as raised:
+                run_plan(plan, population, stream=RngStream(6))
+            return str(raised.value)
+
+        message = error()
+        assert message == ("replication 111 exceeded 1000 redraws at n=3; "
+                           "column 'x' keeps degenerating")
+        for rows in (1, 7, 275):
+            assert self._blocked(monkeypatch, 3, rows, error) == (message, rows)
 
 
 class TestRankInvariance:
